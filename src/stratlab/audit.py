@@ -9,6 +9,15 @@ more than epsilon with 95% confidence. Deviation runs share the baseline's
 random streams (common random numbers), so gains are paired per trial and by
 realized game, which makes the scripted counterexamples essentially
 noise-free.
+
+Common random numbers also make many deviation trials exact repeats of the
+baseline's. Trial k of a deviation is replayed from baseline trial k when
+the deviating player's canonical spec (defaults filled in, mimic_deviation
+resolved to its base plus the forced signal) equals the baseline's and
+either the learner never reads its signal or the signal it would get equals
+the baseline's. The rule needs only the specs and the environment draw, so
+an audit lists every trial it must simulate up front and runs them all in
+one pass over one worker pool.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from .engine import (
     TrialSummary,
     Z_95,
     Z_95_ONE_SIDED,
+    environment_draw,
     estimate_csps,
     run_summaries,
     summarize,
@@ -31,7 +41,7 @@ from .engine import (
 )
 from .errors import InvalidArgumentError
 from .games import GameMatrix, Prior, two_game_family_g1, two_game_family_g2
-from .learners import LearnerSpec, spec_needs_side_signal
+from .learners import LearnerSpec, canonical_spec, spec_needs_side_signal, spec_reads_signal
 from .solve import stackelberg_value, stackval_prior
 
 
@@ -121,6 +131,52 @@ def paired_gain(
     return m, Z_95 * math.sqrt(v / len(diffs))
 
 
+def _replays_baseline(
+    cfg: ExperimentConfig, player: int, spec: LearnerSpec, draws: list[tuple[int, int, int]]
+) -> list[bool]:
+    """Per trial, whether the deviation's trial repeats the baseline's bit for bit."""
+    base_kind, base_params, base_forced = canonical_spec(cfg.spec1 if player == 1 else cfg.spec2)
+    kind, params, forced = canonical_spec(spec)
+    # An out-of-range forced signal is simulated so that it raises as usual.
+    if (kind, params) != (base_kind, base_params) or not (
+        forced is None or 0 <= forced < cfg.prior.support_size
+    ):
+        return [False] * cfg.trials
+    if not spec_reads_signal(spec):
+        return [True] * cfg.trials
+    return [
+        (d[player] if forced is None else forced)
+        == (d[player] if base_forced is None else base_forced)
+        for d in draws
+    ]
+
+
+def _run_with_deviations(
+    cfg: ExperimentConfig, deviations: list[tuple[int, LearnerSpec]], threads: int
+) -> tuple[list[TrialSummary], list[list[TrialSummary]], int, int]:
+    """Baseline summaries, one summary list per (player, spec) deviation, the
+    number of trials simulated and the number of deviation trials replayed
+    from the baseline.
+
+    Every trial that is not a replay runs in one run_summaries pass.
+    """
+    draws = [environment_draw(cfg, k) for k in range(cfg.trials)]
+    jobs = [(cfg, k) for k in range(cfg.trials)]  # job k is baseline trial k
+    slots = []  # per deviation and trial, the index of the job to read
+    for player, spec in deviations:
+        dev_cfg = with_spec(cfg, player, spec)
+        row = []
+        for k, replay in enumerate(_replays_baseline(cfg, player, spec, draws)):
+            if not replay:
+                jobs.append((dev_cfg, k))
+            row.append(k if replay else len(jobs) - 1)
+        slots.append(row)
+    results = run_summaries(cfg, threads, jobs=jobs)
+    reused = cfg.trials * (1 + len(deviations)) - len(jobs)
+    devs = [[results[j] for j in row] for row in slots]
+    return results[: cfg.trials], devs, len(jobs), reused
+
+
 @dataclass
 class AuditReport:
     epsilon: float
@@ -131,6 +187,10 @@ class AuditReport:
     verdict: str  # "pass" | "fail"
     failure: tuple[int, str] | None
     failing: list  # every deviation whose gain lower bound exceeds epsilon
+    # Telemetry, kept out of to_dict(): trials run, and deviation trials
+    # replayed from the baseline.
+    trials_simulated: int
+    trials_reused: int
 
     def to_dict(self) -> dict:
         return {
@@ -152,42 +212,43 @@ def audit_pne(
     epsilon: float = 0.5,
     threads: int = 1,
 ) -> AuditReport:
-    """Re-run the experiment once per (player, deviation) and compare gains.
+    """Run the experiment once per (player, deviation) and compare gains.
 
-    Fails when any deviation gain's lower 95% confidence bound exceeds
-    epsilon. A pass is evidence at the configured horizon against the given
-    library, not a proof of meta-game equilibrium.
+    Deviation trials that repeat the baseline's are replayed (module
+    docstring). Fails when any deviation gain's lower 95% confidence bound
+    exceeds epsilon. A pass is evidence at the configured horizon against the
+    given library, not a proof of meta-game equilibrium.
     """
     if not epsilon > 0:
         raise InvalidArgumentError("epsilon must be positive")
     if lib is None:
         lib = default_library(cfg)
-    base_summaries = run_summaries(cfg, threads)
+    named = [(player, name, spec) for player in (1, 2) for name, spec in lib.for_player(player)]
+    base_summaries, dev_runs, simulated, reused = _run_with_deviations(
+        cfg, [(player, spec) for player, _, spec in named], threads
+    )
     baseline = summarize(cfg, base_summaries)
     rows = []
     failing = []
     worst = None  # (lower_bound, player, name); ties resolve to the later entry
     max_gain = {1: -math.inf, 2: -math.inf}
-    for player in (1, 2):
-        for name, spec in lib.for_player(player):
-            dev_cfg = with_spec(cfg, player, spec)
-            dev_summaries = run_summaries(dev_cfg, threads)
-            gain, ci = paired_gain(cfg.prior, base_summaries, dev_summaries, player)
-            lower = gain - ci if ci is not None else gain
-            rows.append(
-                {
-                    "player": player,
-                    "name": name,
-                    "gain": gain,
-                    "ci95": ci,
-                    "lower_bound": lower,
-                }
-            )
-            max_gain[player] = max(max_gain[player], gain)
-            if lower > epsilon:
-                failing.append((player, name))
-                if worst is None or lower >= worst[0]:
-                    worst = (lower, player, name)
+    for (player, name, _), dev_summaries in zip(named, dev_runs):
+        gain, ci = paired_gain(cfg.prior, base_summaries, dev_summaries, player)
+        lower = gain - ci if ci is not None else gain
+        rows.append(
+            {
+                "player": player,
+                "name": name,
+                "gain": gain,
+                "ci95": ci,
+                "lower_bound": lower,
+            }
+        )
+        max_gain[player] = max(max_gain[player], gain)
+        if lower > epsilon:
+            failing.append((player, name))
+            if worst is None or lower >= worst[0]:
+                worst = (lower, player, name)
     verdict = "pass" if worst is None else "fail"
     return AuditReport(
         epsilon=epsilon,
@@ -197,6 +258,8 @@ def audit_pne(
         verdict=verdict,
         failure=None if worst is None else (worst[1], worst[2]),
         failing=failing,
+        trials_simulated=simulated,
+        trials_reused=reused,
     )
 
 
@@ -226,6 +289,9 @@ class ClaimsReport:
     mimic_gain: float
     mimic_gain_ci: float | None
     contradiction: bool
+    # Telemetry, kept out of to_dict() as in AuditReport.
+    trials_simulated: int
+    trials_reused: int
 
     def to_dict(self) -> dict:
         return {
@@ -293,7 +359,10 @@ def verify_claims(
     if cfg.signal_model.p2 > p_star + 1e-12:
         raise InvalidArgumentError("claims verifier requires p2 <= p_star")
 
-    base_summaries = run_summaries(cfg, threads)
+    mimic_spec = LearnerSpec("mimic_deviation", {"base": cfg.spec1, "signal": 0})
+    base_summaries, (dev_summaries,), simulated, reused = _run_with_deviations(
+        cfg, [(1, mimic_spec)], threads
+    )
     est = summarize(cfg, base_summaries)
     csps = estimate_csps(cfg, summaries=base_summaries)
 
@@ -315,8 +384,6 @@ def verify_claims(
     u2_ci = est.prior_weighted_ci_u2 if est.prior_weighted_u2 is not None else est.ci_u2
     achieved = u2 >= benchmark - tol
 
-    mimic_spec = LearnerSpec("mimic_deviation", {"base": cfg.spec1, "signal": 0})
-    dev_summaries = run_summaries(with_spec(cfg, 1, mimic_spec), threads)
     mimic_gain, mimic_ci = paired_gain(prior, base_summaries, dev_summaries, 1)
 
     gain_positive = mimic_gain - (mimic_ci or 0.0) > 0.0
@@ -340,6 +407,8 @@ def verify_claims(
         mimic_gain=mimic_gain,
         mimic_gain_ci=mimic_ci,
         contradiction=achieved and gain_positive,
+        trials_simulated=simulated,
+        trials_reused=reused,
     )
 
 

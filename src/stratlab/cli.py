@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 from .audit import audit_pne, belief_trace, revelation_analysis, verify_claims
 from .engine import ExperimentConfig, estimate, estimate_csps, write_csv
@@ -30,6 +31,9 @@ from .solve import stackelberg_value, stackval_prior
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
+    unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise InvalidArgumentError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
     try:
         prior_spec = d["prior"]
         prior = (
@@ -76,7 +80,8 @@ def apply_override(raw: dict, assignment: str) -> None:
     """Apply one dotted-path override (e.g. signal_model.p2=0.5) in place.
 
     Intermediate keys must exist; the final key must exist too, except under a
-    "params" object where new learner parameters may be introduced.
+    "params" object where new learner parameters may be introduced (the
+    learner spec then checks them against its kind's param table).
     """
     path, sep, value = assignment.partition("=")
     if not sep:
@@ -199,9 +204,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def report_trials(report) -> None:
+    """One stderr line of trial counts, kept out of the JSON report."""
+    print(
+        f"trials: {report.trials_simulated} simulated, "
+        f"{report.trials_reused} replayed from the baseline",
+        file=sys.stderr,
+    )
+
+
 def cmd_audit(args) -> int:
     cfg = load_config(args.config, args)
     report = audit_pne(cfg, epsilon=args.epsilon, threads=args.threads)
+    report_trials(report)
     emit(report.to_dict(), args, "audit.json")
     return 0 if report.verdict == "pass" else 2
 
@@ -209,6 +224,7 @@ def cmd_audit(args) -> int:
 def cmd_claims(args) -> int:
     cfg = load_config(args.config, args)
     report = verify_claims(cfg, p_star=args.p_star, tol=args.tol, threads=args.threads)
+    report_trials(report)
     emit(report.to_dict(), args, "claims.json")
     return 2 if report.contradiction else 0
 

@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise InvalidArgumentError("horizon must be >= 1")
         if self.trials < 1:
             raise InvalidArgumentError("trials must be >= 1")
+        if self.tail_window < 1:
+            raise InvalidArgumentError("tail_window must be >= 1")
         if self.feedback_mode not in ("full", "bandit"):
             raise InvalidArgumentError(f"bad feedback_mode {self.feedback_mode!r}")
         if not self.checkpoints:
@@ -376,20 +378,29 @@ def _worker(args) -> TrialSummary:
 
 
 def run_summaries(
-    cfg: ExperimentConfig, threads: int = 1, probe: BeliefProbe | None = None
+    cfg: ExperimentConfig,
+    threads: int = 1,
+    probe: BeliefProbe | None = None,
+    jobs: list[tuple[ExperimentConfig, int]] | None = None,
 ) -> list[TrialSummary]:
-    """All trial summaries, optionally across a fork-based worker pool.
+    """Trial summaries of a job list, in job order.
 
-    Results are identical for any thread count: each trial derives its own
-    random streams and the list is ordered by trial index.
+    A job is a (config, trial index) pair; the default list is every trial
+    of cfg. The jobs run in this process at threads <= 1, otherwise through
+    one fork-based worker pool. Results are identical for any thread count:
+    each trial derives its own random streams from its config and index.
     """
-    tasks = [(cfg, k, probe) for k in range(cfg.trials)]
-    if threads <= 1 or cfg.trials == 1:
+    if jobs is None:
+        jobs = [(cfg, k) for k in range(cfg.trials)]
+    tasks = [(job_cfg, k, probe) for job_cfg, k in jobs]
+    if threads <= 1 or len(tasks) == 1:
         return [_worker(t) for t in tasks]
     ctx = multiprocessing.get_context("fork")
-    chunk = max(1, cfg.trials // (threads * 4))
     with ctx.Pool(threads) as pool:
-        return pool.map(_worker, tasks, chunksize=chunk)
+        # Chunks of one task: trial costs differ across the configs of one
+        # job list, and a larger chunk can leave one worker idle while the
+        # other still works through a chunk of slow trials.
+        return pool.map(_worker, tasks, chunksize=1)
 
 
 # ---------------------------------------------------------------------------

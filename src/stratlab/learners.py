@@ -42,13 +42,13 @@ KINDS = (
     "external_signal_leader",
 )
 
-DEFAULT_DELTA_EXPONENT = 0.25  # b in the schedule delta = T_m^(-b), 0 < b < 1-a
-INITIAL_EPOCH = 64
+MIMIC_PARAMS = ("base", "signal")
 
 
 @dataclass(frozen=True)
 class LearnerSpec:
-    """Declarative learner configuration; see KINDS for valid kinds."""
+    """Declarative learner configuration; see KINDS for valid kinds. Params
+    must be named in the kind's param table (`param_defaults`)."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -56,6 +56,19 @@ class LearnerSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidArgumentError(f"unknown learner kind {self.kind!r}")
+        mimic = self.kind == "mimic_deviation"
+        allowed = MIMIC_PARAMS if mimic else _CLASSES[self.kind].param_defaults
+        unknown = sorted(set(self.params) - set(allowed))
+        if unknown:
+            raise InvalidArgumentError(
+                f"unknown param(s) {', '.join(map(repr, unknown))} for learner kind {self.kind!r}"
+            )
+        if mimic and "base" in self.params:
+            base = self.params["base"]
+            if not isinstance(base, LearnerSpec):
+                base = LearnerSpec.from_dict(base)  # validates the base's params
+            if base.kind == "mimic_deviation":
+                raise InvalidArgumentError("mimic_deviation cannot wrap itself")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params)}
@@ -76,10 +89,18 @@ def _own_payoff_rows(g: GameMatrix, role: int) -> list[list[float]]:
 
 
 class Learner:
-    """Base class enforcing the act/observe protocol."""
+    """Base class enforcing the act/observe protocol.
 
+    `param_defaults` is the kind's param table: every accepted param and its
+    default (None where the param is required or the default is adaptive).
+    `reads_signal` is False only for classes whose play never depends on
+    their pre-play signal.
+    """
+
+    param_defaults: dict = {}
     requires_full_info = False
     needs_side_signal = False
+    reads_signal = True
 
     def __init__(self, spec: LearnerSpec, role: int, prior: Prior, signal: int, rng: Random):
         if role not in (1, 2):
@@ -95,6 +116,9 @@ class Learner:
         self.n_opp = prior.n2 if role == 1 else prior.n1
         self.t = 1
         self._awaiting_feedback = False
+
+    def _param(self, name: str):
+        return self.spec.params.get(name, self.param_defaults[name])
 
     def act(self) -> MixedStrategy:
         if self._awaiting_feedback:
@@ -130,28 +154,34 @@ def learner_init(
     with the forced signal index.
     """
     if spec.kind == "mimic_deviation":
-        try:
-            base = spec.params["base"]
-            forced = int(spec.params["signal"])
-        except KeyError as e:
-            raise InvalidArgumentError(f"mimic_deviation missing param {e}") from e
-        if not isinstance(base, LearnerSpec):
-            base = LearnerSpec.from_dict(base)
-        if base.kind == "mimic_deviation":
-            raise InvalidArgumentError("mimic_deviation cannot wrap itself")
+        base, forced = _mimic_parts(spec)
         return learner_init(base, role, prior, forced, rng)
     cls = _CLASSES[spec.kind]
     return cls(spec, role, prior, signal, rng)
 
 
+def _mimic_parts(spec: LearnerSpec) -> tuple[LearnerSpec, int]:
+    """A mimic_deviation's base spec and forced signal index."""
+    try:
+        base = spec.params["base"]
+        forced = int(spec.params["signal"])
+    except KeyError as e:
+        raise InvalidArgumentError(f"mimic_deviation missing param {e}") from e
+    if not isinstance(base, LearnerSpec):
+        base = LearnerSpec.from_dict(base)
+    return base, forced
+
+
 class ConstantAction(Learner):
+    param_defaults = {"action": None}
+    reads_signal = False
+
     def __init__(self, spec, role, prior, signal, rng):
         super().__init__(spec, role, prior, signal, rng)
-        try:
-            action = int(spec.params["action"])
-        except KeyError as e:
-            raise InvalidArgumentError("constant_action requires param 'action'") from e
-        self._strategy = pure(self.n_own, action)
+        action = self._param("action")
+        if action is None:
+            raise InvalidArgumentError("constant_action requires param 'action'")
+        self._strategy = pure(self.n_own, int(action))
 
     def _act(self):
         return self._strategy
@@ -160,12 +190,14 @@ class ConstantAction(Learner):
 class _HedgeCore(Learner):
     """Shared machinery: log-weights, softmax, payoff normalization."""
 
+    param_defaults = {"eta": None}
+
     def __init__(self, spec, role, prior, signal, rng):
         super().__init__(spec, role, prior, signal, rng)
         lo, hi = prior.payoff_range(role)
         self._u_lo = lo
         self._u_scale = 1.0 / (hi - lo) if hi > lo else 1.0
-        eta = spec.params.get("eta")
+        eta = self._param("eta")
         if eta is not None and not eta > 0:
             raise InvalidArgumentError(f"eta must be positive, got {eta!r}")
         self._eta_fixed = eta
@@ -217,9 +249,12 @@ class MultiplicativeWeights(_HedgeCore):
 class BanditExp3(_HedgeCore):
     """EXP3: sampled one-hot play with importance-weighted reward estimates."""
 
+    param_defaults = {"eta": None, "exploration": None}
+    reads_signal = False
+
     def __init__(self, spec, role, prior, signal, rng):
         super().__init__(spec, role, prior, signal, rng)
-        explore = spec.params.get("exploration")
+        explore = self._param("exploration")
         if explore is not None and not 0.0 <= explore <= 1.0:
             raise InvalidArgumentError(f"exploration must be in [0,1], got {explore!r}")
         self._explore_fixed = explore
@@ -330,9 +365,12 @@ class NoSwapRegretBandit(_SwapRegretCore):
     """Same reduction under bandit feedback: exploration-mixed sampling with
     importance-weighted estimates, gamma_t = min(1, sqrt(n ln n / t))."""
 
+    param_defaults = {"eta": None, "exploration": None}
+    reads_signal = False
+
     def __init__(self, spec, role, prior, signal, rng):
         super().__init__(spec, role, prior, signal, rng)
-        explore = spec.params.get("exploration")
+        explore = self._param("exploration")
         if explore is not None and not 0.0 <= explore <= 1.0:
             raise InvalidArgumentError(f"exploration must be in [0,1], got {explore!r}")
         self._explore_fixed = explore
@@ -380,13 +418,16 @@ class _EpochedCommitment(Learner):
     """Doubling-trick scaffolding: within an epoch of horizon T_m the learner
     commits to a strategy computed at perturbation delta = T_m^(-b)."""
 
+    # b in the schedule delta = T_m^(-b), 0 < b < 1-a
+    param_defaults = {"b": 0.25, "initial_epoch": 64}
+
     def __init__(self, spec, role, prior, signal, rng):
         super().__init__(spec, role, prior, signal, rng)
-        b = spec.params.get("b", DEFAULT_DELTA_EXPONENT)
+        b = self._param("b")
         if not 0.0 < b < 1.0:
             raise InvalidArgumentError(f"delta exponent b must be in (0,1), got {b!r}")
         self._b = b
-        self.epoch_horizon = int(spec.params.get("initial_epoch", INITIAL_EPOCH))
+        self.epoch_horizon = int(self._param("initial_epoch"))
         if self.epoch_horizon < 1:
             raise InvalidArgumentError("initial_epoch must be >= 1")
         self._cache: dict[tuple[int, int], MixedStrategy] = {}
@@ -420,11 +461,12 @@ class ExternalSignalLeader(_EpochedCommitment):
     """Commits to the perturbed Stackelberg commitment of the game named by a
     per-round side signal whose accuracy improves as 1 - t^(-decay)."""
 
+    param_defaults = {**_EpochedCommitment.param_defaults, "accuracy_decay": 1.0}
     needs_side_signal = True
 
     def __init__(self, spec, role, prior, signal, rng):
         super().__init__(spec, role, prior, signal, rng)
-        decay = spec.params.get("accuracy_decay", 1.0)
+        decay = self._param("accuracy_decay")
         if not decay > 0:
             raise InvalidArgumentError(f"accuracy_decay must be positive, got {decay!r}")
         self._decay = decay
@@ -506,6 +548,7 @@ class InferThenCommitFollower(Learner):
     player 1's round-1 action (argmax action mod support size)."""
 
     requires_full_info = True
+    reads_signal = False
 
     def __init__(self, spec, role, prior, signal, rng):
         if role != 2:
@@ -542,12 +585,7 @@ _CLASSES = {
 
 
 def _resolve_base(spec: LearnerSpec) -> LearnerSpec:
-    while spec.kind == "mimic_deviation":
-        base = spec.params.get("base")
-        if not isinstance(base, LearnerSpec):
-            base = LearnerSpec.from_dict(base)
-        spec = base
-    return spec
+    return _mimic_parts(spec)[0] if spec.kind == "mimic_deviation" else spec
 
 
 def spec_requires_full_info(spec: LearnerSpec) -> bool:
@@ -556,6 +594,23 @@ def spec_requires_full_info(spec: LearnerSpec) -> bool:
 
 def spec_needs_side_signal(spec: LearnerSpec) -> bool:
     return _CLASSES[_resolve_base(spec).kind].needs_side_signal
+
+
+def spec_reads_signal(spec: LearnerSpec) -> bool:
+    return _CLASSES[_resolve_base(spec).kind].reads_signal
+
+
+def canonical_spec(spec: LearnerSpec) -> tuple[str, dict, int | None]:
+    """(kind, params with defaults filled in, forced signal or None).
+
+    mimic_deviation resolves to its base plus the forced signal. Learners
+    built from specs whose kind and params agree here, given the same
+    effective signal and random stream, play identically.
+    """
+    forced = None
+    if spec.kind == "mimic_deviation":
+        spec, forced = _mimic_parts(spec)
+    return spec.kind, {**_CLASSES[spec.kind].param_defaults, **spec.params}, forced
 
 
 # ---------------------------------------------------------------------------

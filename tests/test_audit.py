@@ -1,8 +1,14 @@
+import json
 import math
+import multiprocessing
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from stratlab import engine
 from stratlab.audit import (
+    DeviationLibrary,
     audit_pne,
     belief_trace,
     default_library,
@@ -10,7 +16,14 @@ from stratlab.audit import (
     revelation_analysis,
     verify_claims,
 )
-from stratlab.engine import ExperimentConfig, run_summaries, with_spec
+from stratlab.cli import config_from_dict
+from stratlab.engine import (
+    ExperimentConfig,
+    environment_draw,
+    run_summaries,
+    summarize,
+    with_spec,
+)
 from stratlab.errors import InvalidArgumentError
 from stratlab.games import (
     SignalModel,
@@ -131,6 +144,103 @@ def test_common_random_numbers_reduce_ci(fig1_prior):
     assert len(paired_widths) >= 15
     n = len(paired_widths)
     assert sum(paired_widths) / n <= sum(indep_widths) / n + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Replay of deviation trials that repeat the baseline
+# ---------------------------------------------------------------------------
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+def shipped_cfg(name, horizon, trials):
+    raw = json.loads((CONFIG_DIR / name).read_text())
+    raw.update(horizon=horizon, trials=trials)
+    raw.pop("checkpoints", None)
+    return config_from_dict(raw)
+
+
+def direct_rows(cfg, lib):
+    """Audit rows from one full rerun per deviation, with no replay."""
+    base = run_summaries(cfg)
+    rows = []
+    for player in (1, 2):
+        for name, spec in lib.for_player(player):
+            dev = run_summaries(with_spec(cfg, player, spec))
+            gain, ci = paired_gain(cfg.prior, base, dev, player)
+            lower = gain - ci if ci is not None else gain
+            rows.append(
+                {"player": player, "name": name, "gain": gain, "ci95": ci, "lower_bound": lower}
+            )
+    return base, rows
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "name, horizon, trials, reused",
+    [
+        # player 1: stackelberg_leader (8) and the mimic matching each
+        # trial's true signal (8); player 2's bandit ignores its signal (16).
+        ("leader_vs_learner_audit.json", 500, 8, 32),
+        # player 1: the matching mimic (32); player 2: both mimics of a
+        # follower that ignores its signal (64) and infer_then_commit (32).
+        ("reveal_follow.json", 200, 32, 128),
+    ],
+)
+def test_audit_replay_matches_direct_reruns(name, horizon, trials, reused, threads):
+    cfg = shipped_cfg(name, horizon, trials)
+    report = audit_pne(cfg, epsilon=0.5, threads=threads)
+    base, rows = direct_rows(cfg, default_library(cfg))
+    assert report.deviations == rows
+    assert report.baseline.to_dict() == summarize(cfg, base).to_dict()
+    assert report.trials_reused == reused
+    assert report.trials_simulated == trials * (1 + len(rows)) - reused
+
+
+def test_changed_deviations_are_simulated_fresh():
+    cfg = shipped_cfg("leader_vs_learner_audit.json", 300, 8)
+    other_b = DeviationLibrary(
+        player1=(("b=0.5", LearnerSpec("stackelberg_leader", {"b": 0.5})),), player2=()
+    )
+    report = audit_pne(cfg, other_b)
+    assert (report.trials_simulated, report.trials_reused) == (16, 0)
+    assert report.deviations == direct_rows(cfg, other_b)[1]
+
+    # The leader reads its signal (p1 = 1: the true game), so a mimic forcing
+    # game 1 is simulated exactly where the true game is game 2.
+    mimic = DeviationLibrary(
+        player1=(("mimic", LearnerSpec("mimic_deviation", {"base": cfg.spec1, "signal": 0})),),
+        player2=(),
+    )
+    differ = sum(1 for k in range(cfg.trials) if environment_draw(cfg, k)[1] != 0)
+    assert 0 < differ < cfg.trials
+    report = audit_pne(cfg, mimic)
+    assert (report.trials_simulated, report.trials_reused) == (
+        cfg.trials + differ,
+        cfg.trials - differ,
+    )
+    assert report.deviations == direct_rows(cfg, mimic)[1]
+
+
+def test_one_worker_pool_per_audit_and_claims(fig1_prior, monkeypatch):
+    pools = []
+
+    def get_context(method):
+        ctx = multiprocessing.get_context(method)
+
+        def pool(*args, **kwargs):
+            pools.append(args)
+            return ctx.Pool(*args, **kwargs)
+
+        return SimpleNamespace(Pool=pool)
+
+    monkeypatch.setattr(engine, "multiprocessing", SimpleNamespace(get_context=get_context))
+    cfg = reveal_cfg(fig1_prior, horizon=50, trials=8)
+    audit_pne(cfg, epsilon=0.1, threads=2)
+    assert len(pools) == 1
+    claims = verify_claims(cfg, p_star=0.0, threads=2)
+    assert len(pools) == 2
+    assert claims.trials_simulated + claims.trials_reused == 2 * cfg.trials
 
 
 # ---------------------------------------------------------------------------

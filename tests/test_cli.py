@@ -127,16 +127,49 @@ def test_override_must_reference_existing_keys(capsys, tiny_config):
     assert code == 1 and "does not exist" in err
 
 
+def test_zero_tail_window_is_error(capsys, tiny_config):
+    code, _, err = run_cli(
+        capsys, "simulate", "--config", tiny_config, "--set", "tail_window=0",
+        "--trials", "2", "--horizon", "10",
+    )
+    assert code == 1 and err.startswith("error:") and "tail_window" in err
+
+
+def test_unknown_learner_param_is_error(capsys, tiny_config):
+    code, _, err = run_cli(
+        capsys, "simulate", "--config", tiny_config, "--set", "spec2.params.etaa=1"
+    )
+    assert code == 1 and "etaa" in err
+
+
+def test_unknown_config_key_is_error(capsys, tmp_path):
+    cfg = {
+        "prior": "fig1:gamma=1",
+        "signal_model": {"p1": 1.0, "p2": 0.0},
+        "spec1": {"kind": "constant_action", "params": {"action": 0}},
+        "spec2": {"kind": "constant_action", "params": {"action": 0}},
+        "horizon": 10,
+        "trails": 4,
+    }
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 1 and "trails" in err
+
+
 def test_missing_config_is_error(capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", "/does/not/exist.json")
     assert code == 1
 
 
 def test_audit_fail_exit_code(capsys, tiny_config):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "audit", "--config", tiny_config, "--epsilon", "0.1", "--trials", "6"
     )
     assert code == 2
+    # 14 runs of 6 trials; 4 deviations repeat the baseline outright and the
+    # two player-1 mimics do so on the trials whose true game they force.
+    assert err == "trials: 60 simulated, 24 replayed from the baseline\n"
     payload = json.loads(out)
     validate(payload, "audit.json")
     assert payload["verdict"] == "fail"
@@ -166,10 +199,11 @@ def test_audit_pass_exit_code(capsys, tmp_path):
 
 
 def test_claims_contradiction_exit_code(capsys, tiny_config):
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         capsys, "claims", "--config", tiny_config, "--p-star", "0.0", "--horizon", "2000"
     )
     assert code == 2
+    assert err.startswith("trials: ") and "replayed from the baseline" in err
     payload = json.loads(out)
     validate(payload, "claims.json")
     assert payload["contradiction"]

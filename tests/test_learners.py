@@ -14,10 +14,12 @@ from stratlab.games import (
 )
 from stratlab.learners import (
     LearnerSpec,
+    canonical_spec,
     external_regret,
     learner_init,
     regrets_from_mass,
     spec_needs_side_signal,
+    spec_reads_signal,
     spec_requires_full_info,
     swap_regret,
 )
@@ -63,6 +65,38 @@ def test_param_ranges(fig1_prior):
         make("constant_action", 1, fig1_prior, action=7)
     with pytest.raises(InvalidArgumentError):
         make("constant_action", 1, fig1_prior)
+
+
+def test_params_checked_against_kind_table():
+    with pytest.raises(InvalidArgumentError, match="etaa"):
+        LearnerSpec("no_swap_regret_bandit", {"etaa": 1.0})
+    with pytest.raises(InvalidArgumentError, match="initial_epoch"):
+        LearnerSpec("best_responder", {"initial_epoch": 32})
+    base = {"kind": "stackelberg_leader", "params": {"bb": 0.5}}
+    with pytest.raises(InvalidArgumentError, match="bb"):
+        LearnerSpec("mimic_deviation", {"base": base, "signal": 0})
+    ok = LearnerSpec("stackelberg_leader", {"b": 0.5})
+    with pytest.raises(InvalidArgumentError, match="extra"):
+        LearnerSpec("mimic_deviation", {"base": ok, "signal": 0, "extra": 1})
+    mimic = LearnerSpec("mimic_deviation", {"base": ok, "signal": 0})
+    with pytest.raises(InvalidArgumentError, match="wrap itself"):
+        LearnerSpec("mimic_deviation", {"base": mimic, "signal": 1})
+
+
+def test_canonical_spec_fills_defaults_and_resolves_mimics():
+    explicit = LearnerSpec("stackelberg_leader", {"b": 0.25, "initial_epoch": 64})
+    assert canonical_spec(LearnerSpec("stackelberg_leader")) == canonical_spec(explicit)
+    assert canonical_spec(explicit)[1] != canonical_spec(
+        LearnerSpec("stackelberg_leader", {"b": 0.5})
+    )[1]
+    mimic = LearnerSpec("mimic_deviation", {"base": explicit.to_dict(), "signal": 1})
+    assert canonical_spec(mimic) == (
+        "stackelberg_leader", {"b": 0.25, "initial_epoch": 64}, 1
+    )
+    assert spec_reads_signal(mimic)
+    for kind in ("bandit_exp3", "no_swap_regret_bandit", "infer_then_commit_follower"):
+        assert not spec_reads_signal(LearnerSpec(kind))
+    assert not spec_reads_signal(LearnerSpec("constant_action", {"action": 0}))
 
 
 def test_role_restrictions(fig1_prior):
