@@ -31,16 +31,17 @@ from .engine import (
     EstimateReport,
     ExperimentConfig,
     TrialSummary,
-    Z_95,
     Z_95_ONE_SIDED,
     environment_draw,
     estimate_csps,
+    mean_ci,
     run_summaries,
+    stratified_mean_ci,
     summarize,
     with_spec,
 )
 from .errors import InvalidArgumentError
-from .games import GameMatrix, Prior, two_game_family_g1, two_game_family_g2
+from .games import Prior, signal_weights, two_game_family_g1, two_game_family_g2
 from .learners import LearnerSpec, canonical_spec, spec_needs_side_signal, spec_reads_signal
 from .solve import stackelberg_value, stackval_prior
 
@@ -103,32 +104,14 @@ def paired_gain(
         (d.avg_u1 - b.avg_u1) if player == 1 else (d.avg_u2 - b.avg_u2)
         for b, d in zip(base, dev)
     ]
-    crn = all(b.realized == d.realized for b, d in zip(base, dev))
-    if crn:
+    if all(b.realized == d.realized for b, d in zip(base, dev)):
         groups: dict[int, list[float]] = {}
         for b, x in zip(base, diffs):
             groups.setdefault(b.realized, []).append(x)
-        if all(w == 0.0 or i in groups for i, w in enumerate(prior.weights)):
-            gain = 0.0
-            var = 0.0
-            have_ci = True
-            for i, w in enumerate(prior.weights):
-                if w == 0.0:
-                    continue
-                vals = groups[i]
-                m = sum(vals) / len(vals)
-                gain += w * m
-                if len(vals) < 2:
-                    have_ci = False
-                else:
-                    v = sum((x - m) ** 2 for x in vals) / (len(vals) - 1)
-                    var += w * w * v / len(vals)
-            return gain, Z_95 * math.sqrt(var) if have_ci else None
-    m = sum(diffs) / len(diffs)
-    if len(diffs) < 2:
-        return m, None
-    v = sum((x - m) ** 2 for x in diffs) / (len(diffs) - 1)
-    return m, Z_95 * math.sqrt(v / len(diffs))
+        gain, ci = stratified_mean_ci(prior, groups)
+        if gain is not None:
+            return gain, ci
+    return mean_ci(diffs)
 
 
 def _replays_baseline(
@@ -314,14 +297,10 @@ def _mixture_cell(
     report: CspReport, prior: Prior, realized: int, a: int, b: int
 ) -> tuple[float | None, float | None]:
     """Mass and standard error of CSP_realized(a, b) under the signal mixture."""
-    p2 = report.p2
     total_w = 0.0
     val = 0.0
     var = 0.0
-    for j, wj in enumerate(prior.weights):
-        w = p2 * (1.0 if realized == j else 0.0) + (1.0 - p2) * wj
-        if w <= 1e-12:
-            continue
+    for j, w in signal_weights(prior, realized, report.p2):
         c = report.by_pair.get((realized, j))
         if c is None:
             return None, None
@@ -417,15 +396,6 @@ def verify_claims(
 # ---------------------------------------------------------------------------
 
 
-def _own_utility_range(g: GameMatrix, player: int, action: int) -> tuple[float, float]:
-    """Attainable own-utility interval for a pure action, over opponent replies."""
-    if player == 1:
-        vals = g.u1[action]
-    else:
-        vals = [g.u2[a][action] for a in range(g.n1)]
-    return min(vals), max(vals)
-
-
 @dataclass
 class RevelationReport:
     player: int
@@ -450,10 +420,12 @@ def revelation_analysis(prior: Prior, player: int) -> RevelationReport:
     g0 = prior.games[0]
     n_own = g0.n1 if player == 1 else g0.n2
     labels = g0.action_labels1 if player == 1 else g0.action_labels2
+    own = [g.own_payoffs(player) for g in prior.games]
     actions = []
     any_rev = False
     for a in range(n_own):
-        ranges = [_own_utility_range(g, player, a) for g in prior.games]
+        # Attainable own utility of pure a in each game, over opponent replies.
+        ranges = [(min(rows[a]), max(rows[a])) for rows in own]
         disjoint = True
         for i in range(len(ranges)):
             for j in range(i + 1, len(ranges)):

@@ -1,4 +1,4 @@
-"""Trajectory generation and Monte-Carlo estimation.
+"""Trial simulation and Monte-Carlo estimation.
 
 Each trial draws (game, signals) from its own deterministic streams, runs the
 two learners for T rounds, and folds the trajectory into running aggregates
@@ -21,10 +21,12 @@ from .games import (
     FeedbackRecord,
     Prior,
     SignalModel,
-    Trajectory,
+    mix_csps,
     prior_draw,
     pure,
+    sample_index,
     sample_signal,
+    signal_weights,
 )
 from .learners import LearnerSpec, learner_init, regrets_from_mass
 from .rng import (
@@ -135,19 +137,6 @@ def environment_draw(cfg: ExperimentConfig, trial_index: int) -> tuple[int, int,
     return realized, s1, s2
 
 
-def _sample_index(probs, rng) -> int:
-    r = rng.random()
-    acc = 0.0
-    last = 0
-    for i, p in enumerate(probs):
-        if p:
-            acc += p
-            last = i
-            if r < acc:
-                return i
-    return last
-
-
 class _BeliefFold:
     """Per-trial belief evaluation at checkpoint rounds (history before t)."""
 
@@ -164,14 +153,7 @@ class _BeliefFold:
         self.last_side = None
         if probe.kind == "utility_likelihood":
             # own-payoff rows per candidate game: rows[k][own][opp]
-            self.rows = []
-            for g, _ in cfg.prior.entries:
-                if probe.player == 1:
-                    self.rows.append([list(r) for r in g.u1])
-                else:
-                    self.rows.append(
-                        [[g.u2[a][b] for a in range(g.n1)] for b in range(g.n2)]
-                    )
+            self.rows = [g.own_payoffs(probe.player) for g in cfg.prior.games]
 
     def current_belief(self) -> int:
         kind = self.probe.kind
@@ -228,11 +210,8 @@ class _BeliefFold:
 
 
 def _simulate(
-    cfg: ExperimentConfig,
-    trial_index: int,
-    collect_rounds: bool = False,
-    probe: BeliefProbe | None = None,
-) -> tuple[TrialSummary, Trajectory | None]:
+    cfg: ExperimentConfig, trial_index: int, probe: BeliefProbe | None = None
+) -> TrialSummary:
     prior = cfg.prior
     realized, s1, s2 = environment_draw(cfg, trial_index)
     g = prior.games[realized]
@@ -261,7 +240,6 @@ def _simulate(
     thresh = cfg.tail_threshold
     tail1 = [0] * n1
     tail2 = [0] * n2
-    rounds = [] if collect_rounds else None
     fold = _BeliefFold(probe, cfg, realized) if probe is not None else None
     belief_errors = [] if probe is not None else None
 
@@ -284,8 +262,8 @@ def _simulate(
         x = l1.act()
         y = l2.act()
         if cfg.pure_realization:
-            x = onehots1[_sample_index(x, real1)]
-            y = onehots2[_sample_index(y, real2)]
+            x = onehots1[sample_index(x, real1)]
+            y = onehots2[sample_index(y, real2)]
 
         uu1 = uu2 = 0.0
         for a, xa in enumerate(x):
@@ -311,8 +289,6 @@ def _simulate(
                 if yb >= thresh:
                     tail2[b] += 1
                     break
-        if rounds is not None:
-            rounds.append((x, y))
         if fold is not None:
             fold.fold_round(x if probe.player == 1 else y, uu1 if probe.player == 1 else uu2)
 
@@ -343,7 +319,7 @@ def _simulate(
     # from the full-run mass rather than read off the last checkpoint row.
     fr1 = regrets_from_mass(mass, g, 1)
     fr2 = regrets_from_mass(mass, g, 2)
-    summary = TrialSummary(
+    return TrialSummary(
         trial_index=trial_index,
         realized=realized,
         s1=s1,
@@ -361,20 +337,11 @@ def _simulate(
         tail_rounds=horizon - tail_start,
         belief_errors=None if belief_errors is None else tuple(belief_errors),
     )
-    traj = None
-    if collect_rounds:
-        traj = Trajectory(tuple(rounds), realized, (s1, s2))
-    return summary, traj
-
-
-def run_trial(cfg: ExperimentConfig, trial_index: int) -> Trajectory:
-    """Run one trial and return its full trajectory (memory scales with T)."""
-    return _simulate(cfg, trial_index, collect_rounds=True)[1]
 
 
 def _worker(args) -> TrialSummary:
     cfg, trial_index, probe = args
-    return _simulate(cfg, trial_index, probe=probe)[0]
+    return _simulate(cfg, trial_index, probe)
 
 
 def run_summaries(
@@ -408,7 +375,8 @@ def run_summaries(
 # ---------------------------------------------------------------------------
 
 
-def _mean_ci(values, z: float = Z_95) -> tuple[float, float | None]:
+def mean_ci(values, z: float = Z_95) -> tuple[float, float | None]:
+    """Sample mean and normal-approximation half-width (None below 2 values)."""
     n = len(values)
     m = sum(values) / n
     if n < 2:
@@ -421,8 +389,8 @@ def _group_stats(values_by_key: dict) -> dict:
     out = {}
     for k in sorted(values_by_key):
         u1s, u2s = values_by_key[k]
-        m1, c1 = _mean_ci(u1s)
-        m2, c2 = _mean_ci(u2s)
+        m1, c1 = mean_ci(u1s)
+        m2, c2 = mean_ci(u2s)
         out[k] = {
             "count": len(u1s),
             "mean_u1": m1,
@@ -487,9 +455,10 @@ class EstimateReport:
         }
 
 
-def _stratified(prior: Prior, groups: dict, player: int):
+def stratified_mean_ci(prior: Prior, values_by_game: dict) -> tuple[float | None, float | None]:
     """Prior-weighted combination of per-realized-game means: (value, ci95).
 
+    values_by_game maps a realized game index to its per-trial values.
     Returns (None, None) when a positive-weight game never realized; the CI is
     None when any contributing group has fewer than 2 trials.
     """
@@ -499,11 +468,11 @@ def _stratified(prior: Prior, groups: dict, player: int):
     for i, w in enumerate(prior.weights):
         if w == 0.0:
             continue
-        grp = groups.get(i)
-        if grp is None:
+        values = values_by_game.get(i)
+        if values is None:
             return None, None
-        total += w * grp[f"mean_u{player}"]
-        ci = grp[f"ci_u{player}"]
+        m, ci = mean_ci(values)
+        total += w * m
         if ci is None:
             have_ci = False
         else:
@@ -521,8 +490,8 @@ def summarize(cfg: ExperimentConfig, summaries: list[TrialSummary]) -> EstimateR
     """Aggregate precomputed trial summaries (see estimate for the one-shot path)."""
     u1s = [s.avg_u1 for s in summaries]
     u2s = [s.avg_u2 for s in summaries]
-    m1, c1 = _mean_ci(u1s)
-    m2, c2 = _mean_ci(u2s)
+    m1, c1 = mean_ci(u1s)
+    m2, c2 = mean_ci(u2s)
 
     by_game: dict = {}
     by_pair: dict = {}
@@ -539,8 +508,8 @@ def summarize(cfg: ExperimentConfig, summaries: list[TrialSummary]) -> EstimateR
         if i in per_game:
             per_game[i]["game"] = g.name
 
-    sw1, sc1 = _stratified(cfg.prior, per_game, 1)
-    sw2, sc2 = _stratified(cfg.prior, per_game, 2)
+    sw1, sc1 = stratified_mean_ci(cfg.prior, {k: v[0] for k, v in by_game.items()})
+    sw2, sc2 = stratified_mean_ci(cfg.prior, {k: v[1] for k, v in by_game.items()})
 
     regrets = {}
     for name, vals in (
@@ -549,7 +518,7 @@ def summarize(cfg: ExperimentConfig, summaries: list[TrialSummary]) -> EstimateR
         ("swap_regret1", [s.swap_regret1 for s in summaries]),
         ("swap_regret2", [s.swap_regret2 for s in summaries]),
     ):
-        m, c = _mean_ci(vals)
+        m, c = mean_ci(vals)
         regrets[name] = {"mean": m, "ci95": c}
 
     curves = []
@@ -684,25 +653,10 @@ def estimate_csps(
     p2 = cfg.signal_model.p2
     by_game: dict = {}
     for i in range(prior.support_size):
-        parts = []
-        ok = True
-        for j, wj in enumerate(prior.weights):
-            w = p2 * (1.0 if i == j else 0.0) + (1.0 - p2) * wj
-            if w <= 1e-12:
-                continue
-            c = by_pair.get((i, j))
-            if c is None:
-                ok = False
-                break
-            parts.append((w, c))
-        if ok and parts:
+        parts = [(w, by_pair.get((i, j))) for j, w in signal_weights(prior, i, p2)]
+        if parts and all(c is not None for _, c in parts):
             total_w = sum(w for w, _ in parts)
-            mix = [[0.0] * n2 for _ in range(n1)]
-            for w, c in parts:
-                for a in range(n1):
-                    for b in range(n2):
-                        mix[a][b] += (w / total_w) * c.mass[a][b]
-            by_game[i] = CSP(tuple(tuple(r) for r in mix))
+            by_game[i] = mix_csps([(w / total_w, c) for w, c in parts])
         else:
             by_game[i] = None
     return CspReport(by_pair, counts, cell_se, by_game, p2)

@@ -1,4 +1,4 @@
-"""Stage games, priors, signals, trajectories, and correlated strategy profiles.
+"""Stage games, priors, signals, and correlated strategy profiles.
 
 Value types are immutable after construction (tuples everywhere), so they can
 be shared freely across concurrent trial workers. Mixed strategies are plain
@@ -17,31 +17,12 @@ from typing import Sequence
 
 from .errors import InvalidArgumentError
 
-# Probability-sum tolerances: strict for constructed strategies, looser for
-# aggregates accumulated over up to 1e6 rounds.
+# Probability-sum tolerances: strict for priors and mixture weights, looser
+# for aggregates accumulated over up to 1e6 rounds.
 PROB_TOL = 1e-9
 CSP_TOL = 1e-6
 
 MixedStrategy = tuple[float, ...]
-
-
-def mixed_strategy(probs: Sequence[float]) -> MixedStrategy:
-    """Validate and freeze a probability vector over one player's actions."""
-    t = tuple(float(p) for p in probs)
-    check_mixed_strategy(t)
-    return t
-
-
-def check_mixed_strategy(probs: Sequence[float], tol: float = PROB_TOL) -> None:
-    if len(probs) == 0:
-        raise InvalidArgumentError("strategy over empty action set")
-    total = 0.0
-    for p in probs:
-        if not math.isfinite(p) or p < -tol:
-            raise InvalidArgumentError(f"bad strategy entry {p!r}")
-        total += p
-    if abs(total - 1.0) > tol:
-        raise InvalidArgumentError(f"strategy sums to {total!r}, not 1")
 
 
 def pure(n: int, index: int) -> MixedStrategy:
@@ -49,10 +30,6 @@ def pure(n: int, index: int) -> MixedStrategy:
     if not 0 <= index < n:
         raise InvalidArgumentError(f"action index {index} out of range [0,{n})")
     return tuple(1.0 if a == index else 0.0 for a in range(n))
-
-
-def uniform(n: int) -> MixedStrategy:
-    return tuple(1.0 / n for _ in range(n))
 
 
 @dataclass(frozen=True)
@@ -93,6 +70,15 @@ class GameMatrix:
         if player == 2:
             return self.u2
         raise InvalidArgumentError(f"player must be 1 or 2, got {player}")
+
+    def own_payoffs(self, player: int) -> tuple[tuple[float, ...], ...]:
+        """rows[own][opp]: `player`'s utility when playing own against opp.
+
+        This is u1 for player 1 and the transpose of u2 for player 2.
+        """
+        if player == 2:
+            return tuple(zip(*self.u2))
+        return self.utilities(player)
 
     def payoff_range(self, player: int) -> tuple[float, float]:
         u = self.utilities(player)
@@ -190,15 +176,6 @@ class SignalModel:
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One realized play path: per-round mixed strategy pairs plus the draw."""
-
-    rounds: tuple[tuple[MixedStrategy, MixedStrategy], ...]
-    realized_game_index: int
-    signal_indices: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class CSP:
     """Correlated strategy profile: joint distribution over action pairs."""
 
@@ -244,19 +221,32 @@ class FeedbackRecord:
 
 
 # ---------------------------------------------------------------------------
-# Sampling and evaluation
+# Sampling and mixing
 # ---------------------------------------------------------------------------
+
+
+def sample_index(probs: Sequence[float], rng: Random) -> int:
+    """Draw an index with probability probs[i], from one rng.random().
+
+    Scans the cumulative sum of the positive entries. When rounding leaves
+    the draw past the end of the sum, returns the last index with positive
+    probability, so an index of weight zero is never drawn.
+    """
+    r = rng.random()
+    acc = 0.0
+    last = 0
+    for i, p in enumerate(probs):
+        if p > 0.0:
+            acc += p
+            last = i
+            if r < acc:
+                return i
+    return last
 
 
 def prior_draw(prior: Prior, rng: Random) -> int:
     """Sample a game index from the prior weights."""
-    r = rng.random()
-    acc = 0.0
-    for i, (_, w) in enumerate(prior.entries):
-        acc += w
-        if r < acc:
-            return i
-    return len(prior.entries) - 1
+    return sample_index(prior.weights, rng)
 
 
 def sample_signal(prior: Prior, realized_index: int, precision: float, rng: Random) -> int:
@@ -270,46 +260,16 @@ def sample_signal(prior: Prior, realized_index: int, precision: float, rng: Rand
     return prior_draw(prior, rng)
 
 
-def bilinear(x: Sequence[float], u: Sequence[Sequence[float]], y: Sequence[float]) -> float:
-    """x' U y without numpy; hot path for the simulation loop."""
-    total = 0.0
-    for a, xa in enumerate(x):
-        if xa:
-            row = u[a]
-            s = 0.0
-            for b, yb in enumerate(y):
-                if yb:
-                    s += row[b] * yb
-            total += xa * s
-    return total
-
-
-def expected_utility(g: GameMatrix, x: Sequence[float], y: Sequence[float], player: int) -> float:
-    """Expected utility of the mixed profile (x, y) for `player` in game g."""
-    u = g.utilities(player)
-    if len(x) != g.n1 or len(y) != g.n2:
-        raise InvalidArgumentError(
-            f"strategy shapes ({len(x)},{len(y)}) mismatch game ({g.n1},{g.n2})"
-        )
-    return bilinear(x, u, y)
-
-
-def csp_from_trajectory(traj: Trajectory) -> CSP:
-    """Empirical average of per-round outer products x_t (x) y_t."""
-    if not traj.rounds:
-        raise InvalidArgumentError("empty trajectory")
-    x0, y0 = traj.rounds[0]
-    n1, n2 = len(x0), len(y0)
-    mass = [[0.0] * n2 for _ in range(n1)]
-    for x, y in traj.rounds:
-        for a, xa in enumerate(x):
-            if xa:
-                row = mass[a]
-                for b, yb in enumerate(y):
-                    if yb:
-                        row[b] += xa * yb
-    inv = 1.0 / len(traj.rounds)
-    return CSP(tuple(tuple(v * inv for v in row) for row in mass))
+def signal_weights(prior: Prior, realized_index: int, precision: float) -> list[tuple[int, float]]:
+    """(j, Pr[signal = j | realized game]) under sample_signal, for every j
+    whose weight precision * 1[j = realized] + (1 - precision) * w_j exceeds
+    1e-12."""
+    out = []
+    for j, wj in enumerate(prior.weights):
+        w = precision * (1.0 if realized_index == j else 0.0) + (1.0 - precision) * wj
+        if w > 1e-12:
+            out.append((j, w))
+    return out
 
 
 def mix_csps(parts: Sequence[tuple[float, CSP]]) -> CSP:
@@ -331,16 +291,6 @@ def mix_csps(parts: Sequence[tuple[float, CSP]]) -> CSP:
             for b in range(n2):
                 out[b] += w * row[b]
     return CSP(tuple(tuple(row) for row in mass))
-
-
-def csp_expected_utility(g: GameMatrix, csp: CSP, player: int) -> float:
-    """Expected utility of `player` under a correlated strategy profile."""
-    u = g.utilities(player)
-    if (csp.n1, csp.n2) != (g.n1, g.n2):
-        raise InvalidArgumentError("CSP shape mismatches game")
-    return sum(
-        u[a][b] * csp.mass[a][b] for a in range(g.n1) for b in range(g.n2)
-    )
 
 
 # ---------------------------------------------------------------------------

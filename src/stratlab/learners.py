@@ -23,8 +23,8 @@ from .games import (
     GameMatrix,
     MixedStrategy,
     Prior,
-    Trajectory,
     pure,
+    sample_index,
 )
 from .solve import perturbed_commitment, stackelberg_value
 
@@ -63,6 +63,16 @@ class LearnerSpec:
             raise InvalidArgumentError(
                 f"unknown param(s) {', '.join(map(repr, unknown))} for learner kind {self.kind!r}"
             )
+        # Params are numbers; a mimic's only number is its forced signal index.
+        types, noun = (int, "an integer") if mimic else ((int, float), "a number")
+        for name, value in self.params.items():
+            if (mimic and name == "base") or (
+                isinstance(value, types) and not isinstance(value, bool)
+            ):
+                continue
+            raise InvalidArgumentError(
+                f"param {name!r} of learner kind {self.kind!r} must be {noun}, got {value!r}"
+            )
         if mimic and "base" in self.params:
             base = self.params["base"]
             if not isinstance(base, LearnerSpec):
@@ -79,13 +89,6 @@ class LearnerSpec:
             return LearnerSpec(d["kind"], dict(d.get("params", {})))
         except (KeyError, TypeError) as e:
             raise InvalidArgumentError(f"malformed learner spec: {e}") from e
-
-
-def _own_payoff_rows(g: GameMatrix, role: int) -> list[list[float]]:
-    """rows[own_action][opp_action] = own utility of the pure profile."""
-    if role == 1:
-        return [list(row) for row in g.u1]
-    return [[g.u2[a][b] for a in range(g.n1)] for b in range(g.n2)]
 
 
 class Learner:
@@ -164,7 +167,7 @@ def _mimic_parts(spec: LearnerSpec) -> tuple[LearnerSpec, int]:
     """A mimic_deviation's base spec and forced signal index."""
     try:
         base = spec.params["base"]
-        forced = int(spec.params["signal"])
+        forced = spec.params["signal"]
     except KeyError as e:
         raise InvalidArgumentError(f"mimic_deviation missing param {e}") from e
     if not isinstance(base, LearnerSpec):
@@ -228,7 +231,7 @@ class MultiplicativeWeights(_HedgeCore):
 
     def __init__(self, spec, role, prior, signal, rng):
         super().__init__(spec, role, prior, signal, rng)
-        self._rows = _own_payoff_rows(prior.games[signal], role)
+        self._rows = prior.games[signal].own_payoffs(role)
         self._lw = [0.0] * self.n_own
 
     def _act(self):
@@ -246,8 +249,11 @@ class MultiplicativeWeights(_HedgeCore):
             lw[a] += eta * self._normalize(r)
 
 
-class BanditExp3(_HedgeCore):
-    """EXP3: sampled one-hot play with importance-weighted reward estimates."""
+class _BanditPlay(_HedgeCore):
+    """Bandit-feedback play: a one-hot draw from the exploration mixture
+    (1 - gamma) * base + gamma / n, gamma_t = min(1, sqrt(n ln n / t)) unless
+    fixed by the `exploration` param. The mixture is kept for the
+    importance-weighted estimate of the drawn action's reward."""
 
     param_defaults = {"eta": None, "exploration": None}
     reads_signal = False
@@ -258,8 +264,7 @@ class BanditExp3(_HedgeCore):
         if explore is not None and not 0.0 <= explore <= 1.0:
             raise InvalidArgumentError(f"exploration must be in [0,1], got {explore!r}")
         self._explore_fixed = explore
-        self._lw = [0.0] * self.n_own
-        self._p = [1.0 / self.n_own] * self.n_own
+        self._played = [1.0 / self.n_own] * self.n_own
         self._last_action = 0
         self._onehots = [pure(self.n_own, a) for a in range(self.n_own)]
 
@@ -268,27 +273,35 @@ class BanditExp3(_HedgeCore):
             return self._explore_fixed
         return min(1.0, math.sqrt(self.n_own * self._log_n / self.t)) if self.n_own > 1 else 0.0
 
-    def _act(self):
+    def _sample(self, base: Sequence[float]) -> MixedStrategy:
         n = self.n_own
         gamma = self._gamma()
-        base = self._softmax(self._lw)
         p = [(1.0 - gamma) * v + gamma / n for v in base]
-        self._p = p
-        r = self.rng.random()
-        acc = 0.0
-        a = n - 1
-        for i, pi in enumerate(p):
-            acc += pi
-            if r < acc:
-                a = i
-                break
+        self._played = p
+        a = sample_index(p, self.rng)
         self._last_action = a
         return self._onehots[a]
 
-    def _observe(self, fb):
+    def _estimate(self, fb) -> tuple[int, float, float]:
+        """(drawn action, importance-weighted reward estimate, step size)."""
         a = self._last_action
-        est = self._normalize(fb.own_utility) / self._p[a]
+        est = self._normalize(fb.own_utility) / self._played[a]
         step = self._eta_fixed if self._eta_fixed is not None else self._gamma() / self.n_own
+        return a, est, step
+
+
+class BanditExp3(_BanditPlay):
+    """EXP3: sampled one-hot play with importance-weighted reward estimates."""
+
+    def __init__(self, spec, role, prior, signal, rng):
+        super().__init__(spec, role, prior, signal, rng)
+        self._lw = [0.0] * self.n_own
+
+    def _act(self):
+        return self._sample(self._softmax(self._lw))
+
+    def _observe(self, fb):
+        a, est, step = self._estimate(fb)
         self._lw[a] += step * est
 
 
@@ -335,7 +348,7 @@ class NoSwapRegretFull(_SwapRegretCore):
 
     def __init__(self, spec, role, prior, signal, rng):
         super().__init__(spec, role, prior, signal, rng)
-        self._rows = _own_payoff_rows(prior.games[signal], role)
+        self._rows = prior.games[signal].own_payoffs(role)
 
     def _act(self):
         self._p = self._stationary(self._recommendations())
@@ -361,55 +374,20 @@ class NoSwapRegretFull(_SwapRegretCore):
                     lwe[b] += scale * rb
 
 
-class NoSwapRegretBandit(_SwapRegretCore):
-    """Same reduction under bandit feedback: exploration-mixed sampling with
-    importance-weighted estimates, gamma_t = min(1, sqrt(n ln n / t))."""
-
-    param_defaults = {"eta": None, "exploration": None}
-    reads_signal = False
-
-    def __init__(self, spec, role, prior, signal, rng):
-        super().__init__(spec, role, prior, signal, rng)
-        explore = self._param("exploration")
-        if explore is not None and not 0.0 <= explore <= 1.0:
-            raise InvalidArgumentError(f"exploration must be in [0,1], got {explore!r}")
-        self._explore_fixed = explore
-        self._stat = [1.0 / self.n_own] * self.n_own
-        self._played = [1.0 / self.n_own] * self.n_own
-        self._last_action = 0
-        self._onehots = [pure(self.n_own, a) for a in range(self.n_own)]
-
-    def _gamma(self) -> float:
-        if self._explore_fixed is not None:
-            return self._explore_fixed
-        return min(1.0, math.sqrt(self.n_own * self._log_n / self.t)) if self.n_own > 1 else 0.0
+class NoSwapRegretBandit(_BanditPlay, _SwapRegretCore):
+    """Same reduction under bandit feedback: the stationary distribution is
+    the base of the exploration mixture (see _BanditPlay)."""
 
     def _act(self):
-        n = self.n_own
         self._p = self._stationary(self._recommendations())
-        self._stat = self._p
-        gamma = self._gamma()
-        p = [(1.0 - gamma) * v + gamma / n for v in self._p]
-        self._played = p
-        r = self.rng.random()
-        acc = 0.0
-        a = n - 1
-        for i, pi in enumerate(p):
-            acc += pi
-            if r < acc:
-                a = i
-                break
-        self._last_action = a
-        return self._onehots[a]
+        return self._sample(self._p)
 
     def _observe(self, fb):
-        a = self._last_action
-        est = self._normalize(fb.own_utility) / self._played[a]
-        eta = self._eta_fixed if self._eta_fixed is not None else self._gamma() / self.n_own
-        stat = self._stat
+        a, est, eta = self._estimate(fb)
+        p = self._p
         lw = self._lw
         for e in range(self.n_own):
-            scale = eta * stat[e]
+            scale = eta * p[e]
             if scale:
                 lw[e][a] += scale * est
 
@@ -497,7 +475,7 @@ class BestResponder(Learner):
 
     def __init__(self, spec, role, prior, signal, rng):
         super().__init__(spec, role, prior, signal, rng)
-        self._rows = _own_payoff_rows(prior.games[signal], role)
+        self._rows = prior.games[signal].own_payoffs(role)
         self._last_opp: MixedStrategy | None = None
         self._cached_reply: MixedStrategy | None = None
 
@@ -588,10 +566,6 @@ def _resolve_base(spec: LearnerSpec) -> LearnerSpec:
     return _mimic_parts(spec)[0] if spec.kind == "mimic_deviation" else spec
 
 
-def spec_requires_full_info(spec: LearnerSpec) -> bool:
-    return _CLASSES[_resolve_base(spec).kind].requires_full_info
-
-
 def spec_needs_side_signal(spec: LearnerSpec) -> bool:
     return _CLASSES[_resolve_base(spec).kind].needs_side_signal
 
@@ -614,7 +588,7 @@ def canonical_spec(spec: LearnerSpec) -> tuple[str, dict, int | None]:
 
 
 # ---------------------------------------------------------------------------
-# Regret meters (pure functions over trajectories)
+# Regret meter (a pure function of the cumulative joint mass)
 # ---------------------------------------------------------------------------
 
 
@@ -623,22 +597,6 @@ class RegretReport:
     external_regret: float
     swap_regret: float
     swap_targets: tuple[int, ...]  # per own action, the best replacement
-
-
-def joint_mass(traj: Trajectory) -> list[list[float]]:
-    """Un-normalized sum of per-round outer products x_t (x) y_t."""
-    if not traj.rounds:
-        raise InvalidArgumentError("empty trajectory")
-    x0, y0 = traj.rounds[0]
-    mass = [[0.0] * len(y0) for _ in range(len(x0))]
-    for x, y in traj.rounds:
-        for a, xa in enumerate(x):
-            if xa:
-                row = mass[a]
-                for b, yb in enumerate(y):
-                    if yb:
-                        row[b] += xa * yb
-    return mass
 
 
 def regrets_from_mass(
@@ -650,14 +608,12 @@ def regrets_from_mass(
     needs only the opponent's marginal, and the best swap function decomposes
     per source action over the conditional opponent mass.
     """
+    u = g.own_payoffs(player)
+    own_n, opp_n = len(u), len(u[0])
     if player == 1:
-        own_n, opp_n = g.n1, g.n2
         cond = [[mass[a][b] for b in range(opp_n)] for a in range(own_n)]
-        u = [[g.u1[a][b] for b in range(opp_n)] for a in range(own_n)]
     else:
-        own_n, opp_n = g.n2, g.n1
         cond = [[mass[b][a] for b in range(opp_n)] for a in range(own_n)]
-        u = [[g.u2[b][a] for b in range(opp_n)] for a in range(own_n)]
 
     actual = 0.0
     opp_marginal = [0.0] * opp_n
@@ -686,14 +642,3 @@ def regrets_from_mass(
         swap_total += best_v - current
         targets.append(best_a)
     return RegretReport(external, swap_total, tuple(targets))
-
-
-def external_regret(traj: Trajectory, g: GameMatrix, player: int) -> float:
-    """Cumulative regret versus the best fixed action, against the recorded
-    opponent strategy sequence."""
-    return regrets_from_mass(joint_mass(traj), g, player).external_regret
-
-
-def swap_regret(traj: Trajectory, g: GameMatrix, player: int) -> RegretReport:
-    """Cumulative swap regret and the optimal per-action swap function."""
-    return regrets_from_mass(joint_mass(traj), g, player)

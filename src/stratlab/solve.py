@@ -1,5 +1,5 @@
-"""Best responses, optimistic Stackelberg values, dominance checks, and
-margin-perturbed commitments, all via small dense LPs.
+"""Optimistic Stackelberg values and margin-perturbed commitments, all via
+small dense LPs.
 
 The optimistic Stackelberg value is computed with the standard per-follower-
 action formulation: for each pure follower reply, maximize the leader's
@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import AssumptionViolatedError, InvalidArgumentError
-from .games import GameMatrix, MixedStrategy, Prior, check_mixed_strategy
-from .lp import OPTIMAL, UNBOUNDED, linear_program, lp_solve
+from .games import GameMatrix, MixedStrategy, Prior
+from .lp import OPTIMAL, linear_program, lp_solve
 
 DEFAULT_TIE_TOL = 1e-7
 
@@ -29,64 +29,27 @@ class StackelbergSolution:
 
 
 def _orient(g: GameMatrix, leader: int):
-    """Per-follower-action payoff vectors over the leader's actions.
-
-    Returns (n_lead, n_fol, lead_vec, fol_vec) with lead_vec[f][a] the leader's
-    payoff when she plays pure a and the follower replies f; fol_vec likewise
-    for the follower.
+    """(lead, fol): lead[a][f] is the leader's payoff when she plays pure a and
+    the follower replies f; fol[f][a] is the follower's payoff at that profile.
     """
-    if leader == 1:
-        n_lead, n_fol = g.n1, g.n2
-        lead_vec = [[g.u1[a][f] for a in range(n_lead)] for f in range(n_fol)]
-        fol_vec = [[g.u2[a][f] for a in range(n_lead)] for f in range(n_fol)]
-    elif leader == 2:
-        n_lead, n_fol = g.n2, g.n1
-        lead_vec = [[g.u2[f][a] for a in range(n_lead)] for f in range(n_fol)]
-        fol_vec = [[g.u1[f][a] for a in range(n_lead)] for f in range(n_fol)]
-    else:
+    if leader not in (1, 2):
         raise InvalidArgumentError(f"leader must be 1 or 2, got {leader}")
-    return n_lead, n_fol, lead_vec, fol_vec
-
-
-def best_response_set(
-    g: GameMatrix, responder: int, opponent: MixedStrategy, tie_tol: float = DEFAULT_TIE_TOL
-) -> set[int]:
-    """All responder actions within tie_tol of the best reply to `opponent`."""
-    if tie_tol < 0:
-        raise InvalidArgumentError("tie_tol must be nonnegative")
-    check_mixed_strategy(opponent)
-    u = g.utilities(responder)
-    if responder == 1:
-        if len(opponent) != g.n2:
-            raise InvalidArgumentError("opponent strategy shape mismatch")
-        vals = [sum(u[a][b] * opponent[b] for b in range(g.n2)) for a in range(g.n1)]
-    else:
-        if len(opponent) != g.n1:
-            raise InvalidArgumentError("opponent strategy shape mismatch")
-        vals = [sum(u[a][b] * opponent[a] for a in range(g.n1)) for b in range(g.n2)]
-    top = max(vals)
-    return {i for i, v in enumerate(vals) if v >= top - tie_tol}
-
-
-def best_response(
-    g: GameMatrix, responder: int, opponent: MixedStrategy, tie_tol: float = 0.0
-) -> int:
-    """Lowest-index best reply (deterministic tie-break)."""
-    return min(best_response_set(g, responder, opponent, tie_tol))
+    return g.own_payoffs(leader), g.own_payoffs(3 - leader)
 
 
 def stackelberg_value(g: GameMatrix, leader: int) -> StackelbergSolution:
     """Optimistic Stackelberg value and commitment for `leader`."""
-    n_lead, n_fol, lead_vec, fol_vec = _orient(g, leader)
+    lead, fol = _orient(g, leader)
+    n_lead, n_fol = len(lead), len(fol)
     per_vals: list[float] = []
     best: tuple[float, MixedStrategy, int] | None = None
     for f in range(n_fol):
         rows = []
         for f2 in range(n_fol):
             if f2 != f:
-                rows.append([fol_vec[f2][a] - fol_vec[f][a] for a in range(n_lead)])
+                rows.append([fol[f2][a] - fol[f][a] for a in range(n_lead)])
         lp = linear_program(
-            c=lead_vec[f],
+            c=[row[f] for row in lead],
             a_ub=rows,
             b_ub=[0.0] * len(rows),
             a_eq=[[1.0] * n_lead],
@@ -113,53 +76,6 @@ def stackval_prior(prior: Prior, player: int) -> float:
     return sum(w * stackelberg_value(g, player).value for g, w in prior.entries)
 
 
-def weakly_dominated(
-    g: GameMatrix, player: int, action: int
-) -> tuple[bool, MixedStrategy | None]:
-    """Whether `action` is weakly dominated by a mixture of the player's other
-    actions; returns the witness mixture (over the full action set) if so.
-    """
-    n_own, n_opp, own_vec, _ = _orient_own(g, player)
-    if not 0 <= action < n_own:
-        raise InvalidArgumentError(f"action {action} out of range")
-    if n_own == 1:
-        return False, None
-    others = [a for a in range(n_own) if a != action]
-    # Variables: mixture z over `others`, plus free slack s to maximize.
-    # Constraint per opponent action o: sum_b z_b U(b,o) >= U(action,o) + s.
-    rows = []
-    for o in range(n_opp):
-        rows.append([-(own_vec[o][b]) for b in others] + [1.0])
-    rhs = [-(own_vec[o][action]) for o in range(n_opp)]
-    lp = linear_program(
-        c=[0.0] * len(others) + [1.0],
-        a_ub=rows,
-        b_ub=rhs,
-        a_eq=[[1.0] * len(others) + [0.0]],
-        b_eq=[1.0],
-        lower_bounds=[0.0] * len(others) + [None],
-    )
-    sol = lp_solve(lp)
-    if sol.status == UNBOUNDED:  # cannot happen with a bounded payoff matrix
-        raise AssumptionViolatedError("dominance LP unbounded")
-    if sol.status != OPTIMAL or sol.value < -1e-9:
-        return False, None
-    witness = [0.0] * n_own
-    for b, z in zip(others, sol.x[:-1]):
-        witness[b] = min(max(z, 0.0), 1.0)
-    s = sum(witness)
-    return True, tuple(v / s for v in witness)
-
-
-def _orient_own(g: GameMatrix, player: int):
-    """own_vec[o][a]: player's payoff playing pure a against opponent pure o."""
-    if player == 1:
-        return g.n1, g.n2, [[g.u1[a][o] for a in range(g.n1)] for o in range(g.n2)], None
-    if player == 2:
-        return g.n2, g.n1, [[g.u2[o][a] for a in range(g.n2)] for o in range(g.n1)], None
-    raise InvalidArgumentError(f"player must be 1 or 2, got {player}")
-
-
 def commitment_margin(g: GameMatrix, leader: int, target_reply: int) -> tuple[MixedStrategy, float]:
     """Leader mixture maximizing the follower's preference gap for target_reply.
 
@@ -168,7 +84,8 @@ def commitment_margin(g: GameMatrix, leader: int, target_reply: int) -> tuple[Mi
     unique best response (Farkas direction of the no-weak-dominance assumption).
     With a single follower action the margin is unconstrained (+inf).
     """
-    n_lead, n_fol, _, fol_vec = _orient(g, leader)
+    _, fol = _orient(g, leader)
+    n_lead, n_fol = len(fol[0]), len(fol)
     if not 0 <= target_reply < n_fol:
         raise InvalidArgumentError(f"follower action {target_reply} out of range")
     if n_fol == 1:
@@ -177,7 +94,7 @@ def commitment_margin(g: GameMatrix, leader: int, target_reply: int) -> tuple[Mi
     for f2 in range(n_fol):
         if f2 != target_reply:
             rows.append(
-                [fol_vec[f2][a] - fol_vec[target_reply][a] for a in range(n_lead)] + [1.0]
+                [fol[f2][a] - fol[target_reply][a] for a in range(n_lead)] + [1.0]
             )
     lp = linear_program(
         c=[0.0] * n_lead + [1.0],
@@ -216,21 +133,3 @@ def perturbed_commitment(
     mix = tuple(v / s for v in mix)
     margin = delta * c if math.isfinite(c) else math.inf
     return mix, margin
-
-
-def maximin_value(g: GameMatrix, player: int) -> float:
-    """Security level: best guaranteed expected utility against any reply."""
-    n_own, n_opp, own_vec, _ = _orient_own(g, player)
-    rows = [[-(own_vec[o][a]) for a in range(n_own)] + [1.0] for o in range(n_opp)]
-    lp = linear_program(
-        c=[0.0] * n_own + [1.0],
-        a_ub=rows,
-        b_ub=[0.0] * n_opp,
-        a_eq=[[1.0] * n_own + [0.0]],
-        b_eq=[1.0],
-        lower_bounds=[0.0] * n_own + [None],
-    )
-    sol = lp_solve(lp)
-    if sol.status != OPTIMAL:
-        raise AssumptionViolatedError("maximin LP unsolvable")
-    return sol.value

@@ -56,6 +56,26 @@ def grid_leader_lp_value(objective, constraint_diff, step=1e-3):
     return best
 
 
+def maximin_two_actions(u):
+    """Security level max_q min_o of a two-action player with payoffs u[a][o].
+
+    The worst case over replies is concave and piecewise linear in q, the
+    weight on action 0, so its maximum lies at q = 0, q = 1 or where two
+    replies' payoff lines cross.
+    """
+    u = np.asarray(u, dtype=float)
+    assert u.shape[0] == 2, "maximin oracle supports two-action players"
+    slope = u[0] - u[1]
+    qs = [0.0, 1.0]
+    for i in range(u.shape[1]):
+        for j in range(i + 1, u.shape[1]):
+            if abs(slope[i] - slope[j]) > 1e-12:
+                q = (u[1, j] - u[1, i]) / (slope[i] - slope[j])
+                if 0.0 <= q <= 1.0:
+                    qs.append(q)
+    return max(float(np.min(u[1] + q * slope)) for q in qs)
+
+
 def random_leader_follower_game(rng, k):
     """Random 2xk integer-payoff game for the solver-oracle suite; rejects
     degenerate duplicate follower columns (permanently tied replies)."""

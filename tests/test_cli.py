@@ -140,6 +140,19 @@ def test_unknown_learner_param_is_error(capsys, tiny_config):
         capsys, "simulate", "--config", tiny_config, "--set", "spec2.params.etaa=1"
     )
     assert code == 1 and "etaa" in err
+    # Params of the wrong type are errors too, never tracebacks or coercions.
+    mimic = ["spec1.kind=mimic_deviation", 'spec1.params.base={"kind": "best_responder"}']
+    for overrides, name in (
+        (["spec1.kind=stackelberg_leader", 'spec1.params.b="x"'], "'b'"),
+        (["spec2.kind=no_swap_regret_bandit", "spec2.params.eta=true"], "'eta'"),
+        (mimic + ['spec1.params.signal="x"'], "'signal'"),
+        (mimic + ["spec1.params.signal=1.7"], "'signal'"),
+    ):
+        argv = ["simulate", "--config", tiny_config, "--trials", "1", "--horizon", "5"]
+        for assignment in overrides:
+            argv += ["--set", assignment]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and err.startswith("error:") and name in err
 
 
 def test_unknown_config_key_is_error(capsys, tmp_path):

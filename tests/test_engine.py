@@ -11,7 +11,7 @@ from stratlab.engine import (
     environment_draw,
     estimate,
     estimate_csps,
-    run_trial,
+    run_summaries,
     with_spec,
     write_csv,
 )
@@ -52,9 +52,7 @@ def test_config_validation(fig1_prior):
 
 def test_constant_pair_trajectory(fig1_prior):
     cfg = constant_pair_cfg(fig1_prior, horizon=16)
-    traj = run_trial(cfg, 0)
-    assert len(traj.rounds) == 16
-    assert all(r == ((1.0, 0.0), (1.0, 0.0)) for r in traj.rounds)
+    assert all(s.csp_mass == ((1.0, 0.0), (0.0, 0.0)) for s in run_summaries(cfg))
 
 
 def test_perfect_signals_match_realized(fig1_prior):
@@ -242,14 +240,14 @@ def test_pure_realization_mode(fig1_prior):
         trials=2,
         pure_realization=True,
         master_seed=41,
+        tail_window=40,
     )
-    traj = run_trial(cfg, 0)
-    for x, y in traj.rounds:
-        assert sorted(x) == [0.0, 1.0]
-        assert sorted(y) == [0.0, 1.0]
+    summaries = run_summaries(cfg)
+    # Every round is one-hot: each puts mass 1 >= tail_threshold on one action.
+    for s in summaries:
+        assert sum(s.tail_counts1) == sum(s.tail_counts2) == cfg.horizon
     # determinism of the sampled path
-    again = run_trial(cfg, 0)
-    assert traj.rounds == again.rounds
+    assert run_summaries(cfg) == summaries
 
 
 def test_feedback_mode_mismatch_propagates(fig1_prior):
@@ -264,7 +262,7 @@ def test_feedback_mode_mismatch_propagates(fig1_prior):
         master_seed=2,
     )
     with pytest.raises(ProtocolViolationError):
-        run_trial(cfg, 0)
+        run_summaries(cfg)
 
 
 def test_tail_fractions_constant_pair(fig1_prior):

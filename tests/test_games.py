@@ -5,35 +5,44 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from stratlab.engine import ExperimentConfig, run_summaries
 from stratlab.errors import InvalidArgumentError
 from stratlab.games import (
     CSP,
     Prior,
-    Trajectory,
+    SignalModel,
     builtin_game,
     builtin_prior,
-    csp_expected_utility,
-    csp_from_trajectory,
-    expected_utility,
     game_from_dict,
     game_matrix,
     game_to_dict,
     load_prior,
     mix_csps,
-    mixed_strategy,
+    prior_draw,
     prior_from_dict,
     prior_from_games,
     prior_to_dict,
-    pure,
     sample_signal,
     two_game_family_g1,
 )
+from stratlab.learners import LearnerSpec
 
 
-def simplex(n, rng):
-    raw = [rng.random() for _ in range(n)]
-    s = sum(raw)
-    return tuple(v / s for v in raw)
+def one_trial(g, spec1, spec2, horizon):
+    """Summary of one trial of spec1 vs spec2 in the single-game prior of g."""
+    cfg = ExperimentConfig(
+        prior=prior_from_games([g]),
+        signal_model=SignalModel(1.0, 1.0),
+        spec1=spec1,
+        spec2=spec2,
+        horizon=horizon,
+        trials=1,
+    )
+    return run_summaries(cfg)[0]
+
+
+def constant(action):
+    return LearnerSpec("constant_action", {"action": action})
 
 
 # ---------------------------------------------------------------------------
@@ -60,14 +69,6 @@ def test_prior_validation():
         prior_from_games([g, g2])
     p = prior_from_games([g, g])
     assert p.weights == (0.5, 0.5)
-
-
-def test_mixed_strategy_validation():
-    assert mixed_strategy([0.25, 0.75]) == (0.25, 0.75)
-    with pytest.raises(InvalidArgumentError):
-        mixed_strategy([0.5, 0.6])
-    with pytest.raises(InvalidArgumentError):
-        mixed_strategy([-0.1, 1.1])
 
 
 def test_csp_validation():
@@ -106,41 +107,35 @@ def test_signal_index_out_of_range(fig1_prior):
         sample_signal(fig1_prior, 5, 1.0, random.Random(0))
 
 
+def test_draw_past_rounded_sum_never_returns_zero_weight_game(fig1_g1):
+    # The weights sum to 1 within the prior's 1e-9 tolerance but not to the
+    # draw, so the scan runs off the end of the cumulative sum.
+    prior = Prior(((fig1_g1, 0.5), (fig1_g1, 0.4999999995), (fig1_g1, 0.0)))
+
+    class Stub:
+        def random(self):
+            return 0.9999999999
+
+    assert prior_draw(prior, Stub()) == 1
+    assert sample_signal(prior, 0, 0.0, Stub()) == 1
+
+
 # ---------------------------------------------------------------------------
-# expected_utility
+# Expected utility of a round (folded by the engine)
 # ---------------------------------------------------------------------------
 
 
 def test_expected_utility_matrix_entries(fig1_g1):
-    assert expected_utility(fig1_g1, pure(2, 0), pure(2, 0), 1) == 16.0
     for a in range(2):
         for b in range(2):
-            assert expected_utility(fig1_g1, pure(2, a), pure(2, b), 2) == fig1_g1.u2[a][b]
+            s = one_trial(fig1_g1, constant(a), constant(b), horizon=1)
+            assert (s.avg_u1, s.avg_u2) == (fig1_g1.u1[a][b], fig1_g1.u2[a][b])
 
 
 def test_expected_utility_mixed_hand_value(fig1_g1):
-    # (1 - 32 + 0 + 2) / 4
-    assert expected_utility(fig1_g1, (0.5, 0.5), (0.5, 0.5), 2) == pytest.approx(-7.25)
-
-
-def test_expected_utility_shape_check(fig1_g1):
-    with pytest.raises(InvalidArgumentError):
-        expected_utility(fig1_g1, (1.0,), (0.5, 0.5), 1)
-
-
-@given(st.integers(0, 2**32), st.floats(0.0, 1.0))
-def test_expected_utility_bilinear(seed, alpha):
-    rng = random.Random(seed)
-    g = game_matrix(
-        "rnd",
-        [[rng.uniform(-5, 5) for _ in range(3)] for _ in range(2)],
-        [[rng.uniform(-5, 5) for _ in range(3)] for _ in range(2)],
-    )
-    x, x2, y = simplex(2, rng), simplex(2, rng), simplex(3, rng)
-    blend = tuple(alpha * a + (1 - alpha) * b for a, b in zip(x, x2))
-    lhs = expected_utility(g, blend, y, 1)
-    rhs = alpha * expected_utility(g, x, y, 1) + (1 - alpha) * expected_utility(g, x2, y, 1)
-    assert lhs == pytest.approx(rhs, abs=1e-9)
+    # Multiplicative weights plays (0.5, 0.5) in round 1: (1 - 32 + 0 + 2) / 4.
+    mw = LearnerSpec("multiplicative_weights")
+    assert one_trial(fig1_g1, mw, mw, horizon=1).avg_u2 == pytest.approx(-7.25)
 
 
 # ---------------------------------------------------------------------------
@@ -148,39 +143,36 @@ def test_expected_utility_bilinear(seed, alpha):
 # ---------------------------------------------------------------------------
 
 
-def test_csp_from_constant_trajectory():
-    rounds = tuple((pure(2, 0), pure(2, 0)) for _ in range(100))
-    csp = csp_from_trajectory(Trajectory(rounds, 0, (0, 0)))
-    assert csp.mass[0][0] == pytest.approx(1.0)
+def test_csp_from_constant_trajectory(fig1_g1):
+    s = one_trial(fig1_g1, constant(0), constant(0), horizon=100)
+    assert s.csp_mass == ((1.0, 0.0), (0.0, 0.0))
 
 
 def test_csp_two_point_average():
-    rounds = ((pure(2, 0), pure(2, 0)), (pure(2, 1), pure(2, 1)))
-    csp = csp_from_trajectory(Trajectory(rounds, 0, (0, 0)))
-    assert csp.mass[0][0] == pytest.approx(0.5)
-    assert csp.mass[1][1] == pytest.approx(0.5)
+    # Best responders play (A,C) against a uniform opponent in round 1, then
+    # (B,D) in reply to it.
+    g = game_matrix("alternate", [[0, 3], [1, 0]], [[0, 1], [3, 0]])
+    br = LearnerSpec("best_responder")
+    s = one_trial(g, br, br, horizon=2)
+    assert s.csp_mass == ((0.5, 0.0), (0.0, 0.5))
 
 
-def test_csp_outer_product():
-    rounds = (((0.5, 0.5), pure(2, 0)),)
-    csp = csp_from_trajectory(Trajectory(rounds, 0, (0, 0)))
-    assert csp.mass[0][0] == pytest.approx(0.5)
-    assert csp.mass[1][0] == pytest.approx(0.5)
-    assert csp.mass[0][1] == 0.0
-
-
-def test_csp_empty_trajectory_rejected():
-    with pytest.raises(InvalidArgumentError):
-        csp_from_trajectory(Trajectory((), 0, (0, 0)))
+def test_csp_outer_product(fig1_g1):
+    mw = LearnerSpec("multiplicative_weights")
+    s = one_trial(fig1_g1, mw, constant(0), horizon=1)
+    assert s.csp_mass == ((0.5, 0.0), (0.5, 0.0))
 
 
 @given(st.integers(0, 2**32), st.integers(1, 30))
 def test_csp_from_trajectory_is_valid(seed, t):
     rng = random.Random(seed)
-    rounds = tuple((simplex(2, rng), simplex(3, rng)) for _ in range(t))
-    csp = csp_from_trajectory(Trajectory(rounds, 0, (0, 0)))
-    total = sum(v for row in csp.mass for v in row)
-    assert abs(total - 1.0) <= 1e-6
+    g = game_matrix(
+        "rnd",
+        [[rng.uniform(-5, 5) for _ in range(3)] for _ in range(2)],
+        [[rng.uniform(-5, 5) for _ in range(3)] for _ in range(2)],
+    )
+    s = one_trial(g, LearnerSpec("multiplicative_weights"), LearnerSpec("bandit_exp3"), t)
+    csp = CSP(s.csp_mass)  # validates the total against 1
     assert all(v >= 0 for row in csp.mass for v in row)
 
 
@@ -206,26 +198,6 @@ def test_mix_csps_weight_sum_enforced():
     a = CSP(((1.0, 0.0), (0.0, 0.0)))
     with pytest.raises(InvalidArgumentError):
         mix_csps([(0.6, a), (0.6, a)])
-
-
-@given(st.integers(0, 2**32))
-def test_mix_commutes_with_expected_utility(seed):
-    rng = random.Random(seed)
-    g = game_matrix(
-        "rnd",
-        [[rng.uniform(-5, 5) for _ in range(2)] for _ in range(2)],
-        [[rng.uniform(-5, 5) for _ in range(2)] for _ in range(2)],
-    )
-    csps = []
-    for _ in range(3):
-        rounds = tuple((simplex(2, rng), simplex(2, rng)) for _ in range(4))
-        csps.append(csp_from_trajectory(Trajectory(rounds, 0, (0, 0))))
-    w = simplex(3, rng)
-    mixed = mix_csps(list(zip(w, csps)))
-    for player in (1, 2):
-        direct = csp_expected_utility(g, mixed, player)
-        combo = sum(wi * csp_expected_utility(g, c, player) for wi, c in zip(w, csps))
-        assert direct == pytest.approx(combo, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 from stratlab.errors import InvalidArgumentError, ProtocolViolationError
 from stratlab.games import (
     FeedbackRecord,
-    Trajectory,
-    expected_utility,
     game_matrix,
     prior_from_games,
     pure,
@@ -15,13 +13,10 @@ from stratlab.games import (
 from stratlab.learners import (
     LearnerSpec,
     canonical_spec,
-    external_regret,
     learner_init,
     regrets_from_mass,
     spec_needs_side_signal,
     spec_reads_signal,
-    spec_requires_full_info,
-    swap_regret,
 )
 from stratlab.solve import perturbed_commitment
 
@@ -32,10 +27,12 @@ def drive(learner, g, opponent, T, full=True):
     for _ in range(T):
         own = learner.act()
         seq.append(own)
-        if learner.role == 1:
-            u = expected_utility(g, own, opponent, 1)
-        else:
-            u = expected_utility(g, opponent, own, 2)
+        x, y = (own, opponent) if learner.role == 1 else (opponent, own)
+        u = sum(
+            xa * yb * v
+            for xa, row in zip(x, g.utilities(learner.role))
+            for yb, v in zip(y, row)
+        )
         learner.observe(FeedbackRecord(own, opponent if full else None, u))
     return seq
 
@@ -81,6 +78,17 @@ def test_params_checked_against_kind_table():
     mimic = LearnerSpec("mimic_deviation", {"base": ok, "signal": 0})
     with pytest.raises(InvalidArgumentError, match="wrap itself"):
         LearnerSpec("mimic_deviation", {"base": mimic, "signal": 1})
+    # Params are numbers (never bools); a mimic's signal is an integer.
+    for kind, params, name in (
+        ("stackelberg_leader", {"b": "x"}, "'b'"),
+        ("no_swap_regret_bandit", {"eta": True}, "'eta'"),
+        ("constant_action", {"action": None}, "'action'"),
+        ("mimic_deviation", {"base": ok, "signal": "x"}, "'signal'"),
+        ("mimic_deviation", {"base": ok, "signal": 1.7}, "'signal'"),
+        ("mimic_deviation", {"base": ok, "signal": False}, "'signal'"),
+    ):
+        with pytest.raises(InvalidArgumentError, match=name):
+            LearnerSpec(kind, params)
 
 
 def test_canonical_spec_fills_defaults_and_resolves_mimics():
@@ -106,11 +114,11 @@ def test_role_restrictions(fig1_prior):
         make("infer_then_commit_follower", 1, fig1_prior)
 
 
-def test_spec_json_roundtrip():
+def test_spec_json_roundtrip(fig1_prior):
     spec = LearnerSpec("mimic_deviation", {"base": {"kind": "best_responder", "params": {}}, "signal": 1})
     d = spec.to_dict()
     assert LearnerSpec.from_dict(d) == spec
-    assert spec_requires_full_info(spec)
+    assert learner_init(spec, 2, fig1_prior, 0, random.Random(0)).requires_full_info
     assert not spec_needs_side_signal(spec)
     assert spec_needs_side_signal(LearnerSpec("external_signal_leader"))
 
@@ -252,29 +260,26 @@ def test_bandit_exp3_finds_best_arm(fig1_g1, fig1_prior):
 # ---------------------------------------------------------------------------
 
 
-def two_round_example(fig1_g1):
-    rounds = ((pure(2, 0), pure(2, 0)), (pure(2, 0), pure(2, 1)))
-    return Trajectory(rounds, 0, (0, 0))
+# Rounds (A,C) and (A,D).
+TWO_ROUND_MASS = [[1.0, 1.0], [0.0, 0.0]]
 
 
 def test_external_regret_hand_example(fig1_g1):
-    traj = two_round_example(fig1_g1)
     # P2 earned 1 - 32 = -31; best fixed C earns 2.
-    assert external_regret(traj, fig1_g1, 2) == pytest.approx(33.0)
-    assert external_regret(traj, fig1_g1, 1) == pytest.approx(0.0)
+    assert regrets_from_mass(TWO_ROUND_MASS, fig1_g1, 2).external_regret == pytest.approx(33.0)
+    assert regrets_from_mass(TWO_ROUND_MASS, fig1_g1, 1).external_regret == pytest.approx(0.0)
 
 
 def test_swap_regret_hand_example(fig1_g1):
-    rep = swap_regret(two_round_example(fig1_g1), fig1_g1, 2)
+    rep = regrets_from_mass(TWO_ROUND_MASS, fig1_g1, 2)
     assert rep.swap_regret == pytest.approx(33.0)
     assert rep.swap_targets == (0, 0)  # keep C, remap D -> C
 
 
 def test_best_responding_player_has_zero_regret(fig1_g1):
-    rounds = tuple((pure(2, 0), pure(2, 0)) for _ in range(10))
-    traj = Trajectory(rounds, 0, (0, 0))
-    assert external_regret(traj, fig1_g1, 2) == pytest.approx(0.0)
-    assert swap_regret(traj, fig1_g1, 2).swap_regret == pytest.approx(0.0)
+    rep = regrets_from_mass([[10.0, 0.0], [0.0, 0.0]], fig1_g1, 2)  # (A,C) ten times
+    assert rep.external_regret == pytest.approx(0.0)
+    assert rep.swap_regret == pytest.approx(0.0)
 
 
 @given(st.integers(0, 2**32), st.integers(1, 40))
@@ -286,42 +291,15 @@ def test_swap_at_least_external(seed, t):
         [[rng.uniform(-5, 5) for _ in range(2)] for _ in range(3)],
         [[rng.uniform(-5, 5) for _ in range(2)] for _ in range(3)],
     )
-
-    def splx(n):
-        raw = [rng.random() for _ in range(n)]
-        s = sum(raw)
-        return tuple(v / s for v in raw)
-
-    rounds = tuple((splx(3), splx(2)) for _ in range(t))
-    traj = Trajectory(rounds, 0, (0, 0))
+    # Any nonnegative matrix is a cumulative joint mass: put mass[a][b]
+    # rounds' worth of weight on the pure profile (a, b).
+    mass = [[t * rng.random() for _ in range(2)] for _ in range(3)]
     for player in (1, 2):
-        rep = swap_regret(traj, g, player)
+        rep = regrets_from_mass(mass, g, player)
         # Swap class contains the constant maps; per-action improvements
         # include the identity, so the total is also nonnegative.
         assert rep.swap_regret >= rep.external_regret - 1e-9
         assert rep.swap_regret >= -1e-9
-
-
-def test_regrets_from_mass_matches_trajectory_meters(fig1_g1):
-    rng = random.Random(3)
-
-    def splx(n):
-        raw = [rng.random() for _ in range(n)]
-        s = sum(raw)
-        return tuple(v / s for v in raw)
-
-    rounds = tuple((splx(2), splx(2)) for _ in range(25))
-    traj = Trajectory(rounds, 0, (0, 0))
-    mass = [[0.0, 0.0], [0.0, 0.0]]
-    for x, y in rounds:
-        for a in range(2):
-            for b in range(2):
-                mass[a][b] += x[a] * y[b]
-    for player in (1, 2):
-        direct = regrets_from_mass(mass, fig1_g1, player)
-        assert direct.external_regret == pytest.approx(
-            external_regret(traj, fig1_g1, player), abs=1e-9
-        )
 
 
 def cyclic_zero_sum(n):
