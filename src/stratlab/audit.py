@@ -9,15 +9,6 @@ more than epsilon with 95% confidence. Deviation runs share the baseline's
 random streams (common random numbers), so gains are paired per trial and by
 realized game, which makes the scripted counterexamples essentially
 noise-free.
-
-Common random numbers also make many deviation trials exact repeats of the
-baseline's. Trial k of a deviation is replayed from baseline trial k when
-the deviating player's canonical spec (defaults filled in, mimic_deviation
-resolved to its base plus the forced signal) equals the baseline's and
-either the learner never reads its signal or the signal it would get equals
-the baseline's. The rule needs only the specs and the environment draw, so
-an audit lists every trial it must simulate up front and runs them all in
-one pass over one worker pool.
 """
 
 from __future__ import annotations
@@ -32,7 +23,6 @@ from .engine import (
     ExperimentConfig,
     TrialSummary,
     Z_95_ONE_SIDED,
-    environment_draw,
     estimate_csps,
     mean_ci,
     run_summaries,
@@ -42,7 +32,7 @@ from .engine import (
 )
 from .errors import InvalidArgumentError
 from .games import Prior, signal_weights, two_game_family_g1, two_game_family_g2
-from .learners import LearnerSpec, canonical_spec, spec_needs_side_signal, spec_reads_signal
+from .learners import LearnerSpec, canonical_spec
 from .solve import stackelberg_value, stackval_prior
 
 
@@ -114,50 +104,17 @@ def paired_gain(
     return mean_ci(diffs)
 
 
-def _replays_baseline(
-    cfg: ExperimentConfig, player: int, spec: LearnerSpec, draws: list[tuple[int, int, int]]
-) -> list[bool]:
-    """Per trial, whether the deviation's trial repeats the baseline's bit for bit."""
-    base_kind, base_params, base_forced = canonical_spec(cfg.spec1 if player == 1 else cfg.spec2)
-    kind, params, forced = canonical_spec(spec)
-    # An out-of-range forced signal is simulated so that it raises as usual.
-    if (kind, params) != (base_kind, base_params) or not (
-        forced is None or 0 <= forced < cfg.prior.support_size
-    ):
-        return [False] * cfg.trials
-    if not spec_reads_signal(spec):
-        return [True] * cfg.trials
-    return [
-        (d[player] if forced is None else forced)
-        == (d[player] if base_forced is None else base_forced)
-        for d in draws
-    ]
-
-
 def _run_with_deviations(
     cfg: ExperimentConfig, deviations: list[tuple[int, LearnerSpec]], threads: int
 ) -> tuple[list[TrialSummary], list[list[TrialSummary]], int, int]:
-    """Baseline summaries, one summary list per (player, spec) deviation, the
-    number of trials simulated and the number of deviation trials replayed
-    from the baseline.
-
-    Every trial that is not a replay runs in one run_summaries pass.
-    """
-    draws = [environment_draw(cfg, k) for k in range(cfg.trials)]
-    jobs = [(cfg, k) for k in range(cfg.trials)]  # job k is baseline trial k
-    slots = []  # per deviation and trial, the index of the job to read
-    for player, spec in deviations:
-        dev_cfg = with_spec(cfg, player, spec)
-        row = []
-        for k, replay in enumerate(_replays_baseline(cfg, player, spec, draws)):
-            if not replay:
-                jobs.append((dev_cfg, k))
-            row.append(k if replay else len(jobs) - 1)
-        slots.append(row)
-    results = run_summaries(cfg, threads, jobs=jobs)
-    reused = cfg.trials * (1 + len(deviations)) - len(jobs)
-    devs = [[results[j] for j in row] for row in slots]
-    return results[: cfg.trials], devs, len(jobs), reused
+    """Baseline summaries, one summary list per (player, spec) deviation, and
+    the numbers of trials simulated and reused, from one run_summaries pass."""
+    n = cfg.trials
+    cfgs = [cfg] + [with_spec(cfg, player, spec) for player, spec in deviations]
+    results = run_summaries(cfg, threads, jobs=[(c, k) for c in cfgs for k in range(n)])
+    runs = [results[i : i + n] for i in range(0, len(results), n)]
+    reused = sum(s.reused for s in results)
+    return runs[0], runs[1:], len(results) - reused, reused
 
 
 @dataclass
@@ -170,8 +127,8 @@ class AuditReport:
     verdict: str  # "pass" | "fail"
     failure: tuple[int, str] | None
     failing: list  # every deviation whose gain lower bound exceeds epsilon
-    # Telemetry, kept out of to_dict(): trials run, and deviation trials
-    # replayed from the baseline.
+    # Telemetry, kept out of to_dict(): trials simulated, and trials copied
+    # from an identical one (engine.run_summaries).
     trials_simulated: int
     trials_reused: int
 
@@ -197,8 +154,8 @@ def audit_pne(
 ) -> AuditReport:
     """Run the experiment once per (player, deviation) and compare gains.
 
-    Deviation trials that repeat the baseline's are replayed (module
-    docstring). Fails when any deviation gain's lower 95% confidence bound
+    All runs go through one run_summaries pass, which simulates each distinct
+    trial once. Fails when any deviation gain's lower 95% confidence bound
     exceeds epsilon. A pass is evidence at the configured horizon against the
     given library, not a proof of meta-game equilibrium.
     """
@@ -508,7 +465,7 @@ def belief_trace(
         targets = tuple(targets)
     if belief_kind == "last_side_signal":
         spec = cfg.spec1 if player == 1 else cfg.spec2
-        if not spec_needs_side_signal(spec):
+        if not canonical_spec(spec)[0].needs_side_signal:
             raise InvalidArgumentError(
                 "last_side_signal belief requires the traced player to consume side signals"
             )

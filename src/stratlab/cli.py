@@ -18,7 +18,7 @@ from dataclasses import fields
 
 from .audit import audit_pne, belief_trace, revelation_analysis, verify_claims
 from .engine import ExperimentConfig, estimate, estimate_csps, write_csv
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_type
 from .games import (
     SignalModel,
     load_game,
@@ -34,25 +34,37 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
     if unknown:
         raise InvalidArgumentError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
+
+    def typed(value, key, kind="integer"):
+        return check_type(value, f"config key {key!r}", kind)
+
     try:
         prior_spec = d["prior"]
         prior = (
             load_prior(prior_spec) if isinstance(prior_spec, str) else prior_from_dict(prior_spec)
         )
         sm = d["signal_model"]
+        if not isinstance(sm, dict):
+            raise InvalidArgumentError(f"config key 'signal_model' must be an object, got {sm!r}")
+        cps = d.get("checkpoints", ())
+        if not isinstance(cps, (list, tuple)):
+            raise InvalidArgumentError(f"config key 'checkpoints' must be a list, got {cps!r}")
         cfg = ExperimentConfig(
             prior=prior,
-            signal_model=SignalModel(float(sm["p1"]), float(sm["p2"])),
+            signal_model=SignalModel(
+                float(typed(sm["p1"], "signal_model.p1", "number")),
+                float(typed(sm["p2"], "signal_model.p2", "number")),
+            ),
             spec1=LearnerSpec.from_dict(d["spec1"]),
             spec2=LearnerSpec.from_dict(d["spec2"]),
-            horizon=int(d["horizon"]),
-            trials=int(d.get("trials", 32)),
+            horizon=typed(d["horizon"], "horizon"),
+            trials=typed(d.get("trials", 32), "trials"),
             feedback_mode=d.get("feedback_mode", "full"),
-            pure_realization=bool(d.get("pure_realization", False)),
-            master_seed=int(d.get("master_seed", 0)),
-            checkpoints=tuple(d.get("checkpoints", ())),
-            tail_window=int(d.get("tail_window", 10_000)),
-            tail_threshold=float(d.get("tail_threshold", 0.9)),
+            pure_realization=typed(d.get("pure_realization", False), "pure_realization", "boolean"),
+            master_seed=typed(d.get("master_seed", 0), "master_seed"),
+            checkpoints=tuple(typed(c, "checkpoints") for c in cps),
+            tail_window=typed(d.get("tail_window", 10_000), "tail_window"),
+            tail_threshold=float(typed(d.get("tail_threshold", 0.9), "tail_threshold", "number")),
         )
     except KeyError as e:
         raise InvalidArgumentError(f"experiment config missing key {e}") from e
@@ -208,7 +220,7 @@ def report_trials(report) -> None:
     """One stderr line of trial counts, kept out of the JSON report."""
     print(
         f"trials: {report.trials_simulated} simulated, "
-        f"{report.trials_reused} replayed from the baseline",
+        f"{report.trials_reused} reused",
         file=sys.stderr,
     )
 

@@ -28,7 +28,7 @@ from .games import (
     sample_signal,
     signal_weights,
 )
-from .learners import LearnerSpec, learner_init, regrets_from_mass
+from .learners import LearnerSpec, canonical_spec, learner_init, regrets_from_mass
 from .rng import (
     ENV_STREAM,
     LEARNER1_STREAM,
@@ -126,6 +126,8 @@ class TrialSummary:
     tail_rounds: int
     # 0/1 belief errors per checkpoint plus final, when a probe was attached.
     belief_errors: tuple[int, ...] | None = None
+    # Telemetry: True on a copy of another job's simulation (run_summaries).
+    reused: bool = field(default=False, compare=False, repr=False)
 
 
 def environment_draw(cfg: ExperimentConfig, trial_index: int) -> tuple[int, int, int]:
@@ -339,9 +341,22 @@ def _simulate(
     )
 
 
-def _worker(args) -> TrialSummary:
-    cfg, trial_index, probe = args
-    return _simulate(cfg, trial_index, probe)
+def trial_key(cfg: ExperimentConfig, trial_index: int, draw: tuple[int, int, int]) -> tuple:
+    """What a trial's summary depends on besides its index and signals (see
+    run_summaries); draw is the trial's environment_draw."""
+    players = []
+    seeded = cfg.pure_realization
+    for spec, signal in ((cfg.spec1, draw[1]), (cfg.spec2, draw[2])):
+        cls, params, forced = canonical_spec(spec)
+        signal = signal if forced is None else forced
+        # An out-of-range forced signal stays in the key, so that it raises.
+        if not cls.reads_signal and 0 <= signal < cfg.prior.support_size:
+            signal = None
+        players.append((cls, params, signal))
+        seeded = seeded or cls.draws_randomness or cls.needs_side_signal
+    seed = (cfg.master_seed, trial_index) if seeded else None
+    return (*players, cfg.prior, draw[0], cfg.horizon, cfg.checkpoints, cfg.tail_window,
+            cfg.tail_threshold, cfg.feedback_mode, cfg.pure_realization, seed)
 
 
 def run_summaries(
@@ -353,21 +368,41 @@ def run_summaries(
     """Trial summaries of a job list, in job order.
 
     A job is a (config, trial index) pair; the default list is every trial
-    of cfg. The jobs run in this process at threads <= 1, otherwise through
-    one fork-based worker pool. Results are identical for any thread count:
-    each trial derives its own random streams from its config and index.
+    of cfg. Jobs with equal trial keys share one simulation: the first is
+    simulated, and each other one gets a copy, marked `reused`, with its own
+    trial_index, s1 and s2. The key holds each player's canonical spec
+    (mimics resolved) and effective signal (None for a class that never
+    reads it), the prior, the realized game, and the horizon, checkpoint,
+    tail and feedback fields; it holds the seed and the trial index only when
+    a learner draws from its random stream or takes side signals, or under
+    pure_realization. The simulated jobs run in this process at threads <= 1,
+    otherwise through one fork-based worker pool. Results are identical for
+    any thread count: each trial derives its own random streams from its
+    config and index.
     """
     if jobs is None:
         jobs = [(cfg, k) for k in range(cfg.trials)]
-    tasks = [(job_cfg, k, probe) for job_cfg, k in jobs]
+    draws = [environment_draw(job_cfg, k) for job_cfg, k in jobs]
+    keys = [trial_key(job_cfg, k, draw) for (job_cfg, k), draw in zip(jobs, draws)]
+    first: dict = {}  # trial key -> index of the job that is simulated
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    tasks = [(*jobs[i], probe) for i in first.values()]
     if threads <= 1 or len(tasks) == 1:
-        return [_worker(t) for t in tasks]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(threads) as pool:
-        # Chunks of one task: trial costs differ across the configs of one
-        # job list, and a larger chunk can leave one worker idle while the
-        # other still works through a chunk of slow trials.
-        return pool.map(_worker, tasks, chunksize=1)
+        done = [_simulate(*task) for task in tasks]
+    else:
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(threads) as pool:
+            # Chunks of one task: trial costs differ across the configs of one
+            # job list, and a larger chunk can leave one worker idle while the
+            # other still works through a chunk of slow trials.
+            done = pool.starmap(_simulate, tasks, chunksize=1)
+    simulated = dict(zip(first.values(), done))
+    out = []
+    for i, ((_, k), (_, s1, s2), key) in enumerate(zip(jobs, draws, keys)):
+        s = simulated[first[key]]
+        out.append(s if first[key] == i else replace(s, trial_index=k, s1=s1, s2=s2, reused=True))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +621,6 @@ class CspReport:
     cell_se: dict  # (realized, s2) -> per-cell standard error matrix
     by_game: dict  # realized -> CSP | None (absent ingredient bucket)
     p2: float
-
-    def pair_mass(self, realized: int, s2: int, a: int, b: int) -> float | None:
-        c = self.by_pair.get((realized, s2))
-        return None if c is None else c.mass[a][b]
 
     def to_dict(self, prior: Prior) -> dict:
         labels1 = prior.games[0].action_labels1

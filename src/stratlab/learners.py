@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
 
-from .errors import InvalidArgumentError, ProtocolViolationError
+from .errors import InvalidArgumentError, ProtocolViolationError, check_type
 from .games import (
     FeedbackRecord,
     GameMatrix,
@@ -64,15 +64,11 @@ class LearnerSpec:
                 f"unknown param(s) {', '.join(map(repr, unknown))} for learner kind {self.kind!r}"
             )
         # Params are numbers; a mimic's only number is its forced signal index.
-        types, noun = (int, "an integer") if mimic else ((int, float), "a number")
+        integer = ("signal",) if mimic else _CLASSES[self.kind].integer_params
         for name, value in self.params.items():
-            if (mimic and name == "base") or (
-                isinstance(value, types) and not isinstance(value, bool)
-            ):
-                continue
-            raise InvalidArgumentError(
-                f"param {name!r} of learner kind {self.kind!r} must be {noun}, got {value!r}"
-            )
+            if not (mimic and name == "base"):
+                kind = "integer" if name in integer else "number"
+                check_type(value, f"param {name!r} of learner kind {self.kind!r}", kind)
         if mimic and "base" in self.params:
             base = self.params["base"]
             if not isinstance(base, LearnerSpec):
@@ -95,15 +91,19 @@ class Learner:
     """Base class enforcing the act/observe protocol.
 
     `param_defaults` is the kind's param table: every accepted param and its
-    default (None where the param is required or the default is adaptive).
+    default (None where the param is required or the default is adaptive);
+    the params named in `integer_params` must be ints, the others numbers.
     `reads_signal` is False only for classes whose play never depends on
-    their pre-play signal.
+    their pre-play signal, and `draws_randomness` is True only for classes
+    that draw from their random stream `rng`.
     """
 
     param_defaults: dict = {}
+    integer_params: tuple = ()
     requires_full_info = False
     needs_side_signal = False
     reads_signal = True
+    draws_randomness = False
 
     def __init__(self, spec: LearnerSpec, role: int, prior: Prior, signal: int, rng: Random):
         if role not in (1, 2):
@@ -177,6 +177,7 @@ def _mimic_parts(spec: LearnerSpec) -> tuple[LearnerSpec, int]:
 
 class ConstantAction(Learner):
     param_defaults = {"action": None}
+    integer_params = ("action",)
     reads_signal = False
 
     def __init__(self, spec, role, prior, signal, rng):
@@ -184,7 +185,7 @@ class ConstantAction(Learner):
         action = self._param("action")
         if action is None:
             raise InvalidArgumentError("constant_action requires param 'action'")
-        self._strategy = pure(self.n_own, int(action))
+        self._strategy = pure(self.n_own, action)
 
     def _act(self):
         return self._strategy
@@ -257,6 +258,7 @@ class _BanditPlay(_HedgeCore):
 
     param_defaults = {"eta": None, "exploration": None}
     reads_signal = False
+    draws_randomness = True
 
     def __init__(self, spec, role, prior, signal, rng):
         super().__init__(spec, role, prior, signal, rng)
@@ -398,6 +400,7 @@ class _EpochedCommitment(Learner):
 
     # b in the schedule delta = T_m^(-b), 0 < b < 1-a
     param_defaults = {"b": 0.25, "initial_epoch": 64}
+    integer_params = ("initial_epoch",)
 
     def __init__(self, spec, role, prior, signal, rng):
         super().__init__(spec, role, prior, signal, rng)
@@ -405,7 +408,7 @@ class _EpochedCommitment(Learner):
         if not 0.0 < b < 1.0:
             raise InvalidArgumentError(f"delta exponent b must be in (0,1), got {b!r}")
         self._b = b
-        self.epoch_horizon = int(self._param("initial_epoch"))
+        self.epoch_horizon = self._param("initial_epoch")
         if self.epoch_horizon < 1:
             raise InvalidArgumentError("initial_epoch must be >= 1")
         self._cache: dict[tuple[int, int], MixedStrategy] = {}
@@ -457,10 +460,6 @@ class ExternalSignalLeader(_EpochedCommitment):
         if not 0 <= index < self.prior.support_size:
             raise InvalidArgumentError(f"side signal {index} out of range")
         self._q = index
-
-    @property
-    def last_side_signal(self) -> int:
-        return self._q
 
     def _act(self):
         self._advance_epoch()
@@ -562,29 +561,19 @@ _CLASSES = {
 }
 
 
-def _resolve_base(spec: LearnerSpec) -> LearnerSpec:
-    return _mimic_parts(spec)[0] if spec.kind == "mimic_deviation" else spec
-
-
-def spec_needs_side_signal(spec: LearnerSpec) -> bool:
-    return _CLASSES[_resolve_base(spec).kind].needs_side_signal
-
-
-def spec_reads_signal(spec: LearnerSpec) -> bool:
-    return _CLASSES[_resolve_base(spec).kind].reads_signal
-
-
-def canonical_spec(spec: LearnerSpec) -> tuple[str, dict, int | None]:
-    """(kind, params with defaults filled in, forced signal or None).
+def canonical_spec(spec: LearnerSpec) -> tuple[type, tuple, int | None]:
+    """(learner class, params with defaults filled in as sorted (name, value)
+    pairs, forced signal or None).
 
     mimic_deviation resolves to its base plus the forced signal. Learners
-    built from specs whose kind and params agree here, given the same
-    effective signal and random stream, play identically.
+    built from specs whose class and params agree here, given the same
+    effective signal and random streams, play identically.
     """
     forced = None
     if spec.kind == "mimic_deviation":
         spec, forced = _mimic_parts(spec)
-    return spec.kind, {**_CLASSES[spec.kind].param_defaults, **spec.params}, forced
+    cls = _CLASSES[spec.kind]
+    return cls, tuple(sorted({**cls.param_defaults, **spec.params}.items())), forced
 
 
 # ---------------------------------------------------------------------------

@@ -147,7 +147,7 @@ def test_common_random_numbers_reduce_ci(fig1_prior):
 
 
 # ---------------------------------------------------------------------------
-# Replay of deviation trials that repeat the baseline
+# Trials that repeat an identical trial are simulated once
 # ---------------------------------------------------------------------------
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -160,13 +160,18 @@ def shipped_cfg(name, horizon, trials):
     return config_from_dict(raw)
 
 
+def simulate_each(cfg):
+    """Every trial of cfg simulated on its own, with no sharing."""
+    return [engine._simulate(cfg, k) for k in range(cfg.trials)]
+
+
 def direct_rows(cfg, lib):
-    """Audit rows from one full rerun per deviation, with no replay."""
-    base = run_summaries(cfg)
+    """Audit rows from one full rerun per deviation, one trial at a time."""
+    base = simulate_each(cfg)
     rows = []
     for player in (1, 2):
         for name, spec in lib.for_player(player):
-            dev = run_summaries(with_spec(cfg, player, spec))
+            dev = simulate_each(with_spec(cfg, player, spec))
             gain, ci = paired_gain(cfg.prior, base, dev, player)
             lower = gain - ci if ci is not None else gain
             rows.append(
@@ -179,12 +184,16 @@ def direct_rows(cfg, lib):
 @pytest.mark.parametrize(
     "name, horizon, trials, reused",
     [
-        # player 1: stackelberg_leader (8) and the mimic matching each
-        # trial's true signal (8); player 2's bandit ignores its signal (16).
-        ("leader_vs_learner_audit.json", 500, 8, 32),
-        # player 1: the matching mimic (32); player 2: both mimics of a
-        # follower that ignores its signal (64) and infer_then_commit (32).
-        ("reveal_follow.json", 200, 32, 128),
+        # 54 of 112 simulated: the 8 baseline trials; 32 for player 1's
+        # deviations against the bandit (stackelberg_leader, and each mimic
+        # where it forces the true game, copy the baseline); 14 for player
+        # 2's deterministic deviations against the committed leader, one per
+        # distinct realized game and signals. Player 2's mimics copy the
+        # baseline: the bandit ignores its signal.
+        ("leader_vs_learner_audit.json", 500, 8, 58),
+        # 24 of 448 simulated: every pair here is deterministic, so each
+        # run needs one trial per distinct (realized game, effective signals).
+        ("reveal_follow.json", 200, 32, 424),
     ],
 )
 def test_audit_replay_matches_direct_reruns(name, horizon, trials, reused, threads):
@@ -195,6 +204,23 @@ def test_audit_replay_matches_direct_reruns(name, horizon, trials, reused, threa
     assert report.baseline.to_dict() == summarize(cfg, base).to_dict()
     assert report.trials_reused == reused
     assert report.trials_simulated == trials * (1 + len(rows)) - reused
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_shared_simulations_match_per_job_runs(threads):
+    # Every shipped config at reduced size, with the audit's job list: the
+    # baseline and every default-library deviation.
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        cfg = shipped_cfg(path.name, 40, 6)
+        lib = default_library(cfg)
+        cfgs = [cfg] + [
+            with_spec(cfg, player, spec) for player in (1, 2) for _, spec in lib.for_player(player)
+        ]
+        jobs = [(c, k) for c in cfgs for k in range(cfg.trials)]
+        shared = run_summaries(cfg, threads, jobs=jobs)
+        # Equality covers each job's own trial_index, s1 and s2.
+        assert shared == [engine._simulate(c, k) for c, k in jobs], path.name
+        assert 0 < sum(s.reused for s in shared) < len(jobs)
 
 
 def test_changed_deviations_are_simulated_fresh():

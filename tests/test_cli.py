@@ -1,5 +1,6 @@
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -155,6 +156,24 @@ def test_unknown_learner_param_is_error(capsys, tiny_config):
         assert code == 1 and err.startswith("error:") and name in err
 
 
+@pytest.mark.parametrize(
+    "assignment, key",
+    [
+        ("trials=2.9", "trials"),
+        ("horizon=10.7", "horizon"),
+        ('pure_realization="false"', "pure_realization"),
+        ('trials="x"', "trials"),
+        ('signal_model.p1="x"', "signal_model.p1"),
+        ("tail_threshold=null", "tail_threshold"),
+        ("signal_model=5", "signal_model"),
+    ],
+)
+def test_config_field_types_are_checked(capsys, assignment, key):
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "reveal_follow.json")
+    code, _, err = run_cli(capsys, "simulate", "--config", config, "--set", assignment)
+    assert code == 1 and err.startswith(f"error: config key {key!r} must be ")
+
+
 def test_unknown_config_key_is_error(capsys, tmp_path):
     cfg = {
         "prior": "fig1:gamma=1",
@@ -180,9 +199,10 @@ def test_audit_fail_exit_code(capsys, tiny_config):
         capsys, "audit", "--config", tiny_config, "--epsilon", "0.1", "--trials", "6"
     )
     assert code == 2
-    # 14 runs of 6 trials; 4 deviations repeat the baseline outright and the
-    # two player-1 mimics do so on the trials whose true game they force.
-    assert err == "trials: 60 simulated, 24 replayed from the baseline\n"
+    # 14 runs of 6 trials of a deterministic pair: each run needs one trial
+    # per distinct realized game and effective signals, and runs that play
+    # alike share them.
+    assert err == "trials: 22 simulated, 62 reused\n"
     payload = json.loads(out)
     validate(payload, "audit.json")
     assert payload["verdict"] == "fail"
@@ -216,7 +236,7 @@ def test_claims_contradiction_exit_code(capsys, tiny_config):
         capsys, "claims", "--config", tiny_config, "--p-star", "0.0", "--horizon", "2000"
     )
     assert code == 2
-    assert err.startswith("trials: ") and "replayed from the baseline" in err
+    assert err.startswith("trials: ") and " simulated, " in err and err.endswith(" reused\n")
     payload = json.loads(out)
     validate(payload, "claims.json")
     assert payload["contradiction"]

@@ -11,12 +11,11 @@ from stratlab.games import (
     pure,
 )
 from stratlab.learners import (
+    KINDS,
     LearnerSpec,
     canonical_spec,
     learner_init,
     regrets_from_mass,
-    spec_needs_side_signal,
-    spec_reads_signal,
 )
 from stratlab.solve import perturbed_commitment
 
@@ -78,11 +77,15 @@ def test_params_checked_against_kind_table():
     mimic = LearnerSpec("mimic_deviation", {"base": ok, "signal": 0})
     with pytest.raises(InvalidArgumentError, match="wrap itself"):
         LearnerSpec("mimic_deviation", {"base": mimic, "signal": 1})
-    # Params are numbers (never bools); a mimic's signal is an integer.
+    # Params are numbers (never bools); a mimic's signal, a constant action
+    # and an initial epoch are integers.
     for kind, params, name in (
         ("stackelberg_leader", {"b": "x"}, "'b'"),
         ("no_swap_regret_bandit", {"eta": True}, "'eta'"),
         ("constant_action", {"action": None}, "'action'"),
+        ("constant_action", {"action": 1.7}, "'action'"),
+        ("stackelberg_leader", {"initial_epoch": 64.9}, "'initial_epoch'"),
+        ("external_signal_leader", {"initial_epoch": True}, "'initial_epoch'"),
         ("mimic_deviation", {"base": ok, "signal": "x"}, "'signal'"),
         ("mimic_deviation", {"base": ok, "signal": 1.7}, "'signal'"),
         ("mimic_deviation", {"base": ok, "signal": False}, "'signal'"),
@@ -98,13 +101,41 @@ def test_canonical_spec_fills_defaults_and_resolves_mimics():
         LearnerSpec("stackelberg_leader", {"b": 0.5})
     )[1]
     mimic = LearnerSpec("mimic_deviation", {"base": explicit.to_dict(), "signal": 1})
-    assert canonical_spec(mimic) == (
-        "stackelberg_leader", {"b": 0.25, "initial_epoch": 64}, 1
+    cls, params, forced = canonical_spec(mimic)
+    assert (cls.__name__, params, forced) == (
+        "StackelbergLeader", (("b", 0.25), ("initial_epoch", 64)), 1
     )
-    assert spec_reads_signal(mimic)
+    assert cls.reads_signal
     for kind in ("bandit_exp3", "no_swap_regret_bandit", "infer_then_commit_follower"):
-        assert not spec_reads_signal(LearnerSpec(kind))
-    assert not spec_reads_signal(LearnerSpec("constant_action", {"action": 0}))
+        assert not canonical_spec(LearnerSpec(kind))[0].reads_signal
+    assert not canonical_spec(LearnerSpec("constant_action", {"action": 0}))[0].reads_signal
+
+
+def test_undeclared_randomness_is_never_drawn(example41_prior):
+    # The engine shares one simulation among trials that differ only in the
+    # learners' random streams unless a class declares draws_randomness or
+    # needs_side_signal, so every other kind must play the same sequence
+    # under two different streams.
+    g = example41_prior.games[1]
+    checked = []
+    for kind in KINDS:
+        if kind == "mimic_deviation":
+            continue
+        params = {"action": 1} if kind == "constant_action" else {}
+        cls = canonical_spec(LearnerSpec(kind, params))[0]
+        if cls.draws_randomness or cls.needs_side_signal:
+            continue
+        role = 1 if kind == "reveal_then_follow_leader" else 2
+        n_opp = g.n2 if role == 1 else g.n1
+        opponent = tuple(i / (n_opp * (n_opp + 1) / 2) for i in range(1, n_opp + 1))
+        runs = [
+            drive(make(kind, role, example41_prior, 1, seed, **params), g, opponent, 40)
+            for seed in (1, 2)
+        ]
+        assert runs[0] == runs[1], kind
+        checked.append(kind)
+    # All kinds but the mimic, the two bandits and the side-signal leader.
+    assert len(checked) == len(KINDS) - 4
 
 
 def test_role_restrictions(fig1_prior):
@@ -119,8 +150,8 @@ def test_spec_json_roundtrip(fig1_prior):
     d = spec.to_dict()
     assert LearnerSpec.from_dict(d) == spec
     assert learner_init(spec, 2, fig1_prior, 0, random.Random(0)).requires_full_info
-    assert not spec_needs_side_signal(spec)
-    assert spec_needs_side_signal(LearnerSpec("external_signal_leader"))
+    assert not canonical_spec(spec)[0].needs_side_signal
+    assert canonical_spec(LearnerSpec("external_signal_leader"))[0].needs_side_signal
 
 
 def test_mw_uniform_init(fig1_prior):
