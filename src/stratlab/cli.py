@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .audit import audit_pne, belief_trace, revelation_analysis, verify_claims
+from .audit import BELIEF_KINDS, audit_pne, belief_trace, revelation_analysis, verify_claims
 from .engine import ExperimentConfig, estimate, estimate_csps, write_csv
 from .errors import InvalidArgumentError, check_type
 from .games import (
@@ -309,11 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("learn", help="belief-trace learning meter")
     common(sp)
-    sp.add_argument(
-        "--belief",
-        choices=("nearest_best_response", "utility_likelihood", "last_side_signal"),
-        required=True,
-    )
+    sp.add_argument("--belief", choices=BELIEF_KINDS, required=True)
     sp.add_argument("--tau", type=float, required=True)
     sp.add_argument("--player", type=int, choices=(1, 2), default=2)
     sp.set_defaults(fn=cmd_learn)

@@ -3,7 +3,7 @@
 Value types are immutable after construction (tuples everywhere), so they can
 be shared freely across concurrent trial workers. Mixed strategies are plain
 tuples of floats over one player's actions; utilities are dimensionless payoff
-units. Matrix payloads stay in nested tuples rather than numpy arrays because
+units. Matrix payloads stay in nested tuples rather than array types because
 the simulation loop evaluates them entry-wise at tiny sizes.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Sequence
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_type
 
 # Probability-sum tolerances: strict for priors and mixture weights, looser
 # for aggregates accumulated over up to 1e6 rounds.
@@ -403,6 +403,10 @@ def game_to_dict(g: GameMatrix) -> dict:
 
 def game_from_dict(d: dict) -> GameMatrix:
     try:
+        for key in ("u1", "u2"):
+            for row in d[key]:
+                for v in row:
+                    check_type(v, f"game {key} entry")
         return game_matrix(d["name"], d["u1"], d["u2"], d.get("actions1"), d.get("actions2"))
     except (KeyError, TypeError) as e:
         raise InvalidArgumentError(f"malformed game object: {e}") from e
@@ -418,7 +422,7 @@ def prior_from_dict(d: dict) -> Prior:
         for item in d["games"]:
             spec = item["game"]
             g = builtin_game(spec) if isinstance(spec, str) else game_from_dict(spec)
-            entries.append((g, float(item["weight"])))
+            entries.append((g, float(check_type(item["weight"], "prior weight"))))
     except (KeyError, TypeError) as e:
         raise InvalidArgumentError(f"malformed prior object: {e}") from e
     return Prior(tuple(entries))

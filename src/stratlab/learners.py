@@ -175,6 +175,19 @@ def _mimic_parts(spec: LearnerSpec) -> tuple[LearnerSpec, int]:
     return base, forced
 
 
+def _payoffs_against(rows, opp) -> list[float]:
+    """Own payoff of each action (a row of rows[own][opp]) against the
+    opponent's mixture opp, summed over the actions opp plays."""
+    support = [(o, po) for o, po in enumerate(opp) if po]
+    values = []
+    for row in rows:
+        v = 0.0
+        for o, po in support:
+            v += row[o] * po
+        values.append(v)
+    return values
+
+
 class ConstantAction(Learner):
     param_defaults = {"action": None}
     integer_params = ("action",)
@@ -239,14 +252,9 @@ class MultiplicativeWeights(_HedgeCore):
         return tuple(self._softmax(self._lw))
 
     def _observe(self, fb):
-        opp = fb.opponent_strategy
         eta = self._eta()
         lw = self._lw
-        for a, row in enumerate(self._rows):
-            r = 0.0
-            for o, po in enumerate(opp):
-                if po:
-                    r += row[o] * po
+        for a, r in enumerate(_payoffs_against(self._rows, fb.opponent_strategy)):
             lw[a] += eta * self._normalize(r)
 
 
@@ -357,14 +365,7 @@ class NoSwapRegretFull(_SwapRegretCore):
         return tuple(self._p)
 
     def _observe(self, fb):
-        opp = fb.opponent_strategy
-        rewards = []
-        for row in self._rows:
-            r = 0.0
-            for o, po in enumerate(opp):
-                if po:
-                    r += row[o] * po
-            rewards.append(self._normalize(r))
+        rewards = [self._normalize(r) for r in _payoffs_against(self._rows, fb.opponent_strategy)]
         eta = self._eta()
         p = self._p
         lw = self._lw
@@ -479,15 +480,8 @@ class BestResponder(Learner):
         self._cached_reply: MixedStrategy | None = None
 
     def _reply_to(self, opp: Sequence[float]) -> MixedStrategy:
-        best_a, best_v = 0, -math.inf
-        for a, row in enumerate(self._rows):
-            v = 0.0
-            for o, po in enumerate(opp):
-                if po:
-                    v += row[o] * po
-            if v > best_v:
-                best_a, best_v = a, v
-        return pure(self.n_own, best_a)
+        values = _payoffs_against(self._rows, opp)
+        return pure(self.n_own, values.index(max(values)))  # lowest index among ties
 
     def _act(self):
         if self._last_opp is None:

@@ -1,15 +1,14 @@
 """Small dense linear-program solver: two-phase simplex with Bland's rule.
 
-Problems here are tiny (commitment and dominance LPs over action simplices,
-~10 variables), so a dense tableau with an anti-cycling pivot rule is exact
+Problems here are tiny (commitment LPs over action simplices, ~10 variables),
+so a dense tableau of Python lists with an anti-cycling pivot rule is exact
 enough and dependency-free. Maximization convention throughout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+import math
+from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
 
@@ -22,85 +21,35 @@ _FEAS_TOL = 1e-7
 
 
 @dataclass(frozen=True)
-class LinearProgram:
-    """maximize c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x_j >= lb_j.
-
-    lower_bounds entries may be None, marking a free variable.
-    """
-
-    c: tuple[float, ...]
-    a_ub: tuple[tuple[float, ...], ...] = ()
-    b_ub: tuple[float, ...] = ()
-    a_eq: tuple[tuple[float, ...], ...] = ()
-    b_eq: tuple[float, ...] = ()
-    lower_bounds: tuple[float | None, ...] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        n = len(self.c)
-        if self.lower_bounds is None:
-            object.__setattr__(self, "lower_bounds", tuple(0.0 for _ in range(n)))
-        if len(self.lower_bounds) != n:
-            raise InvalidArgumentError("lower_bounds length mismatches objective")
-        if len(self.a_ub) != len(self.b_ub) or len(self.a_eq) != len(self.b_eq):
-            raise InvalidArgumentError("constraint matrix/rhs row counts differ")
-        for row in (*self.a_ub, *self.a_eq):
-            if len(row) != n:
-                raise InvalidArgumentError("constraint row length mismatches objective")
-        for v in (*self.c, *self.b_ub, *self.b_eq, *(x for row in self.a_ub for x in row),
-                  *(x for row in self.a_eq for x in row)):
-            if not np.isfinite(v):
-                raise InvalidArgumentError(f"non-finite LP coefficient {v!r}")
-        for b in self.lower_bounds:
-            if b is not None and not np.isfinite(b):
-                raise InvalidArgumentError(f"non-finite lower bound {b!r}")
-
-
-@dataclass(frozen=True)
 class LpSolution:
     status: str
     x: tuple[float, ...] | None
     value: float | None
 
 
-def linear_program(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), lower_bounds=None) -> LinearProgram:
-    """Convenience constructor from nested lists."""
-    to_rows = lambda m: tuple(tuple(float(v) for v in row) for row in m)
-    lb = None if lower_bounds is None else tuple(
-        None if v is None else float(v) for v in lower_bounds
-    )
-    return LinearProgram(
-        tuple(float(v) for v in c),
-        to_rows(a_ub), tuple(float(v) for v in b_ub),
-        to_rows(a_eq), tuple(float(v) for v in b_eq),
-        lb,
-    )
-
-
-def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
-    tab[row] /= tab[row, col]
-    for i in range(tab.shape[0]):
-        if i != row and tab[i, col] != 0.0:
-            tab[i] -= tab[i, col] * tab[row]
+def _pivot(tab: list[list[float]], basis: list[int], row: int, col: int) -> None:
+    p = tab[row][col]
+    prow = tab[row] = [v / p for v in tab[row]]
+    for i, r in enumerate(tab):
+        f = r[col]
+        if i != row and f != 0.0:
+            tab[i] = [a - f * b for a, b in zip(r, prow)]
     basis[row] = col
 
 
-def _bland_run(tab: np.ndarray, basis: np.ndarray, ncols: int) -> str:
+def _bland_run(tab: list[list[float]], basis: list[int], ncols: int) -> str:
     """Run simplex iterations on the tableau (last row = reduced costs, maximize)."""
-    m = tab.shape[0] - 1
+    m = len(tab) - 1
     for _ in range(100_000):
         obj = tab[-1]
-        col = -1
-        for j in range(ncols):
-            if obj[j] > _PIVOT_TOL:
-                col = j
-                break
+        col = next((j for j in range(ncols) if obj[j] > _PIVOT_TOL), -1)
         if col < 0:
             return OPTIMAL
-        row, best_ratio, best_basis = -1, np.inf, -1
+        row, best_ratio, best_basis = -1, math.inf, -1
         for i in range(m):
-            a = tab[i, col]
+            a = tab[i][col]
             if a > _PIVOT_TOL:
-                ratio = tab[i, -1] / a
+                ratio = tab[i][-1] / a
                 if ratio < best_ratio - _PIVOT_TOL or (
                     abs(ratio - best_ratio) <= _PIVOT_TOL
                     and (row < 0 or basis[i] < best_basis)
@@ -112,108 +61,94 @@ def _bland_run(tab: np.ndarray, basis: np.ndarray, ncols: int) -> str:
     raise RuntimeError("simplex failed to terminate (anti-cycling rule exhausted)")
 
 
-def lp_solve(lp: LinearProgram) -> LpSolution:
-    """Solve the LP; returns status, an optimal basic solution, and its objective."""
-    n = len(lp.c)
-    # Variable transform: finite lower bound -> shift; free -> split into u - v.
-    shift = np.array([0.0 if b is None else b for b in lp.lower_bounds])
-    free = [j for j, b in enumerate(lp.lower_bounds) if b is None]
-    n_std = n + len(free)
+def lp_solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=()) -> LpSolution:
+    """maximize c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  x_j >= 0 for j not in free.
 
-    def expand(rows):
-        if not rows:
-            return np.zeros((0, n_std))
-        base = np.array(rows, dtype=float)
-        extra = -base[:, free] if free else np.zeros((base.shape[0], 0))
-        return np.hstack([base, extra])
+    Returns status, an optimal basic solution, and its objective.
+    """
+    n = len(c)
+    if len(a_ub) != len(b_ub) or len(a_eq) != len(b_eq):
+        raise InvalidArgumentError("constraint matrix/rhs row counts differ")
+    for row in (*a_ub, *a_eq):
+        if len(row) != n:
+            raise InvalidArgumentError("constraint row length mismatches objective")
+    for v in (*c, *b_ub, *b_eq, *(x for row in (*a_ub, *a_eq) for x in row)):
+        if not math.isfinite(v):
+            raise InvalidArgumentError(f"non-finite LP coefficient {v!r}")
+    for j in free:
+        if not 0 <= j < n:
+            raise InvalidArgumentError(f"free variable index {j!r} outside 0..{n - 1}")
 
-    a_ub = expand(lp.a_ub)
-    a_eq = expand(lp.a_eq)
-    b_ub = np.array(lp.b_ub, dtype=float) - (np.array(lp.a_ub, dtype=float) @ shift
-                                             if lp.a_ub else 0.0)
-    b_eq = np.array(lp.b_eq, dtype=float) - (np.array(lp.a_eq, dtype=float) @ shift
-                                             if lp.a_eq else 0.0)
-    c = np.concatenate([np.array(lp.c, dtype=float),
-                        -np.array([lp.c[j] for j in free], dtype=float)])
-
-    m_ub, m_eq = a_ub.shape[0], a_eq.shape[0]
-    m = m_ub + m_eq
+    # A free variable is split into u - v: its negated column follows the structurals.
+    c = [float(v) for v in c]
+    c_std = c + [-c[j] for j in free]
+    n_std = len(c_std)
+    m_ub, m = len(a_ub), len(a_ub) + len(a_eq)
     nslack = m_ub
-    # Columns: [structural | slack | artificial], rhs last.
-    a = np.zeros((m, n_std + nslack))
-    rhs = np.zeros(m)
-    a[:m_ub, :n_std] = a_ub
-    a[:m_ub, n_std:n_std + nslack] = np.eye(m_ub)
-    rhs[:m_ub] = b_ub
-    a[m_ub:, :n_std] = a_eq
-    rhs[m_ub:] = b_eq
-    neg = rhs < 0
-    a[neg] *= -1.0
-    rhs[neg] *= -1.0
+    ncols2 = n_std + nslack
 
-    # Rows whose slack column survived negation get it as the initial basis;
-    # all other rows receive an artificial variable.
-    basis = np.full(m, -1, dtype=int)
-    art_rows = []
-    for i in range(m_ub):
-        if not neg[i]:
-            basis[i] = n_std + i
-        else:
-            art_rows.append(i)
-    art_rows.extend(range(m_ub, m))
+    # Columns: [structural | free-split | slack | artificial], rhs last. Rows
+    # with a negative rhs are negated; a row whose slack column survived that
+    # starts in the basis on it, every other row on an artificial variable.
+    neg = [b < 0 for b in (*b_ub, *b_eq)]
+    art_rows = [i for i in range(m) if i >= m_ub or neg[i]]
     nart = len(art_rows)
-    ncols = n_std + nslack + nart
-    tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, :n_std + nslack] = a
-    tab[:m, -1] = rhs
+    ncols = ncols2 + nart
+    basis = [n_std + i for i in range(m)]
     for k, i in enumerate(art_rows):
-        tab[i, n_std + nslack + k] = 1.0
-        basis[i] = n_std + nslack + k
+        basis[i] = ncols2 + k
+    tab = []
+    for i, (row, b) in enumerate(zip((*a_ub, *a_eq), (*b_ub, *b_eq))):
+        r = [float(v) for v in row]
+        r += [-r[j] for j in free]
+        r += [1.0 if k == i else 0.0 for k in range(nslack)]
+        r.append(float(b))
+        if neg[i]:
+            r = [-v for v in r]
+        r[-1:-1] = [1.0 if j == basis[i] else 0.0 for j in range(ncols2, ncols)]
+        tab.append(r)
 
     if nart:
         # Phase 1: maximize -(sum of artificials).
-        tab[-1, :] = 0.0
-        tab[-1, n_std + nslack:ncols] = -1.0
+        obj = [0.0] * ncols2 + [-1.0] * nart + [0.0]
         for i in range(m):
-            if basis[i] >= n_std + nslack:
-                tab[-1] += tab[i]
+            if basis[i] >= ncols2:
+                obj = [o + t for o, t in zip(obj, tab[i])]
+        tab.append(obj)
         status = _bland_run(tab, basis, ncols)
         # The objective row's rhs cell carries the negated phase-1 value, so a
         # positive residual means the artificials could not be driven to zero.
-        if status != OPTIMAL or tab[-1, -1] > _FEAS_TOL:
+        if status != OPTIMAL or tab[-1][-1] > _FEAS_TOL:
             return LpSolution(INFEASIBLE, None, None)
         # Drive remaining artificials out of the basis.
         for i in range(m):
-            if basis[i] >= n_std + nslack:
-                piv = next(
-                    (j for j in range(n_std + nslack) if abs(tab[i, j]) > _PIVOT_TOL), None
-                )
+            if basis[i] >= ncols2:
+                piv = next((j for j in range(ncols2) if abs(tab[i][j]) > _PIVOT_TOL), None)
                 if piv is None:
-                    tab[i, :] = 0.0  # redundant row
+                    tab[i] = [0.0] * (ncols + 1)  # redundant row
                     basis[i] = -1
                 else:
                     _pivot(tab, basis, i, piv)
+        tab.pop()
 
-    # Phase 2 objective over structural+slack columns only.
-    ncols2 = n_std + nslack
-    tab[:, ncols2:ncols] = 0.0  # forbid artificials from re-entering
-    tab[-1, :] = 0.0
-    tab[-1, :n_std] = c
+    # Phase 2 objective over structural+slack columns only; the artificial
+    # columns are dropped so they cannot re-enter.
+    for r in tab:
+        del r[ncols2:ncols]
+    obj = c_std + [0.0] * (nslack + 1)
     for i in range(m):
         b = basis[i]
-        if 0 <= b < n_std and c[b] != 0.0:
-            tab[-1] -= c[b] * tab[i]
-    status = _bland_run(tab, basis, ncols2)
-    if status == UNBOUNDED:
+        if 0 <= b < n_std and c_std[b] != 0.0:
+            obj = [o - c_std[b] * t for o, t in zip(obj, tab[i])]
+    tab.append(obj)
+    if _bland_run(tab, basis, ncols2) == UNBOUNDED:
         return LpSolution(UNBOUNDED, None, None)
 
-    x_std = np.zeros(n_std + nslack)
+    x_std = [0.0] * n_std
     for i in range(m):
-        if basis[i] >= 0:
-            x_std[basis[i]] = tab[i, -1]
-    x = x_std[:n]
+        if 0 <= basis[i] < n_std:
+            x_std[basis[i]] = tab[i][-1]
     for k, j in enumerate(free):
-        x[j] -= x_std[n + k]
-    x = x + shift
-    value = float(np.dot(np.array(lp.c), x))
-    return LpSolution(OPTIMAL, tuple(float(v) for v in x), value)
+        x_std[j] -= x_std[n + k]
+    x = tuple(v + 0.0 for v in x_std[:n])  # + 0.0 turns a pivot's -0.0 into 0.0
+    return LpSolution(OPTIMAL, x, sum(cj * xj for cj, xj in zip(c, x)))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import AssumptionViolatedError, InvalidArgumentError
 from .games import GameMatrix, MixedStrategy, Prior
-from .lp import OPTIMAL, linear_program, lp_solve
+from .lp import OPTIMAL, lp_solve
 
 DEFAULT_TIE_TOL = 1e-7
 
@@ -48,14 +48,13 @@ def stackelberg_value(g: GameMatrix, leader: int) -> StackelbergSolution:
         for f2 in range(n_fol):
             if f2 != f:
                 rows.append([fol[f2][a] - fol[f][a] for a in range(n_lead)])
-        lp = linear_program(
+        sol = lp_solve(
             c=[row[f] for row in lead],
             a_ub=rows,
             b_ub=[0.0] * len(rows),
             a_eq=[[1.0] * n_lead],
             b_eq=[1.0],
         )
-        sol = lp_solve(lp)
         if sol.status != OPTIMAL:
             per_vals.append(-math.inf)
             continue
@@ -96,15 +95,14 @@ def commitment_margin(g: GameMatrix, leader: int, target_reply: int) -> tuple[Mi
             rows.append(
                 [fol[f2][a] - fol[target_reply][a] for a in range(n_lead)] + [1.0]
             )
-    lp = linear_program(
+    sol = lp_solve(
         c=[0.0] * n_lead + [1.0],
         a_ub=rows,
         b_ub=[0.0] * len(rows),
         a_eq=[[1.0] * n_lead + [0.0]],
         b_eq=[1.0],
-        lower_bounds=[0.0] * n_lead + [None],
+        free=[n_lead],
     )
-    sol = lp_solve(lp)
     if sol.status != OPTIMAL:
         raise AssumptionViolatedError("margin LP unsolvable")
     x_bar = tuple(min(max(v, 0.0), 1.0) for v in sol.x[:n_lead])

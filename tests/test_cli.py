@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -75,6 +78,44 @@ def test_stackval_argument_errors(capsys):
     assert code == 1 and "error" in err
     code, _, err = run_cli(capsys, "stackval", "--game", "nope_ref", "--player", "1")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "where, value, what",
+    [
+        ("weight", "0.5", "prior weight"),
+        ("weight", "x", "prior weight"),
+        ("u1", True, "game u1 entry"),
+        ("u1", "3", "game u1 entry"),
+        ("u2", "x", "game u2 entry"),
+    ],
+)
+def test_prior_and_game_numbers_are_checked(capsys, tmp_path, where, value, what):
+    game = {"name": "g", "u1": [[1.0, 0.0], [0.0, 1.0]], "u2": [[0.0, 1.0], [1.0, 0.0]]}
+    prior = {"games": [{"weight": 0.5, "game": game}, {"weight": 0.5, "game": "fig1_g1:gamma=1"}]}
+    if where == "weight":
+        prior["games"][0]["weight"] = value
+    else:
+        game[where][0][1] = value
+    path = tmp_path / "prior.json"
+    path.write_text(json.dumps(prior))
+    code, _, err = run_cli(capsys, "stackval", "--prior", str(path), "--player", "1")
+    assert code == 1 and err.startswith(f"error: {what} must be a number, got {value!r}")
+
+
+def test_cli_runs_without_numpy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys, stratlab.cli; "
+        "code = stratlab.cli.main(['stackval', '--game', 'fig1_g1:gamma=1', '--player', '1']); "
+        "assert code == 0, code; "
+        "assert 'numpy' not in sys.modules, 'numpy was imported'"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_simulate_writes_csv_and_schema_valid_summary(capsys, tiny_config, tmp_path):

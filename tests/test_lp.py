@@ -6,17 +6,17 @@ import pytest
 
 from grid_oracle import grid_leader_lp_value
 from stratlab.errors import InvalidArgumentError
-from stratlab.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, linear_program, lp_solve
+from stratlab.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, lp_solve
 
 
 def test_trivial_bounded():
-    sol = lp_solve(linear_program(c=[1.0], a_ub=[[1.0]], b_ub=[1.0]))
+    sol = lp_solve(c=[1.0], a_ub=[[1.0]], b_ub=[1.0])
     assert sol.status == OPTIMAL
     assert sol.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_degenerate_optimum():
-    sol = lp_solve(linear_program(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0]))
+    sol = lp_solve(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0])
     assert sol.status == OPTIMAL
     assert sol.value == pytest.approx(1.0, abs=1e-9)
 
@@ -28,13 +28,11 @@ def test_follower_action_commitment_lp(fig1_g1):
     obj = u1[:, 0]
     diff = u2[:, 0] - u2[:, 1]
     sol = lp_solve(
-        linear_program(
-            c=list(obj),
-            a_ub=[list(-diff)],
-            b_ub=[0.0],
-            a_eq=[[1.0, 1.0]],
-            b_eq=[1.0],
-        )
+        c=obj.tolist(),
+        a_ub=[(-diff).tolist()],
+        b_ub=[0.0],
+        a_eq=[[1.0, 1.0]],
+        b_eq=[1.0],
     )
     assert sol.status == OPTIMAL
     oracle = grid_leader_lp_value(obj, diff, step=1e-3)
@@ -43,26 +41,22 @@ def test_follower_action_commitment_lp(fig1_g1):
 
 
 def test_infeasible():
-    sol = lp_solve(
-        linear_program(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
-    )
+    sol = lp_solve(c=[1.0], a_ub=[[1.0], [-1.0]], b_ub=[1.0, -2.0])
     assert sol.status == INFEASIBLE
 
 
 def test_unbounded():
-    sol = lp_solve(linear_program(c=[1.0]))
+    sol = lp_solve(c=[1.0])
     assert sol.status == UNBOUNDED
 
 
 def test_free_variable_and_equalities():
     # maximize s subject to s <= 3 - x, s <= 1 + x, x in [0,1]: optimum s = 2 at x = 1.
     sol = lp_solve(
-        linear_program(
-            c=[0.0, 1.0],
-            a_ub=[[1.0, 1.0], [-1.0, 1.0], [1.0, 0.0]],
-            b_ub=[3.0, 1.0, 1.0],
-            lower_bounds=[0.0, None],
-        )
+        c=[0.0, 1.0],
+        a_ub=[[1.0, 1.0], [-1.0, 1.0], [1.0, 0.0]],
+        b_ub=[3.0, 1.0, 1.0],
+        free=[1],
     )
     assert sol.status == OPTIMAL
     assert sol.value == pytest.approx(2.0, abs=1e-9)
@@ -71,14 +65,23 @@ def test_free_variable_and_equalities():
 
 def test_dimension_mismatch():
     with pytest.raises(InvalidArgumentError):
-        linear_program(c=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
+        lp_solve(c=[1.0, 2.0], a_ub=[[1.0]], b_ub=[1.0])
     with pytest.raises(InvalidArgumentError):
-        linear_program(c=[1.0], a_ub=[[1.0]], b_ub=[1.0, 2.0])
+        lp_solve(c=[1.0], a_ub=[[1.0]], b_ub=[1.0, 2.0])
+    with pytest.raises(InvalidArgumentError):
+        lp_solve(c=[1.0], a_eq=[[float("nan")]], b_eq=[1.0])
+
+
+@pytest.mark.parametrize("free", [[2], [-1]])
+def test_free_index_out_of_range(free):
+    with pytest.raises(InvalidArgumentError, match="free variable index"):
+        lp_solve(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0], free=free)
 
 
 def _enumerate_vertices(c, a_ub, b_ub):
     """Independent mini-oracle: evaluate every basic feasible point of
-    {A x <= b, x >= 0} by brute-force constraint intersection."""
+    {A x <= b, x >= 0} by brute-force constraint intersection; None if there
+    is none (the set is then empty, since x >= 0 makes it pointed)."""
     n = len(c)
     rows = [list(r) for r in a_ub] + [[-(1.0 if j == i else 0.0) for j in range(n)] for i in range(n)]
     rhs = list(b_ub) + [0.0] * n
@@ -97,23 +100,39 @@ def _enumerate_vertices(c, a_ub, b_ub):
 
 
 def test_random_lps_match_vertex_enumeration():
+    # Negative right-hand sides and equality rows need phase 1. The oracle sees
+    # each equality as two inequalities, and tells an unbounded LP from a
+    # bounded one by adding the box x <= box: no vertex of this integer data
+    # has a coordinate above ~500, so the box moves only an unbounded optimum.
+    box = 1e4
     rng = random.Random(7)
-    checked = 0
-    for _ in range(60):
+    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    phase1_optimal = 0
+    for _ in range(200):
         n = rng.randint(1, 3)
-        m = rng.randint(1, 4)
+        m_ub, m_eq = rng.randint(1, 4), rng.randint(0, 1)
         c = [rng.randint(-5, 5) for _ in range(n)]
-        a_ub = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        b_ub = [rng.randint(0, 6) for _ in range(m)]  # origin stays feasible
-        sol = lp_solve(linear_program(c=c, a_ub=a_ub, b_ub=b_ub))
-        oracle = _enumerate_vertices(c, a_ub, b_ub)
-        if sol.status == UNBOUNDED:
+        a_ub = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m_ub)]
+        b_ub = [rng.randint(-3, 6) for _ in range(m_ub)]
+        a_eq = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m_eq)]
+        b_eq = [rng.randint(-3, 6) for _ in range(m_eq)]
+        sol = lp_solve(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+        statuses[sol.status] += 1
+        rows = a_ub + a_eq + [[-v for v in r] for r in a_eq]
+        rhs = b_ub + b_eq + [-v for v in b_eq]
+        oracle = _enumerate_vertices(c, rows, rhs)
+        if oracle is None:
+            assert sol.status == INFEASIBLE
+            continue
+        unit = [[1.0 if j == i else 0.0 for j in range(n)] for i in range(n)]
+        if _enumerate_vertices(c, rows + unit, rhs + [box] * n) > oracle + 1e-7:
+            assert sol.status == UNBOUNDED
             continue
         assert sol.status == OPTIMAL
-        assert oracle is not None
         assert sol.value == pytest.approx(oracle, abs=1e-7)
-        checked += 1
-    assert checked >= 30
+        phase1_optimal += m_eq > 0 or min(b_ub) < 0
+    assert min(statuses.values()) >= 20, statuses
+    assert phase1_optimal >= 30
 
 
 def test_residuals_small():
@@ -128,7 +147,7 @@ def test_residuals_small():
         b_ub = [rng.uniform(0.0, scale) for _ in range(m)]
         a_eq = [[1.0] * n]
         b_eq = [1.0]
-        sol = lp_solve(linear_program(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq))
+        sol = lp_solve(c=c, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
         if sol.status != OPTIMAL:
             continue
         x = np.array(sol.x)
