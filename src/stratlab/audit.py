@@ -280,6 +280,8 @@ def verify_claims(
     """
     if not 0.0 <= p_star < 1.0:
         raise InvalidArgumentError("p_star must lie in [0,1)")
+    if not tol >= 0:
+        raise InvalidArgumentError(f"tol must be non-negative, got {tol!r}")
     gamma = (1.0 - p_star) / (1.0 + p_star)
     expect = (two_game_family_g1(gamma), two_game_family_g2(gamma))
     prior = cfg.prior
@@ -450,6 +452,8 @@ def belief_trace(
     """
     if belief_kind not in BELIEF_KINDS:
         raise InvalidArgumentError(f"unknown belief kind {belief_kind!r}")
+    if not tau >= 0:
+        raise InvalidArgumentError(f"tau must be non-negative, got {tau!r}")
     if player not in (1, 2):
         raise InvalidArgumentError("player must be 1 or 2")
     targets = None

@@ -375,11 +375,13 @@ def run_summaries(
     reads it), the prior, the realized game, and the horizon, checkpoint,
     tail and feedback fields; it holds the seed and the trial index only when
     a learner draws from its random stream or takes side signals, or under
-    pure_realization. The simulated jobs run in this process at threads <= 1,
+    pure_realization. The simulated jobs run in this process at threads == 1,
     otherwise through one fork-based worker pool. Results are identical for
     any thread count: each trial derives its own random streams from its
     config and index.
     """
+    if threads < 1:
+        raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
     if jobs is None:
         jobs = [(cfg, k) for k in range(cfg.trials)]
     draws = [environment_draw(job_cfg, k) for job_cfg, k in jobs]
@@ -388,7 +390,7 @@ def run_summaries(
     for i, key in enumerate(keys):
         first.setdefault(key, i)
     tasks = [(*jobs[i], probe) for i in first.values()]
-    if threads <= 1 or len(tasks) == 1:
+    if threads == 1 or len(tasks) == 1:
         done = [_simulate(*task) for task in tasks]
     else:
         ctx = multiprocessing.get_context("fork")

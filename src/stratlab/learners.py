@@ -285,7 +285,7 @@ class _BanditPlay(_HedgeCore):
 
     def _sample(self, base: Sequence[float]) -> MixedStrategy:
         n = self.n_own
-        gamma = self._gamma()
+        self._round_gamma = gamma = self._gamma()  # read again by _estimate
         p = [(1.0 - gamma) * v + gamma / n for v in base]
         self._played = p
         a = sample_index(p, self.rng)
@@ -296,7 +296,7 @@ class _BanditPlay(_HedgeCore):
         """(drawn action, importance-weighted reward estimate, step size)."""
         a = self._last_action
         est = self._normalize(fb.own_utility) / self._played[a]
-        step = self._eta_fixed if self._eta_fixed is not None else self._gamma() / self.n_own
+        step = self._eta_fixed if self._eta_fixed is not None else self._round_gamma / self.n_own
         return a, est, step
 
 
@@ -315,10 +315,70 @@ class BanditExp3(_BanditPlay):
         self._lw[a] += step * est
 
 
+def stationary_distribution(q: Sequence[Sequence[float]]) -> list[float]:
+    """A distribution pi with pi q = pi for the row-stochastic matrix q.
+
+    Exact, with no iteration and no tolerance: the closed form
+    (q10, q01) / (q01 + q10) at n = 2, and above it Grassmann-Taksar-Heyman
+    elimination (Operations Research 1985), which only adds, multiplies and
+    divides non-negative numbers and never reads the diagonal.
+
+    Eliminating state k censors the chain to states 0..k-1; s_k is k's mass
+    towards them. Dividing k's row by s_k (rather than the column entering k,
+    as GTH is usually written) and rescaling the partial pi at each step of
+    the back-substitution keep every intermediate in [0, 1], so a subnormal
+    s_k cannot overflow. Underflow can also make s_k exactly 0: then k is
+    absorbing in the chain censored to 0..k, so pi is 0 below k and follows
+    by back-substitution from pi_k = 1. At n = 2 this gives (0, 1) when
+    q01 + q10 == 0.
+    """
+    n = len(q)
+    if n == 1:
+        return [1.0]
+    if n == 2:
+        q01, q10 = q[0][1], q[1][0]
+        s = q01 + q10
+        return [q10 / s, q01 / s] if s else [0.0, 1.0]
+    a = [list(row) for row in q]
+    exits = [0.0] * n  # s_k
+    first = 0  # the states below it get no stationary mass
+    for k in range(n - 1, 0, -1):
+        ak = a[k]
+        s = sum(ak[:k])
+        if not s:
+            first = k
+            break
+        exits[k] = s
+        if k == 1:  # the rest of the step would only write entries never read
+            break
+        for j in range(k):
+            ak[j] /= s
+        for i in range(k):
+            ai = a[i]
+            f = ai[k]
+            if f:
+                for j in range(k):
+                    ai[j] += f * ak[j]
+    # pi[first..j] holds the stationary distribution of the chain censored
+    # to states 0..j, normalised to sum 1.
+    pi = [0.0] * n
+    pi[first] = 1.0
+    for j in range(first + 1, n):
+        v = 0.0
+        for i in range(first, j):
+            v += pi[i] * a[i][j]
+        t = exits[j] + v
+        c = exits[j] / t
+        for i in range(first, j):
+            pi[i] *= c
+        pi[j] = v / t
+    return pi
+
+
 class _SwapRegretCore(_HedgeCore):
     """Expert reduction: one hedge instance per own action; play the stationary
-    distribution of the experts' recommendation matrix (power iteration to
-    1e-10, warm-started from the previous round)."""
+    distribution of the experts' recommendation matrix, solved exactly (see
+    stationary_distribution)."""
 
     def __init__(self, spec, role, prior, signal, rng):
         super().__init__(spec, role, prior, signal, rng)
@@ -329,29 +389,6 @@ class _SwapRegretCore(_HedgeCore):
     def _recommendations(self) -> list[list[float]]:
         return [self._softmax(lw) for lw in self._lw]
 
-    def _stationary(self, q: list[list[float]]) -> list[float]:
-        n = self.n_own
-        if n == 1:
-            return [1.0]
-        cur = self._p
-        for _ in range(10_000):
-            nxt = [0.0] * n
-            for e in range(n):
-                pe = cur[e]
-                if pe:
-                    row = q[e]
-                    for j in range(n):
-                        nxt[j] += pe * row[j]
-            s = sum(nxt)
-            nxt = [v / s for v in nxt]
-            diff = 0.0
-            for a, b in zip(nxt, cur):
-                diff += abs(a - b)
-            cur = nxt
-            if diff <= 1e-10:
-                break
-        return cur
-
 
 class NoSwapRegretFull(_SwapRegretCore):
     requires_full_info = True
@@ -361,7 +398,7 @@ class NoSwapRegretFull(_SwapRegretCore):
         self._rows = prior.games[signal].own_payoffs(role)
 
     def _act(self):
-        self._p = self._stationary(self._recommendations())
+        self._p = stationary_distribution(self._recommendations())
         return tuple(self._p)
 
     def _observe(self, fb):
@@ -382,7 +419,7 @@ class NoSwapRegretBandit(_BanditPlay, _SwapRegretCore):
     the base of the exploration mixture (see _BanditPlay)."""
 
     def _act(self):
-        self._p = self._stationary(self._recommendations())
+        self._p = stationary_distribution(self._recommendations())
         return self._sample(self._p)
 
     def _observe(self, fb):

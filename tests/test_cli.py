@@ -215,6 +215,30 @@ def test_config_field_types_are_checked(capsys, assignment, key):
     assert code == 1 and err.startswith(f"error: config key {key!r} must be ")
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("learn", "--tau", "nan"),
+        ("learn", "--tau", "-0.1"),
+        ("claims", "--tol", "nan"),
+        ("claims", "--tol", "-0.1"),
+        ("simulate", "--threads", "-3"),
+        ("audit", "--threads", "0"),
+    ],
+)
+def test_bad_numeric_flags_are_errors(capsys, command, flag, value):
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    argv = [command, "--trials", "2", "--horizon", "10", flag, value]
+    if command == "learn":
+        argv += ["--config", str(configs / "example41_learn.json"), "--belief", "utility_likelihood"]
+    elif command == "claims":
+        argv += ["--config", str(configs / "reveal_follow.json"), "--p-star", "0"]
+    else:
+        argv += ["--config", str(configs / "reveal_follow.json")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err.startswith(f"error: {flag[2:]} must be ")
+
+
 def test_unknown_config_key_is_error(capsys, tmp_path):
     cfg = {
         "prior": "fig1:gamma=1",

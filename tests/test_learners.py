@@ -16,6 +16,7 @@ from stratlab.learners import (
     canonical_spec,
     learner_init,
     regrets_from_mass,
+    stationary_distribution,
 )
 from stratlab.solve import perturbed_commitment
 
@@ -284,6 +285,94 @@ def test_bandit_exp3_finds_best_arm(fig1_g1, fig1_prior):
     last = seq[-1000:]
     freq_c = sum(s[0] for s in last) / len(last)
     assert freq_c >= 0.8
+
+
+# ---------------------------------------------------------------------------
+# Stationary distribution of the swap-regret reduction
+# ---------------------------------------------------------------------------
+
+
+def residual(pi, q):
+    """max_j |(pi q)_j - pi_j|."""
+    n = len(q)
+    return max(abs(sum(pi[i] * q[i][j] for i in range(n)) - pi[j]) for j in range(n))
+
+
+def power_iteration_to_step(q, start):
+    """The solve the swap-regret learners used before the exact one: power
+    iteration from `start` until one step moves at most 1e-10 in L1, capped
+    at 10^4 sweeps. Returns (pi, sweeps)."""
+    cur = list(start)
+    for sweep in range(1, 10_001):
+        nxt = [sum(cur[i] * q[i][j] for i in range(len(q))) for j in range(len(q))]
+        total = sum(nxt)
+        nxt = [v / total for v in nxt]
+        step = sum(abs(a - b) for a, b in zip(nxt, cur))
+        cur = nxt
+        if step <= 1e-10:
+            break
+    return cur, sweep
+
+
+def test_stationary_hand_solved_three_state_chain():
+    q = [[0.5, 0.25, 0.25], [0.5, 0.0, 0.5], [0.25, 0.25, 0.5]]
+    pi = stationary_distribution(q)
+    assert max(abs(a - b) for a, b in zip(pi, (0.4, 0.2, 0.4))) <= 1e-15
+
+
+def test_stationary_slowly_mixing_chain_is_exact_where_a_step_rule_is_not():
+    # Birth-death chain, off-diagonals 1e-6..3e-6: detailed balance gives
+    # pi proportional to (1, 2e-6/1e-6, 2 * 3e-6/1e-6) = (1, 2, 6).
+    q = [[1 - 2e-6, 2e-6, 0.0], [1e-6, 1 - 4e-6, 3e-6], [0.0, 1e-6, 1 - 1e-6]]
+    hand = (1 / 9, 2 / 9, 6 / 9)
+    pi = stationary_distribution(q)
+    assert max(abs(a - b) for a, b in zip(pi, hand)) <= 1e-15
+    # Warm-started 5e-6 away, as after a round moved q: the first step moves
+    # only 6e-11, so the step rule stops at once, 5e-6 from the solution.
+    old, sweeps = power_iteration_to_step(q, (hand[0] + 5e-6, hand[1] - 5e-6, hand[2]))
+    assert sweeps == 1
+    assert max(abs(a - b) for a, b in zip(old, hand)) > 1e-10
+
+
+@pytest.mark.parametrize(
+    "q01, q10, hand",
+    [(0.25, 0.5, (2 / 3, 1 / 3)), (0.5, 0.5, (0.5, 0.5)), (1e-300, 3e-300, (0.75, 0.25))],
+)
+def test_stationary_two_state_closed_form(q01, q10, hand):
+    q = [[1.0 - q01, q01], [q10, 1.0 - q10]]
+    pi = stationary_distribution(q)
+    assert pi == pytest.approx(hand, abs=1e-16)
+    assert residual(pi, q) <= 1e-16
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_stationary_solves_random_chains(data):
+    n = data.draw(st.integers(2, 8))
+    weights = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
+    q = [[w / sum(row) for w in row] for row in (data.draw(weights) for _ in range(n))]
+    pi = stationary_distribution(q)
+    assert all(v >= 0.0 for v in pi)
+    assert abs(sum(pi) - 1.0) <= 1e-14
+    assert residual(pi, q) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.5, 0.5]],
+        # Softmax rows that underflowed: state 3 absorbing, two closed classes.
+        [[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]],
+        [[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5], [0.0, 0.0, 0.5, 0.5]],
+        # A subnormal exit mass: 1 / 5e-324 would overflow.
+        [[0.5, 0.0, 0.5], [0.0, 0.5, 0.5], [5e-324, 0.0, 1.0]],
+    ],
+)
+def test_stationary_reducible_chains_stay_finite(q):
+    pi = stationary_distribution(q)
+    assert all(v >= 0.0 for v in pi) and sum(pi) == pytest.approx(1.0, abs=1e-15)
+    assert residual(pi, q) <= 1e-15
 
 
 # ---------------------------------------------------------------------------
