@@ -8,8 +8,14 @@ estimate_csps on every config in configs/; audit_pne and verify_claims on
 leader_vs_learner_audit and reveal_follow; belief_trace for every belief kind
 that applies to the example41_* configs.
 
+The first line names the Python major.minor version: from 3.12 on, sum() of
+floats is compensated, so the hashes hold only within one version.
+scripts/golden.txt keeps this output for the current code, and
+tests/test_golden.py checks it; a change that moves numbers rewrites it.
+
 Example:
     python3 scripts/golden.py --threads 2
+    python3 scripts/golden.py > scripts/golden.txt
 """
 
 import argparse
@@ -65,13 +71,23 @@ def reports(threads: int):
         yield f"belief_trace/{name}/{kind}", belief_trace(cfg, kind, 0.05, threads=threads).to_dict()
 
 
+def python_version() -> str:
+    """The header line: '# python <major>.<minor>'."""
+    return f"# python {sys.version_info.major}.{sys.version_info.minor}"
+
+
+def digest(payload: dict) -> str:
+    """sha256 of the report's JSON text with sorted keys."""
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--threads", type=int, default=1, help="trial worker processes")
     args = ap.parse_args()
+    print(python_version(), flush=True)
     for name, payload in reports(args.threads):
-        text = json.dumps(payload, sort_keys=True)
-        print(name, hashlib.sha256(text.encode()).hexdigest(), flush=True)
+        print(name, digest(payload), flush=True)
 
 
 if __name__ == "__main__":

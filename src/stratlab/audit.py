@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 from .engine import (
     BeliefProbe,
-    CspReport,
     EstimateReport,
     ExperimentConfig,
     TrialSummary,
@@ -31,7 +30,7 @@ from .engine import (
     with_spec,
 )
 from .errors import InvalidArgumentError
-from .games import Prior, signal_weights, two_game_family_g1, two_game_family_g2
+from .games import Prior, two_game_family_g1, two_game_family_g2
 from .learners import LearnerSpec, canonical_spec
 from .solve import stackelberg_value, stackval_prior
 
@@ -159,8 +158,8 @@ def audit_pne(
     exceeds epsilon. A pass is evidence at the configured horizon against the
     given library, not a proof of meta-game equilibrium.
     """
-    if not epsilon > 0:
-        raise InvalidArgumentError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise InvalidArgumentError(f"epsilon must be finite and positive, got {epsilon!r}")
     if lib is None:
         lib = default_library(cfg)
     named = [(player, name, spec) for player in (1, 2) for name, spec in lib.for_player(player)]
@@ -250,23 +249,6 @@ class ClaimsReport:
         }
 
 
-def _mixture_cell(
-    report: CspReport, prior: Prior, realized: int, a: int, b: int
-) -> tuple[float | None, float | None]:
-    """Mass and standard error of CSP_realized(a, b) under the signal mixture."""
-    total_w = 0.0
-    val = 0.0
-    var = 0.0
-    for j, w in signal_weights(prior, realized, report.p2):
-        c = report.by_pair.get((realized, j))
-        if c is None:
-            return None, None
-        val += w * c.mass[a][b]
-        var += (w * report.cell_se[(realized, j)][a][b]) ** 2
-        total_w += w
-    return val / total_w, math.sqrt(var) / total_w
-
-
 def verify_claims(
     cfg: ExperimentConfig, p_star: float, tol: float = 0.05, threads: int = 1
 ) -> ClaimsReport:
@@ -280,8 +262,8 @@ def verify_claims(
     """
     if not 0.0 <= p_star < 1.0:
         raise InvalidArgumentError("p_star must lie in [0,1)")
-    if not tol >= 0:
-        raise InvalidArgumentError(f"tol must be non-negative, got {tol!r}")
+    if not 0 <= tol < math.inf:
+        raise InvalidArgumentError(f"tol must be finite and non-negative, got {tol!r}")
     gamma = (1.0 - p_star) / (1.0 + p_star)
     expect = (two_game_family_g1(gamma), two_game_family_g2(gamma))
     prior = cfg.prior
@@ -304,10 +286,17 @@ def verify_claims(
     est = summarize(cfg, base_summaries)
     csps = estimate_csps(cfg, summaries=base_summaries)
 
+    def mixture_cell(realized, a, b):
+        """Mass and standard error of CSP_realized(a, b) under the signal mixture."""
+        mix = csps.by_game[realized]
+        if mix is None:
+            return None, None
+        return mix.mass[a][b], csps.game_se[realized][a][b]
+
     # Action indices in the builtin family: B = row 1, D = column 1, A = row 0.
-    csp1_bd, se1_bd = _mixture_cell(csps, prior, 0, 1, 1)
-    csp1_ad, se1_ad = _mixture_cell(csps, prior, 0, 0, 1)
-    csp2_bd, se2_bd = _mixture_cell(csps, prior, 1, 1, 1)
+    csp1_bd, se1_bd = mixture_cell(0, 1, 1)
+    csp1_ad, se1_ad = mixture_cell(0, 0, 1)
+    csp2_bd, se2_bd = mixture_cell(1, 1, 1)
 
     z = Z_95_ONE_SIDED
 
@@ -452,8 +441,8 @@ def belief_trace(
     """
     if belief_kind not in BELIEF_KINDS:
         raise InvalidArgumentError(f"unknown belief kind {belief_kind!r}")
-    if not tau >= 0:
-        raise InvalidArgumentError(f"tau must be non-negative, got {tau!r}")
+    if not 0 <= tau <= 1:
+        raise InvalidArgumentError(f"tau must be in [0, 1], got {tau!r}")
     if player not in (1, 2):
         raise InvalidArgumentError("player must be 1 or 2")
     targets = None

@@ -62,7 +62,7 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             feedback_mode=d.get("feedback_mode", "full"),
             pure_realization=typed(d.get("pure_realization", False), "pure_realization", "boolean"),
             master_seed=typed(d.get("master_seed", 0), "master_seed"),
-            checkpoints=tuple(typed(c, "checkpoints") for c in cps),
+            checkpoints=tuple(cps),
             tail_window=typed(d.get("tail_window", 10_000), "tail_window"),
             tail_threshold=float(typed(d.get("tail_threshold", 0.9), "tail_threshold", "number")),
         )

@@ -15,20 +15,19 @@ import math
 import multiprocessing
 from dataclasses import dataclass, field, replace
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_type
 from .games import (
     CSP,
     FeedbackRecord,
     Prior,
     SignalModel,
-    mix_csps,
     prior_draw,
     pure,
     sample_index,
     sample_signal,
     signal_weights,
 )
-from .learners import LearnerSpec, canonical_spec, learner_init, regrets_from_mass
+from .learners import LearnerSpec, canonical_spec, learner_init, payoffs_against, regrets_from_mass
 from .rng import (
     ENV_STREAM,
     LEARNER1_STREAM,
@@ -47,6 +46,9 @@ CSV_HEADER = (
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 Z_95_ONE_SIDED = 1.6448536269514722
+# utility_likelihood keeps a game while each observed own utility lies within
+# this distance of the range the game allows for the played strategy.
+BELIEF_TOL = 1e-6
 
 
 def default_checkpoints(horizon: int) -> tuple[int, ...]:
@@ -84,12 +86,18 @@ class ExperimentConfig:
             raise InvalidArgumentError("trials must be >= 1")
         if self.tail_window < 1:
             raise InvalidArgumentError("tail_window must be >= 1")
+        # Above 1/2 at most one action can carry the threshold mass, which is
+        # what the tail count of _simulate assumes.
+        if not 0.5 < self.tail_threshold <= 1.0:
+            raise InvalidArgumentError(
+                f"tail_threshold must lie in (0.5, 1], got {self.tail_threshold!r}"
+            )
         if self.feedback_mode not in ("full", "bandit"):
             raise InvalidArgumentError(f"bad feedback_mode {self.feedback_mode!r}")
         if not self.checkpoints:
             object.__setattr__(self, "checkpoints", default_checkpoints(self.horizon))
         else:
-            cps = tuple(sorted(set(int(c) for c in self.checkpoints)))
+            cps = tuple(sorted({check_type(c, "checkpoint", "integer") for c in self.checkpoints}))
             if cps[0] < 1 or cps[-1] > self.horizon:
                 raise InvalidArgumentError("checkpoints must lie in [1, horizon]")
             object.__setattr__(self, "checkpoints", cps)
@@ -102,7 +110,6 @@ class BeliefProbe:
     kind: str  # nearest_best_response | utility_likelihood | last_side_signal
     player: int
     targets: tuple[tuple[float, ...], ...] | None = None
-    tol: float = 1e-6
 
 
 @dataclass
@@ -154,8 +161,8 @@ class _BeliefFold:
         self.rounds_seen = 0
         self.last_side = None
         if probe.kind == "utility_likelihood":
-            # own-payoff rows per candidate game: rows[k][own][opp]
-            self.rows = [g.own_payoffs(probe.player) for g in cfg.prior.games]
+            # own-payoff columns per candidate game: cols[k][opp][own]
+            self.cols = [tuple(zip(*g.own_payoffs(probe.player))) for g in cfg.prior.games]
 
     def current_belief(self) -> int:
         kind = self.probe.kind
@@ -190,24 +197,13 @@ class _BeliefFold:
                 if v:
                     self.cum_own[i] += v
         elif kind == "utility_likelihood":
-            tol = self.probe.tol
-            for k, rows in enumerate(self.rows):
+            for k, cols in enumerate(self.cols):
                 if not self.consistent[k]:
                     continue
-                # Attainable own utility given this strategy: sweep the
-                # opponent's pure replies o, dotting rows[own][o] with the
-                # played own mixture.
-                lo, hi = math.inf, -math.inf
-                for o in range(len(rows[0])):
-                    v = 0.0
-                    for a, wa in enumerate(own_strategy):
-                        if wa:
-                            v += rows[a][o] * wa
-                    if v < lo:
-                        lo = v
-                    if v > hi:
-                        hi = v
-                if not (lo - tol <= own_utility <= hi + tol):
+                # Attainable own utility given this strategy: its payoff
+                # against each of the opponent's pure replies.
+                values = payoffs_against(cols, own_strategy)
+                if not (min(values) - BELIEF_TOL <= own_utility <= max(values) + BELIEF_TOL):
                     self.consistent[k] = False
 
 
@@ -422,6 +418,22 @@ def mean_ci(values, z: float = Z_95) -> tuple[float, float | None]:
     return m, z * math.sqrt(var / n)
 
 
+def weighted_mean_ci(parts, z: float = Z_95) -> tuple[float, float | None]:
+    """Sum of w * mean over (w, mean, ci) parts, and the half-width at z of
+    that sum, z * sqrt(sum (w * ci / z)^2); the half-width is None when any
+    part's ci is None."""
+    total = 0.0
+    var = 0.0
+    have_ci = True
+    for w, m, ci in parts:
+        total += w * m
+        if ci is None:
+            have_ci = False
+        else:
+            var += (w * ci / z) ** 2
+    return total, z * math.sqrt(var) if have_ci else None
+
+
 def _group_stats(values_by_key: dict) -> dict:
     out = {}
     for k in sorted(values_by_key):
@@ -499,22 +511,15 @@ def stratified_mean_ci(prior: Prior, values_by_game: dict) -> tuple[float | None
     Returns (None, None) when a positive-weight game never realized; the CI is
     None when any contributing group has fewer than 2 trials.
     """
-    total = 0.0
-    var = 0.0
-    have_ci = True
+    parts = []
     for i, w in enumerate(prior.weights):
         if w == 0.0:
             continue
         values = values_by_game.get(i)
         if values is None:
             return None, None
-        m, ci = mean_ci(values)
-        total += w * m
-        if ci is None:
-            have_ci = False
-        else:
-            var += (w * ci / Z_95) ** 2
-    return total, Z_95 * math.sqrt(var) if have_ci else None
+        parts.append((w, *mean_ci(values)))
+    return weighted_mean_ci(parts)
 
 
 def estimate(cfg: ExperimentConfig, threads: int = 1) -> EstimateReport:
@@ -616,12 +621,18 @@ def summarize(cfg: ExperimentConfig, summaries: list[TrialSummary]) -> EstimateR
 @dataclass
 class CspReport:
     """Empirical correlated strategy profiles bucketed by (realized game, s2),
-    plus per-realized-game mixtures assembled with the exact signal weights."""
+    plus per-realized-game mixtures assembled with the exact signal weights.
+
+    Standard errors are per cell: the two-pass sample estimate (0.0 for a
+    one-trial bucket), and for a mixture the weighted combination of its
+    buckets' errors (weighted_mean_ci).
+    """
 
     by_pair: dict  # (realized, s2) -> CSP
     counts: dict  # (realized, s2) -> trial count
     cell_se: dict  # (realized, s2) -> per-cell standard error matrix
     by_game: dict  # realized -> CSP | None (absent ingredient bucket)
+    game_se: dict  # realized -> per-cell standard error matrix | None
     p2: float
 
     def to_dict(self, prior: Prior) -> dict:
@@ -655,44 +666,47 @@ def estimate_csps(
         summaries = run_summaries(cfg, threads)
     prior = cfg.prior
     n1, n2 = prior.n1, prior.n2
-    acc: dict = {}
-    for s in summaries:
-        key = (s.realized, s.s2)
-        if key not in acc:
-            acc[key] = [0, [[0.0] * n2 for _ in range(n1)], [[0.0] * n2 for _ in range(n1)]]
-        slot = acc[key]
-        slot[0] += 1
-        for a in range(n1):
-            row = s.csp_mass[a]
-            for b in range(n2):
-                slot[1][a][b] += row[b]
-                slot[2][a][b] += row[b] * row[b]
 
+    def flat(matrix):
+        return [v for row in matrix for v in row]
+
+    def split(cells):
+        """A CSP and its standard-error matrix from row-major (mean, se) cells."""
+        rows = [cells[a * n2 : (a + 1) * n2] for a in range(n1)]
+        return (
+            CSP(tuple(tuple(m for m, _ in row) for row in rows)),
+            tuple(tuple(se for _, se in row) for row in rows),
+        )
+
+    buckets: dict = {}
+    for s in summaries:
+        buckets.setdefault((s.realized, s.s2), []).append(s.csp_mass)
     by_pair = {}
     counts = {}
     cell_se = {}
-    for key, (n, tot, totsq) in sorted(acc.items()):
-        mean = [[tot[a][b] / n for b in range(n2)] for a in range(n1)]
-        by_pair[key] = CSP(tuple(tuple(r) for r in mean))
-        counts[key] = n
-        se = [[0.0] * n2 for _ in range(n1)]
-        if n >= 2:
-            for a in range(n1):
-                for b in range(n2):
-                    var = max(0.0, (totsq[a][b] - n * mean[a][b] ** 2) / (n - 1))
-                    se[a][b] = math.sqrt(var / n)
-        cell_se[key] = tuple(tuple(r) for r in se)
+    for key, masses in sorted(buckets.items()):
+        cells = [mean_ci(values, z=1.0) for values in zip(*map(flat, masses))]
+        # A one-trial bucket has no spread to estimate: its SE reads 0.0.
+        by_pair[key], cell_se[key] = split([(m, se or 0.0) for m, se in cells])
+        counts[key] = len(masses)
 
     p2 = cfg.signal_model.p2
     by_game: dict = {}
+    game_se: dict = {}
     for i in range(prior.support_size):
-        parts = [(w, by_pair.get((i, j))) for j, w in signal_weights(prior, i, p2)]
-        if parts and all(c is not None for _, c in parts):
-            total_w = sum(w for w, _ in parts)
-            by_game[i] = mix_csps([(w / total_w, c) for w, c in parts])
-        else:
-            by_game[i] = None
-    return CspReport(by_pair, counts, cell_se, by_game, p2)
+        weights = signal_weights(prior, i, p2)
+        if any((i, j) not in by_pair for j, _ in weights):
+            by_game[i] = game_se[i] = None
+            continue
+        total_w = sum(w for _, w in weights)
+        parts = [(w / total_w, flat(by_pair[i, j].mass), flat(cell_se[i, j])) for j, w in weights]
+        by_game[i], game_se[i] = split(
+            [
+                weighted_mean_ci([(w, m[c], se[c]) for w, m, se in parts], z=1.0)
+                for c in range(n1 * n2)
+            ]
+        )
+    return CspReport(by_pair, counts, cell_se, by_game, game_se, p2)
 
 
 def csv_rows(report: EstimateReport):

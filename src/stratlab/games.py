@@ -171,9 +171,6 @@ class SignalModel:
             if not 0.0 <= p <= 1.0:
                 raise InvalidArgumentError(f"precision {p!r} outside [0,1]")
 
-    def precision(self, player: int) -> float:
-        return self.p1 if player == 1 else self.p2
-
 
 @dataclass(frozen=True)
 class CSP:
@@ -221,7 +218,7 @@ class FeedbackRecord:
 
 
 # ---------------------------------------------------------------------------
-# Sampling and mixing
+# Sampling
 # ---------------------------------------------------------------------------
 
 
@@ -270,27 +267,6 @@ def signal_weights(prior: Prior, realized_index: int, precision: float) -> list[
         if w > 1e-12:
             out.append((j, w))
     return out
-
-
-def mix_csps(parts: Sequence[tuple[float, CSP]]) -> CSP:
-    """Convex combination of CSPs; weights must sum to 1 within 1e-9."""
-    if not parts:
-        raise InvalidArgumentError("no CSPs to mix")
-    total_w = sum(w for w, _ in parts)
-    if abs(total_w - 1.0) > PROB_TOL:
-        raise InvalidArgumentError(f"mixture weights sum to {total_w!r}, not 1")
-    n1, n2 = parts[0][1].n1, parts[0][1].n2
-    for _, c in parts:
-        if (c.n1, c.n2) != (n1, n2):
-            raise InvalidArgumentError("CSP shapes differ")
-    mass = [[0.0] * n2 for _ in range(n1)]
-    for w, c in parts:
-        for a in range(n1):
-            row = c.mass[a]
-            out = mass[a]
-            for b in range(n2):
-                out[b] += w * row[b]
-    return CSP(tuple(tuple(row) for row in mass))
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,7 @@ def _mimic_parts(spec: LearnerSpec) -> tuple[LearnerSpec, int]:
     return base, forced
 
 
-def _payoffs_against(rows, opp) -> list[float]:
+def payoffs_against(rows, opp) -> list[float]:
     """Own payoff of each action (a row of rows[own][opp]) against the
     opponent's mixture opp, summed over the actions opp plays."""
     support = [(o, po) for o, po in enumerate(opp) if po]
@@ -254,7 +254,7 @@ class MultiplicativeWeights(_HedgeCore):
     def _observe(self, fb):
         eta = self._eta()
         lw = self._lw
-        for a, r in enumerate(_payoffs_against(self._rows, fb.opponent_strategy)):
+        for a, r in enumerate(payoffs_against(self._rows, fb.opponent_strategy)):
             lw[a] += eta * self._normalize(r)
 
 
@@ -402,7 +402,7 @@ class NoSwapRegretFull(_SwapRegretCore):
         return tuple(self._p)
 
     def _observe(self, fb):
-        rewards = [self._normalize(r) for r in _payoffs_against(self._rows, fb.opponent_strategy)]
+        rewards = [self._normalize(r) for r in payoffs_against(self._rows, fb.opponent_strategy)]
         eta = self._eta()
         p = self._p
         lw = self._lw
@@ -517,7 +517,7 @@ class BestResponder(Learner):
         self._cached_reply: MixedStrategy | None = None
 
     def _reply_to(self, opp: Sequence[float]) -> MixedStrategy:
-        values = _payoffs_against(self._rows, opp)
+        values = payoffs_against(self._rows, opp)
         return pure(self.n_own, values.index(max(values)))  # lowest index among ties
 
     def _act(self):
@@ -644,19 +644,15 @@ def regrets_from_mass(
             actual += ua[o] * row[o]
             opp_marginal[o] += row[o]
 
-    fixed_totals = [
-        sum(u[a][o] * opp_marginal[o] for o in range(opp_n)) for a in range(own_n)
-    ]
-    external = max(fixed_totals) - actual
+    external = max(payoffs_against(u, opp_marginal)) - actual
 
     swap_total = 0.0
     targets = []
     for a in range(own_n):
-        row = cond[a]
-        current = sum(u[a][o] * row[o] for o in range(opp_n))
+        values = payoffs_against(u, cond[a])
+        current = values[a]
         best_v, best_a = current, a
-        for a2 in range(own_n):
-            v = sum(u[a2][o] * row[o] for o in range(opp_n))
+        for a2, v in enumerate(values):
             if v > best_v + 1e-15:
                 best_v, best_a = v, a2
         swap_total += best_v - current

@@ -177,6 +177,16 @@ def test_zero_tail_window_is_error(capsys, tiny_config):
     assert code == 1 and err.startswith("error:") and "tail_window" in err
 
 
+@pytest.mark.parametrize("value", ["5", "-1", "NaN", "0.5"])
+def test_tail_threshold_outside_half_to_one_is_error(capsys, value):
+    config = str(Path(__file__).resolve().parent.parent / "configs" / "leader_vs_learner_audit.json")
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", config, "--trials", "2", "--horizon", "200",
+        "--set", f"tail_threshold={value}",
+    )
+    assert code == 1 and out == "" and err.startswith("error: tail_threshold must lie in (0.5, 1]")
+
+
 def test_unknown_learner_param_is_error(capsys, tiny_config):
     code, _, err = run_cli(
         capsys, "simulate", "--config", tiny_config, "--set", "spec2.params.etaa=1"
@@ -222,6 +232,12 @@ def test_config_field_types_are_checked(capsys, assignment, key):
         ("learn", "--tau", "-0.1"),
         ("claims", "--tol", "nan"),
         ("claims", "--tol", "-0.1"),
+        ("claims", "--tol", "inf"),
+        ("learn", "--tau", "1.5"),
+        ("learn", "--tau", "inf"),
+        ("audit", "--epsilon", "inf"),
+        ("audit", "--epsilon", "0"),
+        ("audit", "--epsilon", "nan"),
         ("simulate", "--threads", "-3"),
         ("audit", "--threads", "0"),
     ],

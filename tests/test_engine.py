@@ -48,6 +48,8 @@ def test_config_validation(fig1_prior):
         constant_pair_cfg(fig1_prior, checkpoints=(128,))
     with pytest.raises(InvalidArgumentError):
         constant_pair_cfg(fig1_prior, feedback_mode="partial")
+    with pytest.raises(InvalidArgumentError, match="checkpoint must be an integer"):
+        constant_pair_cfg(fig1_prior, checkpoints=(2.7, 10))
 
 
 def test_constant_pair_trajectory(fig1_prior):
@@ -199,6 +201,11 @@ def test_csp_mixture_identity(fig1_prior):
                     w * rep.by_pair[(i, j)].mass[a][b] for j, w in enumerate(weights)
                 )
                 assert mix.mass[a][b] == pytest.approx(expect, abs=1e-12)
+                se = math.sqrt(
+                    sum((w * rep.cell_se[(i, j)][a][b]) ** 2 for j, w in enumerate(weights))
+                )
+                assert rep.game_se[i][a][b] == pytest.approx(se, rel=1e-12, abs=1e-300)
+    assert any(v > 0 for se in rep.game_se.values() for row in se for v in row)
 
 
 def test_csp_mimic_leader_buckets_match(fig1_prior):
@@ -221,12 +228,45 @@ def test_csp_mimic_leader_buckets_match(fig1_prior):
             assert masses[(0, j)] == masses[(1, j)]
 
 
+def test_csp_copies_of_one_trial_have_no_spread(fig1_prior):
+    # A deterministic scripted pair whose trials depend only on the realized
+    # game: every trial of a (realized, s2) bucket is a copy of one trial, so
+    # the sample spread of each cell is zero up to rounding of the mean. A
+    # one-pass sum-of-squares formula reports ~4e-9 on this config.
+    cfg = ExperimentConfig(
+        prior=fig1_prior,
+        signal_model=SignalModel(1.0, 0.0),
+        spec1=LearnerSpec("reveal_then_follow_leader"),
+        spec2=LearnerSpec("infer_then_commit_follower"),
+        horizon=2000,
+        trials=32,
+        master_seed=20260811,
+    )
+    summaries = run_summaries(cfg)
+    rep = estimate_csps(cfg, summaries=summaries)
+    for key in rep.by_pair:
+        bucket = {s.csp_mass for s in summaries if (s.realized, s.s2) == key}
+        assert len(bucket) == 1
+    assert min(rep.counts.values()) >= 2
+    for table in (rep.cell_se, rep.game_se):
+        assert max(v for se in table.values() for row in se for v in row) <= 1e-15
+
+
+def test_csp_one_trial_bucket_reports_zero_se(fig1_prior):
+    cfg = constant_pair_cfg(fig1_prior, trials=1)
+    rep = estimate_csps(cfg)
+    assert list(rep.counts.values()) == [1]
+    for se in rep.cell_se.values():
+        assert se == ((0.0, 0.0), (0.0, 0.0))
+
+
 def test_csp_empty_bucket_absent():
     prior = prior_from_games(builtin_prior("fig1:gamma=1").games, [1.0, 0.0])
     cfg = constant_pair_cfg(prior, trials=8, signal_model=SignalModel(1.0, 0.0))
     rep = estimate_csps(cfg)
     assert (1, 0) not in rep.by_pair
     assert rep.by_game[1] is None  # ingredient bucket missing, not fabricated
+    assert rep.game_se[1] is None
     assert rep.by_game[0] is not None
 
 

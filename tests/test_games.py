@@ -17,7 +17,6 @@ from stratlab.games import (
     game_matrix,
     game_to_dict,
     load_prior,
-    mix_csps,
     prior_draw,
     prior_from_dict,
     prior_from_games,
@@ -174,30 +173,6 @@ def test_csp_from_trajectory_is_valid(seed, t):
     s = one_trial(g, LearnerSpec("multiplicative_weights"), LearnerSpec("bandit_exp3"), t)
     csp = CSP(s.csp_mass)  # validates the total against 1
     assert all(v >= 0 for row in csp.mass for v in row)
-
-
-def test_mix_csps_identity_and_symmetry():
-    a = CSP(((1.0, 0.0), (0.0, 0.0)))
-    b = CSP(((0.0, 0.0), (0.0, 1.0)))
-    assert mix_csps([(1.0, a)]).mass == a.mass
-    m = mix_csps([(0.5, a), (0.5, b)])
-    assert m.mass[0][0] == pytest.approx(0.5)
-    assert m.mass[1][1] == pytest.approx(0.5)
-
-
-def test_mix_csps_signal_weights():
-    # weights (1+p)/2 and (1-p)/2 at p = 0.5
-    a = CSP(((1.0, 0.0), (0.0, 0.0)))
-    b = CSP(((0.0, 1.0), (0.0, 0.0)))
-    m = mix_csps([(0.75, a), (0.25, b)])
-    assert m.mass[0][0] == pytest.approx(0.75)
-    assert m.mass[0][1] == pytest.approx(0.25)
-
-
-def test_mix_csps_weight_sum_enforced():
-    a = CSP(((1.0, 0.0), (0.0, 0.0)))
-    with pytest.raises(InvalidArgumentError):
-        mix_csps([(0.6, a), (0.6, a)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,35 @@
+"""The golden hashes of scripts/golden.py match scripts/golden.txt.
+
+A change that moves a reported number fails here: it rewrites golden.txt
+(python3 scripts/golden.py > scripts/golden.txt) and lists the moved hashes
+in CHANGES.md.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_golden():
+    spec = importlib.util.spec_from_file_location("golden", SCRIPTS / "golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_hashes_match_the_committed_file():
+    golden = load_golden()
+    header, *lines = (SCRIPTS / "golden.txt").read_text().splitlines()
+    if header != golden.python_version():
+        pytest.skip(
+            f"golden.txt was made on {header[2:]!r}, this is {golden.python_version()[2:]!r}: "
+            "from Python 3.12 on sum() of floats is compensated, and mean_ci uses sum()"
+        )
+    expected = dict(line.split() for line in lines)
+    got = {name: golden.digest(payload) for name, payload in golden.reports(1)}
+    assert sorted(got) == sorted(expected)
+    moved = [name for name in expected if got[name] != expected[name]]
+    assert not moved, f"reports whose hash moved: {', '.join(moved)}"
