@@ -55,7 +55,8 @@ def default_library(cfg: ExperimentConfig) -> DeviationLibrary:
     """Every deviation the impossibility arguments actually use: all constant
     actions, per-round best reply, Stackelberg commitment, signal-forcing
     mimics of the player's own algorithm, and (for player 2) the scripted
-    infer-then-commit follower."""
+    infer-then-commit follower. Under bandit feedback the deviations whose
+    class requires full information are left out."""
     prior = cfg.prior
 
     def build(player: int, own_spec: LearnerSpec):
@@ -72,6 +73,8 @@ def default_library(cfg: ExperimentConfig) -> DeviationLibrary:
             )
         if player == 2:
             devs.append(("infer_then_commit", LearnerSpec("infer_then_commit_follower")))
+        if cfg.feedback_mode == "bandit":
+            devs = [d for d in devs if not canonical_spec(d[1])[0].requires_full_info]
         return tuple(devs)
 
     return DeviationLibrary(build(1, cfg.spec1), build(2, cfg.spec2))

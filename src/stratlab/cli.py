@@ -18,7 +18,7 @@ from dataclasses import fields
 
 from .audit import BELIEF_KINDS, audit_pne, belief_trace, revelation_analysis, verify_claims
 from .engine import ExperimentConfig, estimate, estimate_csps, write_csv
-from .errors import InvalidArgumentError, check_type
+from .errors import AssumptionViolatedError, InvalidArgumentError, check_type
 from .games import (
     SignalModel,
     load_game,
@@ -318,9 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    errors = (InvalidArgumentError, AssumptionViolatedError, FileNotFoundError, json.JSONDecodeError)
     try:
         return args.fn(args)
-    except (InvalidArgumentError, FileNotFoundError, json.JSONDecodeError) as e:
+    except errors as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

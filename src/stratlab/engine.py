@@ -94,6 +94,13 @@ class ExperimentConfig:
             )
         if self.feedback_mode not in ("full", "bandit"):
             raise InvalidArgumentError(f"bad feedback_mode {self.feedback_mode!r}")
+        # The one place where a spec's legality is decided, mimics resolved.
+        for name, spec in (("spec1", self.spec1), ("spec2", self.spec2)):
+            cls, _, forced = canonical_spec(spec)
+            if cls.requires_full_info and self.feedback_mode == "bandit":
+                raise InvalidArgumentError(f"{name} ({spec.kind}) requires full-information feedback")
+            if forced is not None and not 0 <= forced < self.prior.support_size:
+                raise InvalidArgumentError(f"{name} forces signal {forced}, out of range")
         if not self.checkpoints:
             object.__setattr__(self, "checkpoints", default_checkpoints(self.horizon))
         else:
@@ -345,8 +352,7 @@ def trial_key(cfg: ExperimentConfig, trial_index: int, draw: tuple[int, int, int
     for spec, signal in ((cfg.spec1, draw[1]), (cfg.spec2, draw[2])):
         cls, params, forced = canonical_spec(spec)
         signal = signal if forced is None else forced
-        # An out-of-range forced signal stays in the key, so that it raises.
-        if not cls.reads_signal and 0 <= signal < cfg.prior.support_size:
+        if not cls.reads_signal:
             signal = None
         players.append((cls, params, signal))
         seeded = seeded or cls.draws_randomness or cls.needs_side_signal

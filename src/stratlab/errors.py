@@ -5,10 +5,6 @@ class InvalidArgumentError(ValueError):
     """Malformed or out-of-range input to a public operation."""
 
 
-class ProtocolViolationError(RuntimeError):
-    """Learner act/observe protocol broken, or feedback mode mismatch."""
-
-
 class AssumptionViolatedError(RuntimeError):
     """A structural assumption (e.g. no weakly dominated target action) fails."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Sequence
 
-from .errors import InvalidArgumentError, ProtocolViolationError, check_type
+from .errors import InvalidArgumentError, check_type
 from .games import (
     FeedbackRecord,
     GameMatrix,
@@ -88,11 +88,13 @@ class LearnerSpec:
 
 
 class Learner:
-    """Base class enforcing the act/observe protocol.
+    """Base class of the learner kinds; each defines act() and observe(fb),
+    and the base observe ignores the feedback.
 
     `param_defaults` is the kind's param table: every accepted param and its
     default (None where the param is required or the default is adaptive);
     the params named in `integer_params` must be ints, the others numbers.
+    A config with bandit feedback rejects classes with `requires_full_info`.
     `reads_signal` is False only for classes whose play never depends on
     their pre-play signal, and `draws_randomness` is True only for classes
     that draw from their random stream `rng`.
@@ -117,34 +119,14 @@ class Learner:
         self.rng = rng
         self.n_own = prior.n1 if role == 1 else prior.n2
         self.n_opp = prior.n2 if role == 1 else prior.n1
-        self.t = 1
-        self._awaiting_feedback = False
 
     def _param(self, name: str):
         return self.spec.params.get(name, self.param_defaults[name])
 
     def act(self) -> MixedStrategy:
-        if self._awaiting_feedback:
-            raise ProtocolViolationError("act called twice without observe")
-        s = self._act()
-        self._awaiting_feedback = True
-        return s
-
-    def observe(self, fb: FeedbackRecord) -> None:
-        if not self._awaiting_feedback:
-            raise ProtocolViolationError("observe called before act")
-        if self.requires_full_info and fb.opponent_strategy is None:
-            raise ProtocolViolationError(
-                f"{self.spec.kind} requires full-information feedback"
-            )
-        self._observe(fb)
-        self._awaiting_feedback = False
-        self.t += 1
-
-    def _act(self) -> MixedStrategy:
         raise NotImplementedError
 
-    def _observe(self, fb: FeedbackRecord) -> None:
+    def observe(self, fb: FeedbackRecord) -> None:
         pass
 
 
@@ -200,12 +182,13 @@ class ConstantAction(Learner):
             raise InvalidArgumentError("constant_action requires param 'action'")
         self._strategy = pure(self.n_own, action)
 
-    def _act(self):
+    def act(self):
         return self._strategy
 
 
 class _HedgeCore(Learner):
-    """Shared machinery: log-weights, softmax, payoff normalization."""
+    """Shared machinery: log-weights, softmax, payoff normalization, and the
+    round counter t that each observe advances last."""
 
     param_defaults = {"eta": None}
 
@@ -219,6 +202,7 @@ class _HedgeCore(Learner):
             raise InvalidArgumentError(f"eta must be positive, got {eta!r}")
         self._eta_fixed = eta
         self._log_n = math.log(self.n_own) if self.n_own > 1 else 0.0
+        self.t = 1
 
     def _normalize(self, u: float) -> float:
         return (u - self._u_lo) * self._u_scale
@@ -248,14 +232,15 @@ class MultiplicativeWeights(_HedgeCore):
         self._rows = prior.games[signal].own_payoffs(role)
         self._lw = [0.0] * self.n_own
 
-    def _act(self):
+    def act(self):
         return tuple(self._softmax(self._lw))
 
-    def _observe(self, fb):
+    def observe(self, fb):
         eta = self._eta()
         lw = self._lw
         for a, r in enumerate(payoffs_against(self._rows, fb.opponent_strategy)):
             lw[a] += eta * self._normalize(r)
+        self.t += 1
 
 
 class _BanditPlay(_HedgeCore):
@@ -307,12 +292,13 @@ class BanditExp3(_BanditPlay):
         super().__init__(spec, role, prior, signal, rng)
         self._lw = [0.0] * self.n_own
 
-    def _act(self):
+    def act(self):
         return self._sample(self._softmax(self._lw))
 
-    def _observe(self, fb):
+    def observe(self, fb):
         a, est, step = self._estimate(fb)
         self._lw[a] += step * est
+        self.t += 1
 
 
 def stationary_distribution(q: Sequence[Sequence[float]]) -> list[float]:
@@ -397,11 +383,11 @@ class NoSwapRegretFull(_SwapRegretCore):
         super().__init__(spec, role, prior, signal, rng)
         self._rows = prior.games[signal].own_payoffs(role)
 
-    def _act(self):
+    def act(self):
         self._p = stationary_distribution(self._recommendations())
         return tuple(self._p)
 
-    def _observe(self, fb):
+    def observe(self, fb):
         rewards = [self._normalize(r) for r in payoffs_against(self._rows, fb.opponent_strategy)]
         eta = self._eta()
         p = self._p
@@ -412,17 +398,18 @@ class NoSwapRegretFull(_SwapRegretCore):
                 lwe = lw[e]
                 for b, rb in enumerate(rewards):
                     lwe[b] += scale * rb
+        self.t += 1
 
 
 class NoSwapRegretBandit(_BanditPlay, _SwapRegretCore):
     """Same reduction under bandit feedback: the stationary distribution is
     the base of the exploration mixture (see _BanditPlay)."""
 
-    def _act(self):
+    def act(self):
         self._p = stationary_distribution(self._recommendations())
         return self._sample(self._p)
 
-    def _observe(self, fb):
+    def observe(self, fb):
         a, est, eta = self._estimate(fb)
         p = self._p
         lw = self._lw
@@ -430,6 +417,7 @@ class NoSwapRegretBandit(_BanditPlay, _SwapRegretCore):
             scale = eta * p[e]
             if scale:
                 lw[e][a] += scale * est
+        self.t += 1
 
 
 class _EpochedCommitment(Learner):
@@ -450,6 +438,10 @@ class _EpochedCommitment(Learner):
         if self.epoch_horizon < 1:
             raise InvalidArgumentError("initial_epoch must be >= 1")
         self._cache: dict[tuple[int, int], MixedStrategy] = {}
+        self.t = 1
+
+    def observe(self, fb):
+        self.t += 1
 
     def delta(self) -> float:
         return self.epoch_horizon ** (-self._b)
@@ -471,7 +463,7 @@ class StackelbergLeader(_EpochedCommitment):
     """Commits every round to the signaled game's perturbed Stackelberg
     commitment; trusts the signal as the true game."""
 
-    def _act(self):
+    def act(self):
         self._advance_epoch()
         return self._commitment(self.signal)
 
@@ -495,11 +487,9 @@ class ExternalSignalLeader(_EpochedCommitment):
         return 1.0 - t ** (-self._decay)
 
     def receive_side_signal(self, index: int) -> None:
-        if not 0 <= index < self.prior.support_size:
-            raise InvalidArgumentError(f"side signal {index} out of range")
         self._q = index
 
-    def _act(self):
+    def act(self):
         self._advance_epoch()
         return self._commitment(self._q)
 
@@ -520,7 +510,7 @@ class BestResponder(Learner):
         values = payoffs_against(self._rows, opp)
         return pure(self.n_own, values.index(max(values)))  # lowest index among ties
 
-    def _act(self):
+    def act(self):
         if self._last_opp is None:
             return self._round_one()
         if self._cached_reply is None:
@@ -530,7 +520,7 @@ class BestResponder(Learner):
     def _round_one(self) -> MixedStrategy:
         return self._reply_to([1.0 / self.n_opp] * self.n_opp)
 
-    def _observe(self, fb):
+    def observe(self, fb):
         opp = fb.opponent_strategy
         if opp != self._last_opp:
             self._last_opp = opp
@@ -564,12 +554,12 @@ class InferThenCommitFollower(Learner):
         super().__init__(spec, role, prior, signal, rng)
         self._commitment: MixedStrategy | None = None
 
-    def _act(self):
+    def act(self):
         if self._commitment is None:
             return pure(self.n_own, 0)
         return self._commitment
 
-    def _observe(self, fb):
+    def observe(self, fb):
         if self._commitment is None:
             opp = fb.opponent_strategy
             inferred = max(range(len(opp)), key=lambda a: opp[a]) % self.prior.support_size

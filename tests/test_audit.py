@@ -67,6 +67,27 @@ def test_default_library_contents(fig1_prior):
     assert mimic.params["base"] == cfg.spec1
 
 
+def test_default_library_builds_legal_configs():
+    # DeviationLibrary's promise: in every feedback mode in which a shipped
+    # pair is legal, each of its deviations makes a legal config too.
+    legal = []
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        for mode in ("full", "bandit"):
+            try:
+                cfg = shipped_cfg(path.name, 20, 2, feedback_mode=mode)
+            except InvalidArgumentError:
+                continue
+            legal.append((path.stem, mode))
+            lib = default_library(cfg)
+            for player in (1, 2):
+                for _, spec in lib.for_player(player):
+                    with_spec(cfg, player, spec)
+    assert {stem for stem, mode in legal if mode == "full"} == {
+        path.stem for path in CONFIG_DIR.glob("*.json")
+    }
+    assert ("leader_vs_learner_audit", "bandit") in legal
+
+
 def test_null_deviation_gain_is_zero(fig1_prior):
     cfg = reveal_cfg(fig1_prior, horizon=200, trials=8)
     base = run_summaries(cfg)
@@ -153,9 +174,9 @@ def test_common_random_numbers_reduce_ci(fig1_prior):
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
-def shipped_cfg(name, horizon, trials):
+def shipped_cfg(name, horizon, trials, **fields):
     raw = json.loads((CONFIG_DIR / name).read_text())
-    raw.update(horizon=horizon, trials=trials)
+    raw.update(horizon=horizon, trials=trials, **fields)
     raw.pop("checkpoints", None)
     return config_from_dict(raw)
 

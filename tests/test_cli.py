@@ -11,6 +11,9 @@ import pytest
 from stratlab.cli import main
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -273,6 +276,42 @@ def test_unknown_config_key_is_error(capsys, tmp_path):
 def test_missing_config_is_error(capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", "/does/not/exist.json")
     assert code == 1
+
+
+def test_failed_assumption_is_error(capsys, tmp_path):
+    # Every follower payoff is 0, so no target reply has a strict margin and
+    # the leader's perturbed commitment does not exist.
+    flat = {"games": [{"weight": 1.0, "game": {"name": "flat", "u1": [[1, 0], [0, 1]],
+                                                "u2": [[0, 0], [0, 0]]}}]}
+    prior = tmp_path / "flat.json"
+    prior.write_text(json.dumps(flat))
+    for command in ("simulate", "audit"):
+        code, out, err = run_cli(
+            capsys, command, "--config", str(CONFIGS / "leader_vs_learner.json"),
+            "--trials", "1", "--horizon", "5", "--set", f"prior={prior}",
+        )
+        assert code == 1 and out == "", command
+        assert err.startswith("error: target reply 0 admits no strict margin"), command
+
+
+def test_full_info_learner_under_bandit_feedback(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(CONFIGS / "example41_external.json"),
+        "--trials", "1", "--horizon", "5", "--set", "feedback_mode=bandit",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: spec1 (no_swap_regret_full) requires full-information feedback")
+    # The audit leaves out the deviations that need full information.
+    code, out, _ = run_cli(
+        capsys, "audit", "--config", str(CONFIGS / "leader_vs_learner_audit.json"),
+        "--trials", "2", "--horizon", "50", "--set", "feedback_mode=bandit",
+    )
+    assert code in (0, 2)
+    payload = json.loads(out)
+    validate(payload, "audit.json")
+    names = {row["name"] for row in payload["deviations"]}
+    assert "stackelberg_leader" in names
+    assert not names & {"best_responder", "infer_then_commit"}
 
 
 def test_audit_fail_exit_code(capsys, tiny_config):

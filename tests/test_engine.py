@@ -15,7 +15,7 @@ from stratlab.engine import (
     with_spec,
     write_csv,
 )
-from stratlab.errors import InvalidArgumentError, ProtocolViolationError
+from stratlab.errors import InvalidArgumentError
 from stratlab.games import SignalModel, builtin_prior, prior_from_games
 from stratlab.learners import LearnerSpec
 
@@ -291,18 +291,54 @@ def test_pure_realization_mode(fig1_prior):
 
 
 def test_feedback_mode_mismatch_propagates(fig1_prior):
-    cfg = ExperimentConfig(
-        prior=fig1_prior,
-        signal_model=SignalModel(1.0, 1.0),
-        spec1=LearnerSpec("best_responder"),
-        spec2=LearnerSpec("constant_action", {"action": 0}),
-        horizon=4,
-        trials=1,
-        feedback_mode="bandit",
-        master_seed=2,
-    )
-    with pytest.raises(ProtocolViolationError):
-        run_summaries(cfg)
+    with pytest.raises(InvalidArgumentError, match="requires full-information feedback"):
+        ExperimentConfig(
+            prior=fig1_prior,
+            signal_model=SignalModel(1.0, 1.0),
+            spec1=LearnerSpec("best_responder"),
+            spec2=LearnerSpec("constant_action", {"action": 0}),
+            horizon=4,
+            trials=1,
+            feedback_mode="bandit",
+            master_seed=2,
+        )
+
+
+def mimic(base, signal):
+    return LearnerSpec("mimic_deviation", {"base": base, "signal": signal})
+
+
+@pytest.mark.parametrize(
+    "spec1, spec2, feedback_mode, match",
+    [
+        (LearnerSpec("stackelberg_leader"), LearnerSpec("best_responder"), "bandit", "spec2"),
+        (mimic({"kind": "best_responder"}, 0), LearnerSpec("no_swap_regret_bandit"), "bandit",
+         "spec1 \\(mimic_deviation\\) requires full-information"),
+        (mimic(LearnerSpec("stackelberg_leader"), -1), LearnerSpec("best_responder"), "full",
+         "spec1 forces signal -1"),
+        (LearnerSpec("stackelberg_leader"), mimic(LearnerSpec("best_responder"), 2), "full",
+         "spec2 forces signal 2"),
+    ],
+)
+def test_config_rejects_illegal_specs(fig1_prior, spec1, spec2, feedback_mode, match):
+    # Spec legality is decided when the config is built, mimics resolved:
+    # a full-information learner under bandit feedback, or a forced signal
+    # outside [0, support_size).
+    with pytest.raises(InvalidArgumentError, match=match):
+        ExperimentConfig(
+            prior=fig1_prior,
+            signal_model=SignalModel(1.0, 1.0),
+            spec1=spec1,
+            spec2=spec2,
+            horizon=4,
+            trials=1,
+            feedback_mode=feedback_mode,
+        )
+    # With full feedback and an in-range signal, every spec above is legal.
+    legal = [
+        mimic(s.params["base"], 1) if s.kind == "mimic_deviation" else s for s in (spec1, spec2)
+    ]
+    ExperimentConfig(fig1_prior, SignalModel(1.0, 1.0), *legal, horizon=4, trials=1)
 
 
 def test_tail_fractions_constant_pair(fig1_prior):

@@ -1,8 +1,9 @@
 """The golden hashes of scripts/golden.py match scripts/golden.txt.
 
-A change that moves a reported number fails here: it rewrites golden.txt
-(python3 scripts/golden.py > scripts/golden.txt) and lists the moved hashes
-in CHANGES.md.
+Both the in-process path (threads 1) and the worker pool (threads 2) must
+give them. A change that moves a reported number fails here: it rewrites
+golden.txt (python3 scripts/golden.py > scripts/golden.txt) and lists the
+moved hashes in CHANGES.md.
 """
 
 import importlib.util
@@ -20,7 +21,8 @@ def load_golden():
     return module
 
 
-def test_golden_hashes_match_the_committed_file():
+@pytest.mark.parametrize("threads", [1, 2])
+def test_golden_hashes_match_the_committed_file(threads):
     golden = load_golden()
     header, *lines = (SCRIPTS / "golden.txt").read_text().splitlines()
     if header != golden.python_version():
@@ -29,7 +31,7 @@ def test_golden_hashes_match_the_committed_file():
             "from Python 3.12 on sum() of floats is compensated, and mean_ci uses sum()"
         )
     expected = dict(line.split() for line in lines)
-    got = {name: golden.digest(payload) for name, payload in golden.reports(1)}
+    got = {name: golden.digest(payload) for name, payload in golden.reports(threads)}
     assert sorted(got) == sorted(expected)
     moved = [name for name in expected if got[name] != expected[name]]
     assert not moved, f"reports whose hash moved: {', '.join(moved)}"

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stratlab.errors import InvalidArgumentError, ProtocolViolationError
+from stratlab.errors import InvalidArgumentError
 from stratlab.games import (
     FeedbackRecord,
     game_matrix,
@@ -171,27 +171,6 @@ def test_stackelberg_leader_round_one(fig1_prior):
     expected, _ = perturbed_commitment(fig1_prior.games[0], 1, 64 ** -0.25)
     assert lrn.act() == pytest.approx(expected)
     assert expected == pytest.approx((1.0, 0.0))  # pure A for this family
-
-
-# ---------------------------------------------------------------------------
-# Protocol enforcement
-# ---------------------------------------------------------------------------
-
-
-def test_act_observe_protocol(fig1_g1, fig1_prior):
-    lrn = make("multiplicative_weights", 1, fig1_prior)
-    with pytest.raises(ProtocolViolationError):
-        lrn.observe(FeedbackRecord(pure(2, 0), pure(2, 0), 16.0))
-    lrn.act()
-    with pytest.raises(ProtocolViolationError):
-        lrn.act()
-
-
-def test_full_info_learner_rejects_bandit_feedback(fig1_prior):
-    lrn = make("best_responder", 1, fig1_prior)
-    x = lrn.act()
-    with pytest.raises(ProtocolViolationError):
-        lrn.observe(FeedbackRecord(x, None, 16.0))
 
 
 # ---------------------------------------------------------------------------
