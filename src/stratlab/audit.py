@@ -29,10 +29,10 @@ from .engine import (
     summarize,
     with_spec,
 )
-from .errors import InvalidArgumentError
+from .errors import AssumptionViolatedError, InvalidArgumentError
 from .games import Prior, two_game_family_g1, two_game_family_g2
 from .learners import LearnerSpec, canonical_spec
-from .solve import stackelberg_value, stackval_prior
+from .solve import perturbed_commitment, stackelberg_value, stackval_prior
 
 
 # ---------------------------------------------------------------------------
@@ -55,8 +55,9 @@ def default_library(cfg: ExperimentConfig) -> DeviationLibrary:
     """Every deviation the impossibility arguments actually use: all constant
     actions, per-round best reply, Stackelberg commitment, signal-forcing
     mimics of the player's own algorithm, and (for player 2) the scripted
-    infer-then-commit follower. Under bandit feedback the deviations whose
-    class requires full information are left out."""
+    infer-then-commit follower. Left out: the Stackelberg commitment where a
+    game of the prior has none, and under bandit feedback the deviations
+    whose class requires full information."""
     prior = cfg.prior
 
     def build(player: int, own_spec: LearnerSpec):
@@ -66,7 +67,12 @@ def default_library(cfg: ExperimentConfig) -> DeviationLibrary:
             for a, lab in enumerate(labels)
         ]
         devs.append(("best_responder", LearnerSpec("best_responder")))
-        devs.append(("stackelberg_leader", LearnerSpec("stackelberg_leader")))
+        try:  # a perturbed commitment exists at every delta or at none
+            for g in prior.games:
+                perturbed_commitment(g, player, 1.0)
+            devs.append(("stackelberg_leader", LearnerSpec("stackelberg_leader")))
+        except AssumptionViolatedError:
+            pass
         for i in range(prior.support_size):
             devs.append(
                 (f"mimic:G{i + 1}", LearnerSpec("mimic_deviation", {"base": own_spec, "signal": i}))

@@ -226,8 +226,11 @@ def _simulate(
 
     l1 = learner_init(cfg.spec1, 1, prior, s1, stream(seed, trial_index, LEARNER1_STREAM))
     l2 = learner_init(cfg.spec2, 2, prior, s2, stream(seed, trial_index, LEARNER2_STREAM))
-    side1 = stream(seed, trial_index, SIDE1_STREAM) if l1.needs_side_signal else None
-    side2 = stream(seed, trial_index, SIDE2_STREAM) if l2.needs_side_signal else None
+    sides = [  # (player, learner, its side-signal stream), player 1 first
+        (player, lrn, stream(seed, trial_index, tag))
+        for player, lrn, tag in ((1, l1, SIDE1_STREAM), (2, l2, SIDE2_STREAM))
+        if lrn.needs_side_signal
+    ]
     if cfg.pure_realization:
         real1 = stream(seed, trial_index, REALIZE1_STREAM)
         real2 = stream(seed, trial_index, REALIZE2_STREAM)
@@ -238,8 +241,8 @@ def _simulate(
     horizon = cfg.horizon
     mass = [[0.0] * n2 for _ in range(n1)]
     cum_u1 = cum_u2 = 0.0
-    cps = cfg.checkpoints
-    cp_pos = 0
+    cps = iter(cfg.checkpoints)
+    next_cp = next(cps)  # 0 once every checkpoint has passed
     cp_rows = []
     tail_start = horizon - min(cfg.tail_window, horizon)
     thresh = cfg.tail_threshold
@@ -247,25 +250,23 @@ def _simulate(
     tail2 = [0] * n2
     fold = _BeliefFold(probe, cfg, realized) if probe is not None else None
     belief_errors = [] if probe is not None else None
+    # Bound after learner_init, which may wrap them; each record is refilled every round.
+    act1, act2, observe1, observe2 = l1.act, l2.act, l1.observe, l2.observe
+    fb1 = FeedbackRecord(None, None, 0.0)
+    fb2 = FeedbackRecord(None, None, 0.0)
 
     for t in range(1, horizon + 1):
-        if side1 is not None:
-            acc = l1.side_signal_accuracy(t)
-            q = realized if side1.random() < acc else prior_draw(prior, side1)
-            l1.receive_side_signal(q)
-            if fold is not None and probe.player == 1:
+        for player, lrn, side in sides:
+            acc = lrn.side_signal_accuracy(t)
+            q = realized if side.random() < acc else prior_draw(prior, side)
+            lrn.receive_side_signal(q)
+            if fold is not None and probe.player == player:
                 fold.last_side = q
-        if side2 is not None:
-            acc = l2.side_signal_accuracy(t)
-            q = realized if side2.random() < acc else prior_draw(prior, side2)
-            l2.receive_side_signal(q)
-            if fold is not None and probe.player == 2:
-                fold.last_side = q
-        if fold is not None and cp_pos < len(cps) and t == cps[cp_pos]:
+        if fold is not None and t == next_cp:
             belief_errors.append(fold.error())
 
-        x = l1.act()
-        y = l2.act()
+        x = act1()
+        y = act2()
         if cfg.pure_realization:
             x = onehots1[sample_index(x, real1)]
             y = onehots2[sample_index(y, real2)]
@@ -297,11 +298,15 @@ def _simulate(
         if fold is not None:
             fold.fold_round(x if probe.player == 1 else y, uu1 if probe.player == 1 else uu2)
 
-        l1.observe(FeedbackRecord(x, y if full_info else None, uu1))
-        l2.observe(FeedbackRecord(y, x if full_info else None, uu2))
+        fb1.own_strategy, fb1.own_utility = x, uu1
+        fb2.own_strategy, fb2.own_utility = y, uu2
+        if full_info:
+            fb1.opponent_strategy, fb2.opponent_strategy = y, x
+        observe1(fb1)
+        observe2(fb2)
 
-        if cp_pos < len(cps) and t == cps[cp_pos]:
-            cp_pos += 1
+        if t == next_cp:
+            next_cp = next(cps, 0)
             r1 = regrets_from_mass(mass, g, 1)
             r2 = regrets_from_mass(mass, g, 2)
             cp_rows.append(

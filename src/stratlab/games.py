@@ -210,12 +210,6 @@ class FeedbackRecord:
         self.opponent_strategy = opponent_strategy
         self.own_utility = own_utility
 
-    def __repr__(self):
-        return (
-            f"FeedbackRecord(own={self.own_strategy}, "
-            f"opp={self.opponent_strategy}, u={self.own_utility})"
-        )
-
 
 # ---------------------------------------------------------------------------
 # Sampling

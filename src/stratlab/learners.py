@@ -89,7 +89,8 @@ class LearnerSpec:
 
 class Learner:
     """Base class of the learner kinds; each defines act() and observe(fb),
-    and the base observe ignores the feedback.
+    and the base observe ignores the feedback. fb is valid only during that
+    call: the engine refills one record per player every round.
 
     `param_defaults` is the kind's param table: every accepted param and its
     default (None where the param is required or the default is adaptive);
@@ -263,14 +264,12 @@ class _BanditPlay(_HedgeCore):
         self._last_action = 0
         self._onehots = [pure(self.n_own, a) for a in range(self.n_own)]
 
-    def _gamma(self) -> float:
-        if self._explore_fixed is not None:
-            return self._explore_fixed
-        return min(1.0, math.sqrt(self.n_own * self._log_n / self.t)) if self.n_own > 1 else 0.0
-
     def _sample(self, base: Sequence[float]) -> MixedStrategy:
         n = self.n_own
-        self._round_gamma = gamma = self._gamma()  # read again by _estimate
+        gamma = self._explore_fixed
+        if gamma is None:
+            gamma = min(1.0, math.sqrt(n * self._log_n / self.t)) if n > 1 else 0.0
+        self._round_gamma = gamma  # read again by _estimate
         p = [(1.0 - gamma) * v + gamma / n for v in base]
         self._played = p
         a = sample_index(p, self.rng)
@@ -280,7 +279,7 @@ class _BanditPlay(_HedgeCore):
     def _estimate(self, fb) -> tuple[int, float, float]:
         """(drawn action, importance-weighted reward estimate, step size)."""
         a = self._last_action
-        est = self._normalize(fb.own_utility) / self._played[a]
+        est = (fb.own_utility - self._u_lo) * self._u_scale / self._played[a]  # _normalize
         step = self._eta_fixed if self._eta_fixed is not None else self._round_gamma / self.n_own
         return a, est, step
 
@@ -304,8 +303,7 @@ class BanditExp3(_BanditPlay):
 def stationary_distribution(q: Sequence[Sequence[float]]) -> list[float]:
     """A distribution pi with pi q = pi for the row-stochastic matrix q.
 
-    Exact, with no iteration and no tolerance: the closed form
-    (q10, q01) / (q01 + q10) at n = 2, and above it Grassmann-Taksar-Heyman
+    Exact, with no iteration and no tolerance: Grassmann-Taksar-Heyman
     elimination (Operations Research 1985), which only adds, multiplies and
     divides non-negative numbers and never reads the diagonal.
 
@@ -315,16 +313,12 @@ def stationary_distribution(q: Sequence[Sequence[float]]) -> list[float]:
     the back-substitution keep every intermediate in [0, 1], so a subnormal
     s_k cannot overflow. Underflow can also make s_k exactly 0: then k is
     absorbing in the chain censored to 0..k, so pi is 0 below k and follows
-    by back-substitution from pi_k = 1. At n = 2 this gives (0, 1) when
-    q01 + q10 == 0.
+    by back-substitution from pi_k = 1. At n = 2 this is the closed form
+    (q10, q01) / (q01 + q10), and (0, 1) when q10 == 0.
     """
     n = len(q)
     if n == 1:
         return [1.0]
-    if n == 2:
-        q01, q10 = q[0][1], q[1][0]
-        s = q01 + q10
-        return [q10 / s, q01 / s] if s else [0.0, 1.0]
     a = [list(row) for row in q]
     exits = [0.0] * n  # s_k
     first = 0  # the states below it get no stationary mass
@@ -372,8 +366,21 @@ class _SwapRegretCore(_HedgeCore):
         self._lw = [[0.0] * n for _ in range(n)]
         self._p = [1.0 / n] * n
 
-    def _recommendations(self) -> list[list[float]]:
-        return [self._softmax(lw) for lw in self._lw]
+    def _stationary(self) -> list[float]:
+        """stationary_distribution of the softmax rows of the log-weights. At
+        two actions only the entries it reads, q01 of row 0 and q10 of row 1,
+        are computed as _softmax does, then its closed form: the same floats."""
+        if self.n_own != 2:
+            return stationary_distribution([self._softmax(lw) for lw in self._lw])
+        (a0, a1), (b0, b1) = self._lw
+        m = a0 if a0 >= a1 else a1
+        e0, e1 = math.exp(a0 - m), math.exp(a1 - m)
+        q01 = e1 / (e0 + e1)
+        m = b0 if b0 >= b1 else b1
+        e0, e1 = math.exp(b0 - m), math.exp(b1 - m)
+        q10 = e0 / (e0 + e1)
+        s = q01 + q10
+        return [q10 / s, q01 / s] if s else [0.0, 1.0]
 
 
 class NoSwapRegretFull(_SwapRegretCore):
@@ -384,7 +391,7 @@ class NoSwapRegretFull(_SwapRegretCore):
         self._rows = prior.games[signal].own_payoffs(role)
 
     def act(self):
-        self._p = stationary_distribution(self._recommendations())
+        self._p = self._stationary()
         return tuple(self._p)
 
     def observe(self, fb):
@@ -406,7 +413,7 @@ class NoSwapRegretBandit(_BanditPlay, _SwapRegretCore):
     the base of the exploration mixture (see _BanditPlay)."""
 
     def act(self):
-        self._p = stationary_distribution(self._recommendations())
+        self._p = self._stationary()
         return self._sample(self._p)
 
     def observe(self, fb):
@@ -420,9 +427,15 @@ class NoSwapRegretBandit(_BanditPlay, _SwapRegretCore):
         self.t += 1
 
 
+# perturbed_commitment by (game, role, delta), a pure function of them, for
+# every trial of the process: epoched-leader trials ask for the same few.
+_COMMITMENTS: dict[tuple[GameMatrix, int, float], MixedStrategy] = {}
+
+
 class _EpochedCommitment(Learner):
     """Doubling-trick scaffolding: within an epoch of horizon T_m the learner
-    commits to a strategy computed at perturbation delta = T_m^(-b)."""
+    commits to a strategy computed at perturbation delta = T_m^(-b). observe
+    starts the next epoch, of twice the horizon, once round t passes T_m."""
 
     # b in the schedule delta = T_m^(-b), 0 < b < 1-a
     param_defaults = {"b": 0.25, "initial_epoch": 64}
@@ -442,21 +455,19 @@ class _EpochedCommitment(Learner):
 
     def observe(self, fb):
         self.t += 1
-
-    def delta(self) -> float:
-        return self.epoch_horizon ** (-self._b)
+        if self.t > self.epoch_horizon:
+            self.epoch_horizon *= 2
 
     def _commitment(self, game_index: int) -> MixedStrategy:
         key = (game_index, self.epoch_horizon)
         s = self._cache.get(key)
         if s is None:
-            s, _ = perturbed_commitment(self.prior.games[game_index], self.role, self.delta())
+            shared = (self.prior.games[game_index], self.role, self.epoch_horizon ** (-self._b))
+            s = _COMMITMENTS.get(shared)
+            if s is None:
+                s = _COMMITMENTS[shared] = perturbed_commitment(*shared)[0]
             self._cache[key] = s
         return s
-
-    def _advance_epoch(self):
-        while self.t > self.epoch_horizon:
-            self.epoch_horizon *= 2
 
 
 class StackelbergLeader(_EpochedCommitment):
@@ -464,7 +475,6 @@ class StackelbergLeader(_EpochedCommitment):
     commitment; trusts the signal as the true game."""
 
     def act(self):
-        self._advance_epoch()
         return self._commitment(self.signal)
 
 
@@ -490,7 +500,6 @@ class ExternalSignalLeader(_EpochedCommitment):
         self._q = index
 
     def act(self):
-        self._advance_epoch()
         return self._commitment(self._q)
 
 

@@ -294,6 +294,26 @@ def test_failed_assumption_is_error(capsys, tmp_path):
         assert err.startswith("error: target reply 0 admits no strict margin"), command
 
 
+def test_audit_leaves_out_a_commitment_that_does_not_exist(capsys, tmp_path):
+    # The flat prior of test_failed_assumption_is_error, under a pair that
+    # never commits: only player 1's stackelberg_leader deviation has no
+    # perturbed commitment, and the audit runs without it.
+    flat = {"games": [{"weight": 1.0, "game": {"name": "flat", "u1": [[1, 0], [0, 1]],
+                                                "u2": [[0, 0], [0, 0]]}}]}
+    prior = tmp_path / "flat.json"
+    prior.write_text(json.dumps(flat))
+    code, out, _ = run_cli(
+        capsys, "audit", "--config", str(CONFIGS / "reveal_follow.json"),
+        "--trials", "1", "--horizon", "5", "--set", f"prior={prior}",
+    )
+    assert code in (0, 2)
+    payload = json.loads(out)
+    validate(payload, "audit.json")
+    rows = {(d["player"], d["name"]) for d in payload["deviations"]}
+    assert (1, "stackelberg_leader") not in rows
+    assert (2, "stackelberg_leader") in rows
+
+
 def test_full_info_learner_under_bandit_feedback(capsys):
     code, out, err = run_cli(
         capsys, "simulate", "--config", str(CONFIGS / "example41_external.json"),

@@ -3,8 +3,10 @@ import math
 import pytest
 
 from conftest import THREADS
+from stratlab import engine
 from stratlab.engine import (
     CSV_HEADER,
+    BeliefProbe,
     ExperimentConfig,
     csv_rows,
     default_checkpoints,
@@ -339,6 +341,52 @@ def test_config_rejects_illegal_specs(fig1_prior, spec1, spec2, feedback_mode, m
         mimic(s.params["base"], 1) if s.kind == "mimic_deviation" else s for s in (spec1, spec2)
     ]
     ExperimentConfig(fig1_prior, SignalModel(1.0, 1.0), *legal, horizon=4, trials=1)
+
+
+def side_signal_cfg(prior, horizon, trials, **kw):
+    return ExperimentConfig(
+        prior=prior,
+        signal_model=SignalModel(0.0, 0.0),
+        spec1=LearnerSpec("no_swap_regret_full"),
+        spec2=LearnerSpec("external_signal_leader"),
+        horizon=horizon,
+        trials=trials,
+        master_seed=5,
+        **kw,
+    )
+
+
+def test_engine_calls_instance_act_and_observe_once_per_round(monkeypatch, example41_prior):
+    # Tracing wraps act and observe on each instance that learner_init
+    # returns; the engine must call those wrappers, once per round each.
+    cfg = side_signal_cfg(example41_prior, horizon=30, trials=2)
+    plain = run_summaries(cfg)
+    tallies = []
+    init = engine.learner_init
+
+    def counting_init(*args):
+        learner = init(*args)
+        tally = {"act": 0, "observe": 0}
+        tallies.append(tally)
+        for name in tally:
+            def counted(*a, _method=getattr(learner, name), _name=name):
+                tally[_name] += 1
+                return _method(*a)
+
+            setattr(learner, name, counted)
+        return learner
+
+    monkeypatch.setattr(engine, "learner_init", counting_init)
+    assert run_summaries(cfg) == plain
+    assert tallies == [{"act": 30, "observe": 30}] * 4
+
+
+def test_horizon_one_trial_reads_checkpoint_and_belief(example41_prior):
+    cfg = side_signal_cfg(example41_prior, horizon=1, trials=8, checkpoints=(1,))
+    for s in run_summaries(cfg, probe=BeliefProbe("last_side_signal", 2)):
+        assert len(s.checkpoint_rows) == 1 and s.checkpoint_rows[0][0] == 1.0
+        # The checkpoint's belief already reads round 1's side signal.
+        assert len(s.belief_errors) == 2 and s.belief_errors[0] == s.belief_errors[1]
 
 
 def test_tail_fractions_constant_pair(fig1_prior):

@@ -1,14 +1,17 @@
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stratlab import learners
 from stratlab.errors import InvalidArgumentError
 from stratlab.games import (
     FeedbackRecord,
     game_matrix,
     prior_from_games,
     pure,
+    sample_index,
 )
 from stratlab.learners import (
     KINDS,
@@ -227,6 +230,22 @@ def test_epoch_doubling_schedule():
     assert seq[0] != seq[64]  # the switch is real
 
 
+def test_commitments_are_solved_once_per_process(monkeypatch):
+    g = game_matrix("mixed_commit", [[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [0.0, 2.0]])
+    prior = prior_from_games([g])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return perturbed_commitment(*args)
+
+    monkeypatch.setattr(learners, "perturbed_commitment", counted)
+    monkeypatch.setattr(learners, "_COMMITMENTS", {})
+    runs = [drive(make("stackelberg_leader", 1, prior, b=0.25), g, pure(2, 0), 300) for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert calls == [(g, 1, t_m ** -0.25) for t_m in (64, 128, 256, 512)]
+
+
 def test_external_signal_leader_follows_side_channel(fig1_prior):
     lrn = make("external_signal_leader", 2, fig1_prior, b=0.25)
     assert lrn.side_signal_accuracy(1) == 0.0
@@ -256,6 +275,67 @@ def test_no_swap_regret_bandit_reproducible(fig1_g1, fig1_prior):
         lrn = make("no_swap_regret_bandit", 2, fig1_prior, seed=42)
         runs.append(tuple(drive(lrn, fig1_g1, pure(2, 0), 500, full=False)))
     assert runs[0] == runs[1]
+
+
+def generic_bandit_step(lrn, rng):
+    """NoSwapRegretBandit.act at any n, written as the generic reduction:
+    (stationary distribution of the softmax rows, exploration mixture, one-hot
+    strategy drawn from the mixture with rng)."""
+    n = lrn.n_own
+    p = stationary_distribution([lrn._softmax(lw) for lw in lrn._lw])
+    if lrn._explore_fixed is not None:
+        gamma = lrn._explore_fixed
+    else:
+        gamma = min(1.0, math.sqrt(n * lrn._log_n / lrn.t))
+    played = [(1.0 - gamma) * v + gamma / n for v in p]
+    return p, played, pure(n, sample_index(played, rng))
+
+
+def assert_bandit_step_is_generic(lrn):
+    clone = random.Random()
+    clone.setstate(lrn.rng.getstate())
+    p, played, strategy = generic_bandit_step(lrn, clone)
+    assert lrn.act() == strategy
+    assert lrn._p == p and lrn._played == played
+    assert lrn.rng.getstate() == clone.getstate()
+
+
+@pytest.mark.parametrize("params", [{}, {"eta": 0.05}, {"exploration": 0.1}])
+def test_bandit_two_action_step_matches_generic_step(fig1_g1, fig1_prior, params):
+    lrn = make("no_swap_regret_bandit", 2, fig1_prior, seed=7, **params)
+    script = random.Random(11)  # the opponent's scripted pure actions
+    for _ in range(5000):
+        assert_bandit_step_is_generic(lrn)
+        b = lrn._last_action
+        lrn.observe(FeedbackRecord(lrn._onehots[b], None, fig1_g1.u2[script.randrange(2)][b]))
+
+
+def test_full_two_action_step_matches_generic_step(fig1_prior):
+    lrn = make("no_swap_regret_full", 2, fig1_prior, seed=7)
+    script = random.Random(11)  # the opponent's scripted mixtures
+    for _ in range(5000):
+        p = stationary_distribution([lrn._softmax(lw) for lw in lrn._lw])
+        own = lrn.act()
+        assert own == tuple(p) and lrn._p == p
+        w = script.random()
+        lrn.observe(FeedbackRecord(own, (w, 1.0 - w), 0.0))
+
+
+@pytest.mark.parametrize(
+    "lw",
+    [
+        [[0.0, -1e4], [-1e4, 0.0]],  # q01 and q10 both underflow: s == 0
+        [[0.0, -1e4], [0.0, 0.0]],  # q01 alone underflows
+        [[-1e4, 0.0], [0.0, -1e4]],  # both rows at the far action
+    ],
+)
+def test_two_action_step_on_underflowed_weights(fig1_prior, lw):
+    lrn = make("no_swap_regret_bandit", 2, fig1_prior, seed=3)
+    lrn._lw = lw
+    assert_bandit_step_is_generic(lrn)
+    full = make("no_swap_regret_full", 2, fig1_prior)
+    full._lw = lw
+    assert full.act() == tuple(stationary_distribution([full._softmax(r) for r in lw]))
 
 
 def test_bandit_exp3_finds_best_arm(fig1_g1, fig1_prior):
@@ -322,6 +402,22 @@ def test_stationary_two_state_closed_form(q01, q10, hand):
     pi = stationary_distribution(q)
     assert pi == pytest.approx(hand, abs=1e-16)
     assert residual(pi, q) <= 1e-16
+
+
+UNIT_ENTRIES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1.0]),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e-300),
+)
+
+
+@settings(max_examples=1000)
+@given(UNIT_ENTRIES, UNIT_ENTRIES)
+def test_stationary_two_states_is_the_closed_form_bit_for_bit(q01, q10):
+    s = q01 + q10
+    closed = [q10 / s, q01 / s] if s else [0.0, 1.0]
+    pi = stationary_distribution([[1.0 - q01, q01], [q10, 1.0 - q10]])
+    assert [v.hex() for v in pi] == [v.hex() for v in closed]
 
 
 @settings(max_examples=300)
