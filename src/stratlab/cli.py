@@ -14,78 +14,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 
 from .audit import BELIEF_KINDS, audit_pne, belief_trace, revelation_analysis, verify_claims
 from .engine import ExperimentConfig, estimate, estimate_csps, write_csv
-from .errors import AssumptionViolatedError, InvalidArgumentError, check_type
-from .games import (
-    SignalModel,
-    load_game,
-    load_prior,
-    prior_from_dict,
-    prior_to_dict,
-)
-from .learners import LearnerSpec
+from .errors import AssumptionViolatedError, InvalidArgumentError
+from .games import load_game, load_prior
 from .solve import stackelberg_value, stackval_prior
-
-
-def config_from_dict(d: dict) -> ExperimentConfig:
-    unknown = sorted(set(d) - {f.name for f in fields(ExperimentConfig)})
-    if unknown:
-        raise InvalidArgumentError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
-
-    def typed(value, key, kind="integer"):
-        return check_type(value, f"config key {key!r}", kind)
-
-    try:
-        prior_spec = d["prior"]
-        prior = (
-            load_prior(prior_spec) if isinstance(prior_spec, str) else prior_from_dict(prior_spec)
-        )
-        sm = d["signal_model"]
-        if not isinstance(sm, dict):
-            raise InvalidArgumentError(f"config key 'signal_model' must be an object, got {sm!r}")
-        cps = d.get("checkpoints", ())
-        if not isinstance(cps, (list, tuple)):
-            raise InvalidArgumentError(f"config key 'checkpoints' must be a list, got {cps!r}")
-        cfg = ExperimentConfig(
-            prior=prior,
-            signal_model=SignalModel(
-                float(typed(sm["p1"], "signal_model.p1", "number")),
-                float(typed(sm["p2"], "signal_model.p2", "number")),
-            ),
-            spec1=LearnerSpec.from_dict(d["spec1"]),
-            spec2=LearnerSpec.from_dict(d["spec2"]),
-            horizon=typed(d["horizon"], "horizon"),
-            trials=typed(d.get("trials", 32), "trials"),
-            feedback_mode=d.get("feedback_mode", "full"),
-            pure_realization=typed(d.get("pure_realization", False), "pure_realization", "boolean"),
-            master_seed=typed(d.get("master_seed", 0), "master_seed"),
-            checkpoints=tuple(cps),
-            tail_window=typed(d.get("tail_window", 10_000), "tail_window"),
-            tail_threshold=float(typed(d.get("tail_threshold", 0.9), "tail_threshold", "number")),
-        )
-    except KeyError as e:
-        raise InvalidArgumentError(f"experiment config missing key {e}") from e
-    return cfg
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "prior": prior_to_dict(cfg.prior),
-        "signal_model": {"p1": cfg.signal_model.p1, "p2": cfg.signal_model.p2},
-        "spec1": cfg.spec1.to_dict(),
-        "spec2": cfg.spec2.to_dict(),
-        "horizon": cfg.horizon,
-        "trials": cfg.trials,
-        "feedback_mode": cfg.feedback_mode,
-        "pure_realization": cfg.pure_realization,
-        "master_seed": cfg.master_seed,
-        "checkpoints": list(cfg.checkpoints),
-        "tail_window": cfg.tail_window,
-        "tail_threshold": cfg.tail_threshold,
-    }
 
 
 def apply_override(raw: dict, assignment: str) -> None:
@@ -127,7 +61,7 @@ def load_config(path: str, args) -> ExperimentConfig:
     if args.horizon is not None:
         raw["horizon"] = args.horizon
         raw.pop("checkpoints", None)  # stale checkpoints may exceed the new horizon
-    return config_from_dict(raw)
+    return ExperimentConfig.from_dict(raw)
 
 
 def _sanitize(obj):
@@ -207,7 +141,7 @@ def cmd_simulate(args) -> int:
     write_csv(report, csv_path)
     csp = estimate_csps(cfg, summaries=report.summaries)
     summary = {
-        "config": config_to_dict(cfg),
+        "config": cfg.to_dict(),
         "estimate": report.to_dict(),
         "csp": csp.to_dict(cfg.prior),
         "csv": csv_path,

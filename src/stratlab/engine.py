@@ -13,7 +13,9 @@ from __future__ import annotations
 import csv
 import math
 import multiprocessing
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from operator import attrgetter
+from random import Random
 
 from .errors import InvalidArgumentError, check_type
 from .games import (
@@ -21,7 +23,10 @@ from .games import (
     FeedbackRecord,
     Prior,
     SignalModel,
+    load_prior,
     prior_draw,
+    prior_from_dict,
+    prior_to_dict,
     pure,
     sample_index,
     sample_signal,
@@ -62,8 +67,16 @@ def default_checkpoints(horizon: int) -> tuple[int, ...]:
     return tuple(cps)
 
 
+# The JSON kind (check_type) of each config field of a plain type.
+_JSON_KINDS = {"int": "integer", "float": "number", "bool": "boolean", "tuple[int, ...]": "list"}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, and the one home of its JSON format (from_dict,
+    to_dict): every field is checked here, whether the config is built in
+    code or read from JSON."""
+
     prior: Prior
     signal_model: SignalModel
     spec1: LearnerSpec
@@ -80,6 +93,10 @@ class ExperimentConfig:
     tail_threshold: float = 0.9
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type in _JSON_KINDS:
+                check_type(getattr(self, f.name), f"config key {f.name!r}", _JSON_KINDS[f.type])
+        object.__setattr__(self, "tail_threshold", float(self.tail_threshold))
         if self.horizon < 1:
             raise InvalidArgumentError("horizon must be >= 1")
         if self.trials < 1:
@@ -94,13 +111,16 @@ class ExperimentConfig:
             )
         if self.feedback_mode not in ("full", "bandit"):
             raise InvalidArgumentError(f"bad feedback_mode {self.feedback_mode!r}")
-        # The one place where a spec's legality is decided, mimics resolved.
-        for name, spec in (("spec1", self.spec1), ("spec2", self.spec2)):
+        # The one place where a spec's legality is decided, mimics resolved;
+        # a throwaway learner checks the kind's own params and role.
+        for player, spec in enumerate((self.spec1, self.spec2), 1):
+            name = f"spec{player}"
             cls, _, forced = canonical_spec(spec)
             if cls.requires_full_info and self.feedback_mode == "bandit":
                 raise InvalidArgumentError(f"{name} ({spec.kind}) requires full-information feedback")
             if forced is not None and not 0 <= forced < self.prior.support_size:
                 raise InvalidArgumentError(f"{name} forces signal {forced}, out of range")
+            learner_init(spec, player, self.prior, 0, Random(0))
         if not self.checkpoints:
             object.__setattr__(self, "checkpoints", default_checkpoints(self.horizon))
         else:
@@ -108,6 +128,41 @@ class ExperimentConfig:
             if cps[0] < 1 or cps[-1] > self.horizon:
                 raise InvalidArgumentError("checkpoints must lie in [1, horizon]")
             object.__setattr__(self, "checkpoints", cps)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> ExperimentConfig:
+        """The config of a JSON object shaped as to_dict writes it; `prior`
+        may also be a builtin reference or a prior file path."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise InvalidArgumentError(f"unknown config key(s) {', '.join(map(repr, unknown))}")
+        for f in fields(cls):
+            if f.default is MISSING and f.name not in d:
+                raise InvalidArgumentError(f"experiment config missing key {f.name!r}")
+        sm = d["signal_model"]
+        if not isinstance(sm, dict) or sorted(sm) != ["p1", "p2"]:
+            raise InvalidArgumentError(
+                f"config key 'signal_model' must be an object with keys 'p1' and 'p2', got {sm!r}"
+            )
+        prior = d["prior"]
+        return cls(**{
+            **d,
+            "prior": load_prior(prior) if isinstance(prior, str) else prior_from_dict(prior),
+            "signal_model": SignalModel(**sm),
+            "spec1": LearnerSpec.from_dict(d["spec1"]),
+            "spec2": LearnerSpec.from_dict(d["spec2"]),
+        })
+
+    def to_dict(self) -> dict:
+        """The JSON object of this config, with the prior written inline."""
+        return {
+            **{f.name: getattr(self, f.name) for f in fields(self)},
+            "prior": prior_to_dict(self.prior),
+            "signal_model": asdict(self.signal_model),
+            "spec1": self.spec1.to_dict(),
+            "spec2": self.spec2.to_dict(),
+            "checkpoints": list(self.checkpoints),
+        }
 
 
 @dataclass(frozen=True)
@@ -349,6 +404,15 @@ def _simulate(
     )
 
 
+# Every config field but those that trial_key reads in resolved form (specs,
+# signal model and seed) and trials, which no single trial reads: a field
+# added later enters the key by default.
+_KEYED_FIELDS = attrgetter(*(
+    f.name for f in fields(ExperimentConfig)
+    if f.name not in ("spec1", "spec2", "signal_model", "trials", "master_seed")
+))
+
+
 def trial_key(cfg: ExperimentConfig, trial_index: int, draw: tuple[int, int, int]) -> tuple:
     """What a trial's summary depends on besides its index and signals (see
     run_summaries); draw is the trial's environment_draw."""
@@ -362,8 +426,7 @@ def trial_key(cfg: ExperimentConfig, trial_index: int, draw: tuple[int, int, int
         players.append((cls, params, signal))
         seeded = seeded or cls.draws_randomness or cls.needs_side_signal
     seed = (cfg.master_seed, trial_index) if seeded else None
-    return (*players, cfg.prior, draw[0], cfg.horizon, cfg.checkpoints, cfg.tail_window,
-            cfg.tail_threshold, cfg.feedback_mode, cfg.pure_realization, seed)
+    return (*players, draw[0], *_KEYED_FIELDS(cfg), seed)
 
 
 def run_summaries(
@@ -379,8 +442,8 @@ def run_summaries(
     simulated, and each other one gets a copy, marked `reused`, with its own
     trial_index, s1 and s2. The key holds each player's canonical spec
     (mimics resolved) and effective signal (None for a class that never
-    reads it), the prior, the realized game, and the horizon, checkpoint,
-    tail and feedback fields; it holds the seed and the trial index only when
+    reads it), the realized game, and every other config field but trials
+    (_KEYED_FIELDS); it holds the seed and the trial index only when
     a learner draws from its random stream or takes side signals, or under
     pure_realization. The simulated jobs run in this process at threads == 1,
     otherwise through one fork-based worker pool. Results are identical for

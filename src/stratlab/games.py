@@ -167,9 +167,11 @@ class SignalModel:
     p2: float
 
     def __post_init__(self):
-        for p in (self.p1, self.p2):
+        for name in ("p1", "p2"):
+            p = float(check_type(getattr(self, name), f"config key 'signal_model.{name}'"))
             if not 0.0 <= p <= 1.0:
                 raise InvalidArgumentError(f"precision {p!r} outside [0,1]")
+            object.__setattr__(self, name, p)
 
 
 @dataclass(frozen=True)

@@ -28,27 +28,14 @@ from .games import (
 )
 from .solve import perturbed_commitment, stackelberg_value
 
-KINDS = (
-    "constant_action",
-    "multiplicative_weights",
-    "bandit_exp3",
-    "no_swap_regret_full",
-    "no_swap_regret_bandit",
-    "stackelberg_leader",
-    "best_responder",
-    "mimic_deviation",
-    "reveal_then_follow_leader",
-    "infer_then_commit_follower",
-    "external_signal_leader",
-)
-
 MIMIC_PARAMS = ("base", "signal")
 
 
 @dataclass(frozen=True)
 class LearnerSpec:
     """Declarative learner configuration; see KINDS for valid kinds. Params
-    must be named in the kind's param table (`param_defaults`)."""
+    must be named in the kind's param table (`param_defaults`). A mimic's
+    `base` is stored as a LearnerSpec, parsed here from a dict once."""
 
     kind: str
     params: dict = field(default_factory=dict)
@@ -69,15 +56,20 @@ class LearnerSpec:
             if not (mimic and name == "base"):
                 kind = "integer" if name in integer else "number"
                 check_type(value, f"param {name!r} of learner kind {self.kind!r}", kind)
-        if mimic and "base" in self.params:
+        if mimic:
+            missing = [name for name in MIMIC_PARAMS if name not in self.params]
+            if missing:
+                raise InvalidArgumentError(f"mimic_deviation missing param {missing[0]!r}")
             base = self.params["base"]
             if not isinstance(base, LearnerSpec):
                 base = LearnerSpec.from_dict(base)  # validates the base's params
+                object.__setattr__(self, "params", {**self.params, "base": base})
             if base.kind == "mimic_deviation":
                 raise InvalidArgumentError("mimic_deviation cannot wrap itself")
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind, "params": dict(self.params)}
+        params = {k: v.to_dict() if k == "base" else v for k, v in self.params.items()}
+        return {"kind": self.kind, "params": params}
 
     @staticmethod
     def from_dict(d: dict) -> "LearnerSpec":
@@ -95,6 +87,7 @@ class Learner:
     `param_defaults` is the kind's param table: every accepted param and its
     default (None where the param is required or the default is adaptive);
     the params named in `integer_params` must be ints, the others numbers.
+    An instance's `params` is that table filled in from its spec.
     A config with bandit feedback rejects classes with `requires_full_info`.
     `reads_signal` is False only for classes whose play never depends on
     their pre-play signal, and `draws_randomness` is True only for classes
@@ -108,21 +101,18 @@ class Learner:
     reads_signal = True
     draws_randomness = False
 
-    def __init__(self, spec: LearnerSpec, role: int, prior: Prior, signal: int, rng: Random):
+    def __init__(self, params: dict, role: int, prior: Prior, signal: int, rng: Random):
         if role not in (1, 2):
             raise InvalidArgumentError(f"role must be 1 or 2, got {role}")
         if not 0 <= signal < prior.support_size:
             raise InvalidArgumentError(f"signal index {signal} out of range")
-        self.spec = spec
+        self.params = params
         self.role = role
         self.prior = prior
         self.signal = signal
         self.rng = rng
         self.n_own = prior.n1 if role == 1 else prior.n2
         self.n_opp = prior.n2 if role == 1 else prior.n1
-
-    def _param(self, name: str):
-        return self.spec.params.get(name, self.param_defaults[name])
 
     def act(self) -> MixedStrategy:
         raise NotImplementedError
@@ -134,28 +124,11 @@ class Learner:
 def learner_init(
     spec: LearnerSpec, role: int, prior: Prior, signal: int, rng: Random
 ) -> Learner:
-    """Instantiate a learner's per-trial state.
-
-    mimic_deviation resolves here: it is exactly its base learner initialized
-    with the forced signal index.
-    """
-    if spec.kind == "mimic_deviation":
-        base, forced = _mimic_parts(spec)
-        return learner_init(base, role, prior, forced, rng)
-    cls = _CLASSES[spec.kind]
-    return cls(spec, role, prior, signal, rng)
-
-
-def _mimic_parts(spec: LearnerSpec) -> tuple[LearnerSpec, int]:
-    """A mimic_deviation's base spec and forced signal index."""
-    try:
-        base = spec.params["base"]
-        forced = spec.params["signal"]
-    except KeyError as e:
-        raise InvalidArgumentError(f"mimic_deviation missing param {e}") from e
-    if not isinstance(base, LearnerSpec):
-        base = LearnerSpec.from_dict(base)
-    return base, forced
+    """Instantiate a learner's per-trial state from its canonical spec: a
+    mimic_deviation is exactly its base learner initialized with the forced
+    signal index."""
+    cls, params, forced = canonical_spec(spec)
+    return cls(dict(params), role, prior, signal if forced is None else forced, rng)
 
 
 def payoffs_against(rows, opp) -> list[float]:
@@ -176,9 +149,9 @@ class ConstantAction(Learner):
     integer_params = ("action",)
     reads_signal = False
 
-    def __init__(self, spec, role, prior, signal, rng):
-        super().__init__(spec, role, prior, signal, rng)
-        action = self._param("action")
+    def __init__(self, params, role, prior, signal, rng):
+        super().__init__(params, role, prior, signal, rng)
+        action = self.params["action"]
         if action is None:
             raise InvalidArgumentError("constant_action requires param 'action'")
         self._strategy = pure(self.n_own, action)
@@ -193,12 +166,12 @@ class _HedgeCore(Learner):
 
     param_defaults = {"eta": None}
 
-    def __init__(self, spec, role, prior, signal, rng):
-        super().__init__(spec, role, prior, signal, rng)
+    def __init__(self, params, role, prior, signal, rng):
+        super().__init__(params, role, prior, signal, rng)
         lo, hi = prior.payoff_range(role)
         self._u_lo = lo
         self._u_scale = 1.0 / (hi - lo) if hi > lo else 1.0
-        eta = self._param("eta")
+        eta = self.params["eta"]
         if eta is not None and not eta > 0:
             raise InvalidArgumentError(f"eta must be positive, got {eta!r}")
         self._eta_fixed = eta
@@ -228,8 +201,8 @@ class MultiplicativeWeights(_HedgeCore):
 
     requires_full_info = True
 
-    def __init__(self, spec, role, prior, signal, rng):
-        super().__init__(spec, role, prior, signal, rng)
+    def __init__(self, params, role, prior, signal, rng):
+        super().__init__(params, role, prior, signal, rng)
         self._rows = prior.games[signal].own_payoffs(role)
         self._lw = [0.0] * self.n_own
 
@@ -254,9 +227,9 @@ class _BanditPlay(_HedgeCore):
     reads_signal = False
     draws_randomness = True
 
-    def __init__(self, spec, role, prior, signal, rng):
-        super().__init__(spec, role, prior, signal, rng)
-        explore = self._param("exploration")
+    def __init__(self, params, role, prior, signal, rng):
+        super().__init__(params, role, prior, signal, rng)
+        explore = self.params["exploration"]
         if explore is not None and not 0.0 <= explore <= 1.0:
             raise InvalidArgumentError(f"exploration must be in [0,1], got {explore!r}")
         self._explore_fixed = explore
@@ -287,8 +260,8 @@ class _BanditPlay(_HedgeCore):
 class BanditExp3(_BanditPlay):
     """EXP3: sampled one-hot play with importance-weighted reward estimates."""
 
-    def __init__(self, spec, role, prior, signal, rng):
-        super().__init__(spec, role, prior, signal, rng)
+    def __init__(self, params, role, prior, signal, rng):
+        super().__init__(params, role, prior, signal, rng)
         self._lw = [0.0] * self.n_own
 
     def act(self):
@@ -360,8 +333,8 @@ class _SwapRegretCore(_HedgeCore):
     distribution of the experts' recommendation matrix, solved exactly (see
     stationary_distribution)."""
 
-    def __init__(self, spec, role, prior, signal, rng):
-        super().__init__(spec, role, prior, signal, rng)
+    def __init__(self, params, role, prior, signal, rng):
+        super().__init__(params, role, prior, signal, rng)
         n = self.n_own
         self._lw = [[0.0] * n for _ in range(n)]
         self._p = [1.0 / n] * n
@@ -386,8 +359,8 @@ class _SwapRegretCore(_HedgeCore):
 class NoSwapRegretFull(_SwapRegretCore):
     requires_full_info = True
 
-    def __init__(self, spec, role, prior, signal, rng):
-        super().__init__(spec, role, prior, signal, rng)
+    def __init__(self, params, role, prior, signal, rng):
+        super().__init__(params, role, prior, signal, rng)
         self._rows = prior.games[signal].own_payoffs(role)
 
     def act(self):
@@ -441,13 +414,13 @@ class _EpochedCommitment(Learner):
     param_defaults = {"b": 0.25, "initial_epoch": 64}
     integer_params = ("initial_epoch",)
 
-    def __init__(self, spec, role, prior, signal, rng):
-        super().__init__(spec, role, prior, signal, rng)
-        b = self._param("b")
+    def __init__(self, params, role, prior, signal, rng):
+        super().__init__(params, role, prior, signal, rng)
+        b = self.params["b"]
         if not 0.0 < b < 1.0:
             raise InvalidArgumentError(f"delta exponent b must be in (0,1), got {b!r}")
         self._b = b
-        self.epoch_horizon = self._param("initial_epoch")
+        self.epoch_horizon = self.params["initial_epoch"]
         if self.epoch_horizon < 1:
             raise InvalidArgumentError("initial_epoch must be >= 1")
         self._cache: dict[tuple[int, int], MixedStrategy] = {}
@@ -485,9 +458,9 @@ class ExternalSignalLeader(_EpochedCommitment):
     param_defaults = {**_EpochedCommitment.param_defaults, "accuracy_decay": 1.0}
     needs_side_signal = True
 
-    def __init__(self, spec, role, prior, signal, rng):
-        super().__init__(spec, role, prior, signal, rng)
-        decay = self._param("accuracy_decay")
+    def __init__(self, params, role, prior, signal, rng):
+        super().__init__(params, role, prior, signal, rng)
+        decay = self.params["accuracy_decay"]
         if not decay > 0:
             raise InvalidArgumentError(f"accuracy_decay must be positive, got {decay!r}")
         self._decay = decay
@@ -509,8 +482,8 @@ class BestResponder(Learner):
 
     requires_full_info = True
 
-    def __init__(self, spec, role, prior, signal, rng):
-        super().__init__(spec, role, prior, signal, rng)
+    def __init__(self, params, role, prior, signal, rng):
+        super().__init__(params, role, prior, signal, rng)
         self._rows = prior.games[signal].own_payoffs(role)
         self._last_opp: MixedStrategy | None = None
         self._cached_reply: MixedStrategy | None = None
@@ -540,10 +513,10 @@ class RevealThenFollowLeader(BestResponder):
     """Scripted benchmark leader for player 1: round 1 plays the game-indexed
     pure action (signal index mod n1), then best-responds like BestResponder."""
 
-    def __init__(self, spec, role, prior, signal, rng):
+    def __init__(self, params, role, prior, signal, rng):
         if role != 1:
             raise InvalidArgumentError("reveal_then_follow_leader is a player-1 algorithm")
-        super().__init__(spec, role, prior, signal, rng)
+        super().__init__(params, role, prior, signal, rng)
 
     def _round_one(self):
         return pure(self.n_own, self.signal % self.n_own)
@@ -557,10 +530,10 @@ class InferThenCommitFollower(Learner):
     requires_full_info = True
     reads_signal = False
 
-    def __init__(self, spec, role, prior, signal, rng):
+    def __init__(self, params, role, prior, signal, rng):
         if role != 2:
             raise InvalidArgumentError("infer_then_commit_follower is a player-2 algorithm")
-        super().__init__(spec, role, prior, signal, rng)
+        super().__init__(params, role, prior, signal, rng)
         self._commitment: MixedStrategy | None = None
 
     def act(self):
@@ -589,6 +562,7 @@ _CLASSES = {
     "infer_then_commit_follower": InferThenCommitFollower,
     "external_signal_leader": ExternalSignalLeader,
 }
+KINDS = (*_CLASSES, "mimic_deviation")
 
 
 def canonical_spec(spec: LearnerSpec) -> tuple[type, tuple, int | None]:
@@ -601,7 +575,7 @@ def canonical_spec(spec: LearnerSpec) -> tuple[type, tuple, int | None]:
     """
     forced = None
     if spec.kind == "mimic_deviation":
-        spec, forced = _mimic_parts(spec)
+        spec, forced = spec.params["base"], spec.params["signal"]
     cls = _CLASSES[spec.kind]
     return cls, tuple(sorted({**cls.param_defaults, **spec.params}.items())), forced
 
@@ -615,7 +589,6 @@ def canonical_spec(spec: LearnerSpec) -> tuple[type, tuple, int | None]:
 class RegretReport:
     external_regret: float
     swap_regret: float
-    swap_targets: tuple[int, ...]  # per own action, the best replacement
 
 
 def regrets_from_mass(
@@ -646,14 +619,12 @@ def regrets_from_mass(
     external = max(payoffs_against(u, opp_marginal)) - actual
 
     swap_total = 0.0
-    targets = []
     for a in range(own_n):
         values = payoffs_against(u, cond[a])
         current = values[a]
-        best_v, best_a = current, a
-        for a2, v in enumerate(values):
+        best_v = current
+        for v in values:
             if v > best_v + 1e-15:
-                best_v, best_a = v, a2
+                best_v = v
         swap_total += best_v - current
-        targets.append(best_a)
-    return RegretReport(external, swap_total, tuple(targets))
+    return RegretReport(external, swap_total)

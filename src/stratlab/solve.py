@@ -17,8 +17,6 @@ from .errors import AssumptionViolatedError, InvalidArgumentError
 from .games import GameMatrix, MixedStrategy, Prior
 from .lp import OPTIMAL, lp_solve
 
-DEFAULT_TIE_TOL = 1e-7
-
 
 @dataclass(frozen=True)
 class StackelbergSolution:

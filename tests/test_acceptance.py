@@ -16,8 +16,7 @@ import pytest
 from conftest import THREADS
 from grid_oracle import grid_stackelberg, random_leader_follower_game
 from stratlab.audit import audit_pne, belief_trace, revelation_analysis, verify_claims
-from stratlab.cli import config_from_dict
-from stratlab.engine import estimate
+from stratlab.engine import ExperimentConfig, estimate
 from stratlab.games import game_matrix
 from stratlab.solve import stackelberg_value, stackval_prior
 
@@ -27,7 +26,7 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 def load_cfg(name, **overrides):
     raw = json.loads((CONFIG_DIR / name).read_text())
     raw.update(overrides)
-    return config_from_dict(raw)
+    return ExperimentConfig.from_dict(raw)
 
 
 def check(name, ok, detail):

@@ -16,7 +16,6 @@ from stratlab.audit import (
     revelation_analysis,
     verify_claims,
 )
-from stratlab.cli import config_from_dict
 from stratlab.engine import (
     ExperimentConfig,
     environment_draw,
@@ -178,7 +177,7 @@ def shipped_cfg(name, horizon, trials, **fields):
     raw = json.loads((CONFIG_DIR / name).read_text())
     raw.update(horizon=horizon, trials=trials, **fields)
     raw.pop("checkpoints", None)
-    return config_from_dict(raw)
+    return ExperimentConfig.from_dict(raw)
 
 
 def simulate_each(cfg):

@@ -1,4 +1,8 @@
+import json
 import math
+import re
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +18,11 @@ from stratlab.engine import (
     estimate,
     estimate_csps,
     run_summaries,
+    trial_key,
     with_spec,
     write_csv,
 )
+from stratlab.cli import main
 from stratlab.errors import InvalidArgumentError
 from stratlab.games import SignalModel, builtin_prior, prior_from_games
 from stratlab.learners import LearnerSpec
@@ -52,6 +58,122 @@ def test_config_validation(fig1_prior):
         constant_pair_cfg(fig1_prior, feedback_mode="partial")
     with pytest.raises(InvalidArgumentError, match="checkpoint must be an integer"):
         constant_pair_cfg(fig1_prior, checkpoints=(2.7, 10))
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def shipped_configs():
+    """(name, JSON object) of every config in configs/ and of the README's
+    example config."""
+    out = [(path.stem, json.loads(path.read_text())) for path in sorted(ROOT.glob("configs/*.json"))]
+    readme = (ROOT / "README.md").read_text()
+    example = re.search(r"## Experiment configuration\s+```json\n(.*?)```", readme, re.S)
+    return out + [("README", json.loads(example.group(1)))]
+
+
+SHIPPED = shipped_configs()
+
+
+@pytest.mark.parametrize("raw", [raw for _, raw in SHIPPED], ids=[name for name, _ in SHIPPED])
+def test_config_json_round_trip(raw):
+    cfg = ExperimentConfig.from_dict(raw)
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    assert ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+
+def test_mimic_config_json_round_trip(fig1_prior):
+    # A mimic's base is parsed into a LearnerSpec once, and written back as
+    # a JSON object.
+    mimic = LearnerSpec("mimic_deviation", {"base": LearnerSpec("best_responder"), "signal": 1})
+    cfg = ExperimentConfig(
+        fig1_prior, SignalModel(1.0, 0.5), mimic, LearnerSpec("no_swap_regret_bandit"), horizon=10
+    )
+    d = json.loads(json.dumps(cfg.to_dict()))
+    assert d["spec1"]["params"]["base"] == {"kind": "best_responder", "params": {}}
+    assert ExperimentConfig.from_dict(d) == cfg
+    parsed = LearnerSpec("mimic_deviation", {"base": {"kind": "best_responder"}, "signal": 1})
+    assert parsed == mimic and isinstance(parsed.params["base"], LearnerSpec)
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("horizon", True),
+        ("horizon", 2.5),
+        ("trials", 2.5),
+        ("master_seed", 1.0),
+        ("tail_window", None),
+        ("pure_realization", 0),
+        ("tail_threshold", "0.9"),
+    ],
+)
+def test_config_field_types_are_checked_in_code(fig1_prior, name, value):
+    # A config built in code checks the same types as one read from JSON.
+    with pytest.raises(InvalidArgumentError, match=f"config key '{name}' must be "):
+        replace(constant_pair_cfg(fig1_prior), **{name: value})
+
+
+def test_signal_model_checks_its_types():
+    with pytest.raises(InvalidArgumentError, match="config key 'signal_model.p2' must be "):
+        SignalModel(1.0, True)
+    assert SignalModel(1, 0) == SignalModel(1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "spec1, spec2",
+    [
+        (LearnerSpec("constant_action", {"action": 0}), LearnerSpec("no_swap_regret_bandit", {"eta": -1})),
+        (LearnerSpec("constant_action", {"action": 7}), LearnerSpec("constant_action", {"action": 0})),
+        (LearnerSpec("constant_action"), LearnerSpec("constant_action", {"action": 0})),
+        (LearnerSpec("constant_action", {"action": 0}), LearnerSpec("reveal_then_follow_leader")),
+    ],
+)
+def test_config_checks_each_learners_own_params(monkeypatch, fig1_prior, spec1, spec2):
+    # A learner's own checks (param ranges, required params, role) run when
+    # the config is built, never first in a trial that may run in a worker.
+    with pytest.raises(InvalidArgumentError):
+        ExperimentConfig(fig1_prior, SignalModel(1.0, 0.0), spec1, spec2, horizon=4, trials=1)
+    # So an audit of such a config stops before it simulates any trial.
+    def no_trial(*args):
+        raise AssertionError("a trial was simulated")
+
+    monkeypatch.setattr(engine, "_simulate", no_trial)
+    overrides = []
+    for player, spec in ((1, spec1), (2, spec2)):
+        overrides += ["--set", f"spec{player}=" + json.dumps(spec.to_dict())]
+    code = main(["audit", "--config", str(ROOT / "configs" / "example41_learn.json"),
+                 "--trials", "2", "--horizon", "4", *overrides])
+    assert code == 1
+
+
+def test_trial_key_covers_every_config_field(fig1_prior):
+    # Every field but the specs, the signal model, the seed and trials enters
+    # the key as it is, so a field added later keys the trials by default;
+    # specs enter resolved, the signal model through the draw, and the seed
+    # when a learner draws from its stream (the bandit here).
+    cfg = ExperimentConfig(
+        fig1_prior, SignalModel(1.0, 0.0), LearnerSpec("stackelberg_leader"),
+        LearnerSpec("no_swap_regret_bandit"), horizon=64, trials=2, checkpoints=(8, 16),
+    )
+    changed = {
+        "prior": builtin_prior("fig1:gamma=0.5"),
+        "spec1": LearnerSpec("stackelberg_leader", {"b": 0.5}),
+        "spec2": LearnerSpec("bandit_exp3"),
+        "horizon": 32,
+        "feedback_mode": "bandit",
+        "pure_realization": True,
+        "master_seed": 1,
+        "checkpoints": (8, 64),
+        "tail_window": 16,
+        "tail_threshold": 0.95,
+    }
+    assert {*changed, "signal_model", "trials"} == {f.name for f in fields(ExperimentConfig)}
+    draw = environment_draw(cfg, 0)
+    key = trial_key(cfg, 0, draw)
+    for name, value in changed.items():
+        assert trial_key(replace(cfg, **{name: value}), 0, draw) != key, name
+    assert trial_key(replace(cfg, trials=5), 0, draw) == key
 
 
 def test_constant_pair_trajectory(fig1_prior):

@@ -468,7 +468,6 @@ def test_external_regret_hand_example(fig1_g1):
 def test_swap_regret_hand_example(fig1_g1):
     rep = regrets_from_mass(TWO_ROUND_MASS, fig1_g1, 2)
     assert rep.swap_regret == pytest.approx(33.0)
-    assert rep.swap_targets == (0, 0)  # keep C, remap D -> C
 
 
 def test_best_responding_player_has_zero_regret(fig1_g1):
