@@ -11,15 +11,23 @@ timings divided by trials x horizon. The process-wide perturbed-commitment
 memo, where the checkout has one, is emptied before every timing, so each
 timing solves the same LPs as a fresh process.
 
-The code measured is the one under --src (default: this checkout), so two
-checkouts can be compared from one copy of this script; run them in turns,
-since the host's speed drifts.
+The code measured is the one under --src (default: this checkout). With
+--against PATH (another checkout, or its src/ directory) that checkout's
+stratlab is imported too, as the package `stratlab_against`, and every pair is
+timed --repeats times on each side, the side that runs first alternating from
+one pair of timings to the next, so both sides see the same drift of the
+host's speed. A row then reports each side's median, the ratio of the medians
+(this side over the other) and the number of timing pairs this side won.
 
 Example:
-    python3 scripts/round_cost.py --src ../parent/src --horizon 4000 --repeats 5
+    python3 scripts/round_cost.py --horizon 4000 --repeats 5
+    python3 scripts/round_cost.py --against ../parent --horizon 5000 --repeats 9
 """
 
 import argparse
+import importlib
+import importlib.util
+import statistics
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -27,7 +35,7 @@ from time import perf_counter
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def pairs(cli, audit, engine, learners, horizon: int, trials: int):
+def pairs(audit, cli, engine, learners, horizon: int, trials: int):
     """(config name, pair name, config) of every pair timed, in a fixed order."""
     sizes = argparse.Namespace(set=None, seed=None, trials=trials, horizon=horizon)
     for path in sorted((ROOT / "configs").glob("*.json")):
@@ -40,32 +48,68 @@ def pairs(cli, audit, engine, learners, horizon: int, trials: int):
                 yield path.stem, name, engine.with_spec(cfg, 1, spec)
 
 
+def load(src: Path, name: str) -> list:
+    """[audit, cli, engine, learners] of the stratlab package under src/,
+    imported as the package `name` (its modules import each other relatively)."""
+    init = src / "stratlab" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    return [importlib.import_module(f"{name}.{m}") for m in ("audit", "cli", "engine", "learners")]
+
+
+def timing(engine, learners, cfg, trials: int) -> float:
+    """Seconds to simulate trials 0..trials-1 of cfg, with the process-wide
+    perturbed-commitment memo (where the checkout has one) emptied first."""
+    getattr(learners, "_COMMITMENTS", {}).clear()
+    t0 = perf_counter()
+    for k in range(trials):
+        engine._simulate(cfg, k)
+    return perf_counter() - t0
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
                     help="the src/ directory whose stratlab is timed")
+    ap.add_argument("--against", type=Path, default=None,
+                    help="another checkout (or its src/) to time in turns with --src")
     ap.add_argument("--horizon", type=int, default=4000)
     ap.add_argument("--trials", type=int, default=2)
     ap.add_argument("--repeats", type=int, default=5)
     args = ap.parse_args(argv)
     if min(args.horizon, args.trials, args.repeats) < 1:
         ap.error("--horizon, --trials and --repeats must be >= 1")
-    sys.path.insert(0, str(args.src.resolve()))
-    from stratlab import audit, cli, engine, learners
-
-    memo = getattr(learners, "_COMMITMENTS", {})
-    print(f"# {args.src.resolve()}: min of {args.repeats} timings, "
-          f"{args.trials} trial(s) x {args.horizon} rounds")
-    print(f"{'config':<26} {'pair':<20} {'us/round':>9}")
-    for config, name, cfg in pairs(cli, audit, engine, learners, args.horizon, args.trials):
-        best = float("inf")
-        for _ in range(args.repeats):
-            memo.clear()
-            t0 = perf_counter()
-            for k in range(args.trials):
-                engine._simulate(cfg, k)
-            best = min(best, perf_counter() - t0)
-        print(f"{config:<26} {name:<20} {best / (args.trials * args.horizon) * 1e6:9.2f}")
+    sides = [args.src.resolve()]
+    if args.against is not None:
+        other = args.against.resolve()
+        sides.append(other / "src" if (other / "src" / "stratlab").is_dir() else other)
+    modules = [load(src, name) for src, name in zip(sides, ("stratlab", "stratlab_against"))]
+    tables = [{(c, n): cfg for c, n, cfg in pairs(*m, args.horizon, args.trials)} for m in modules]
+    us = 1e6 / (args.trials * args.horizon)
+    size = f"{args.trials} trial(s) x {args.horizon} rounds"
+    if args.against is None:
+        _, _, engine, learners = modules[0]
+        print(f"# {sides[0]}: min of {args.repeats} timings, {size}")
+        print(f"{'config':<26} {'pair':<20} {'us/round':>9}")
+        for (config, name), cfg in tables[0].items():
+            best = min(timing(engine, learners, cfg, args.trials) for _ in range(args.repeats))
+            print(f"{config:<26} {name:<20} {best * us:9.2f}")
+        return 0
+    print(f"# this: {sides[0]}\n# against: {sides[1]}\n"
+          f"# medians of {args.repeats} paired timings, {size}")
+    print(f"{'config':<26} {'pair':<20} {'this us':>9} {'against':>9} {'ratio':>6} {'wins':>7}")
+    for key in [k for k in tables[0] if k in tables[1]]:
+        times: tuple[list, list] = ([], [])
+        for r in range(args.repeats):
+            for side in ((0, 1) if r % 2 == 0 else (1, 0)):
+                _, _, engine, learners = modules[side]
+                times[side].append(timing(engine, learners, tables[side][key], args.trials))
+        this, against = (statistics.median(t) * us for t in times)
+        wins = sum(a < b for a, b in zip(*times))
+        print(f"{key[0]:<26} {key[1]:<20} {this:9.2f} {against:9.2f} {this / against:6.3f} "
+              f"{f'{wins}/{args.repeats}':>7}")
     return 0
 
 

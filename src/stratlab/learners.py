@@ -50,12 +50,14 @@ class LearnerSpec:
             raise InvalidArgumentError(
                 f"unknown param(s) {', '.join(map(repr, unknown))} for learner kind {self.kind!r}"
             )
-        # Params are numbers; a mimic's only number is its forced signal index.
+        # Params are finite numbers; a mimic's only number is its forced signal index.
         integer = ("signal",) if mimic else _CLASSES[self.kind].integer_params
         for name, value in self.params.items():
             if not (mimic and name == "base"):
-                kind = "integer" if name in integer else "number"
-                check_type(value, f"param {name!r} of learner kind {self.kind!r}", kind)
+                what = f"param {name!r} of learner kind {self.kind!r}"
+                check_type(value, what, "integer" if name in integer else "number")
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise InvalidArgumentError(f"{what} must be finite, got {value!r}")
         if mimic:
             missing = [name for name in MIMIC_PARAMS if name not in self.params]
             if missing:
@@ -161,8 +163,9 @@ class ConstantAction(Learner):
 
 
 class _HedgeCore(Learner):
-    """Shared machinery: log-weights, softmax, payoff normalization, and the
-    round counter t that each observe advances last."""
+    """Shared machinery: log-weights, softmax, payoff normalization, the
+    full-information rewards (from the _rows a subclass sets), and the round
+    counter t that each observe advances last."""
 
     param_defaults = {"eta": None}
 
@@ -176,15 +179,19 @@ class _HedgeCore(Learner):
             raise InvalidArgumentError(f"eta must be positive, got {eta!r}")
         self._eta_fixed = eta
         self._log_n = math.log(self.n_own) if self.n_own > 1 else 0.0
+        self._opp = None  # the opponent strategy that _reward_vec was computed against
         self.t = 1
 
     def _normalize(self, u: float) -> float:
         return (u - self._u_lo) * self._u_scale
 
-    def _eta(self) -> float:
-        if self._eta_fixed is not None:
-            return self._eta_fixed
-        return math.sqrt(self._log_n / self.t)
+    def _rewards(self, opp: MixedStrategy) -> list[float]:
+        """Normalized own payoff of each action against opp, recomputed only
+        when opp differs (!=) from the last strategy seen."""
+        if opp != self._opp:
+            self._opp = opp
+            self._reward_vec = [self._normalize(r) for r in payoffs_against(self._rows, opp)]
+        return self._reward_vec
 
     @staticmethod
     def _softmax(lw: Sequence[float]) -> list[float]:
@@ -210,10 +217,10 @@ class MultiplicativeWeights(_HedgeCore):
         return tuple(self._softmax(self._lw))
 
     def observe(self, fb):
-        eta = self._eta()
+        eta = self._eta_fixed if self._eta_fixed is not None else math.sqrt(self._log_n / self.t)
         lw = self._lw
-        for a, r in enumerate(payoffs_against(self._rows, fb.opponent_strategy)):
-            lw[a] += eta * self._normalize(r)
+        for a, r in enumerate(self._rewards(fb.opponent_strategy)):
+            lw[a] += eta * r
         self.t += 1
 
 
@@ -289,10 +296,15 @@ def stationary_distribution(q: Sequence[Sequence[float]]) -> list[float]:
     by back-substitution from pi_k = 1. At n = 2 this is the closed form
     (q10, q01) / (q01 + q10), and (0, 1) when q10 == 0.
     """
-    n = len(q)
+    return _gth([list(row) for row in q])
+
+
+def _gth(a: list[list[float]]) -> list[float]:
+    """stationary_distribution of the row-stochastic matrix a, whose rows it
+    overwrites."""
+    n = len(a)
     if n == 1:
         return [1.0]
-    a = [list(row) for row in q]
     exits = [0.0] * n  # s_k
     first = 0  # the states below it get no stationary mass
     for k in range(n - 1, 0, -1):
@@ -340,11 +352,17 @@ class _SwapRegretCore(_HedgeCore):
         self._p = [1.0 / n] * n
 
     def _stationary(self) -> list[float]:
-        """stationary_distribution of the softmax rows of the log-weights. At
-        two actions only the entries it reads, q01 of row 0 and q10 of row 1,
-        are computed as _softmax does, then its closed form: the same floats."""
+        """stationary_distribution of the softmax rows of the log-weights, each
+        computed as _softmax does: new rows that _gth eliminates in place, or at
+        two actions only the entries read (q01, q10) and the closed form."""
         if self.n_own != 2:
-            return stationary_distribution([self._softmax(lw) for lw in self._lw])
+            rows = []
+            for lw in self._lw:
+                m = max(lw)
+                es = [math.exp(v - m) for v in lw]
+                s = sum(es)
+                rows.append([e / s for e in es])
+            return _gth(rows)
         (a0, a1), (b0, b1) = self._lw
         m = a0 if a0 >= a1 else a1
         e0, e1 = math.exp(a0 - m), math.exp(a1 - m)
@@ -368,8 +386,8 @@ class NoSwapRegretFull(_SwapRegretCore):
         return tuple(self._p)
 
     def observe(self, fb):
-        rewards = [self._normalize(r) for r in payoffs_against(self._rows, fb.opponent_strategy)]
-        eta = self._eta()
+        rewards = self._rewards(fb.opponent_strategy)
+        eta = self._eta_fixed if self._eta_fixed is not None else math.sqrt(self._log_n / self.t)
         p = self._p
         lw = self._lw
         for e in range(self.n_own):
