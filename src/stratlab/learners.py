@@ -168,6 +168,7 @@ class _HedgeCore(Learner):
     counter t that each observe advances last."""
 
     param_defaults = {"eta": None}
+    _opp = None  # the opponent strategy that _reward_vec was computed against
 
     def __init__(self, params, role, prior, signal, rng):
         super().__init__(params, role, prior, signal, rng)
@@ -179,7 +180,6 @@ class _HedgeCore(Learner):
             raise InvalidArgumentError(f"eta must be positive, got {eta!r}")
         self._eta_fixed = eta
         self._log_n = math.log(self.n_own) if self.n_own > 1 else 0.0
-        self._opp = None  # the opponent strategy that _reward_vec was computed against
         self.t = 1
 
     def _normalize(self, u: float) -> float:
