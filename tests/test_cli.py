@@ -202,6 +202,9 @@ def test_unknown_learner_param_is_error(capsys, tiny_config):
         (["spec2.kind=no_swap_regret_bandit", "spec2.params.eta=true"], "'eta'"),
         (mimic + ['spec1.params.signal="x"'], "'signal'"),
         (mimic + ["spec1.params.signal=1.7"], "'signal'"),
+        # json.loads reads Infinity and NaN as floats.
+        (["spec2.kind=no_swap_regret_bandit", "spec2.params.eta=Infinity"], "'eta' of"),
+        (["spec1.kind=stackelberg_leader", "spec1.params.b=NaN"], "'b' of"),
     ):
         argv = ["simulate", "--config", tiny_config, "--trials", "1", "--horizon", "5"]
         for assignment in overrides:

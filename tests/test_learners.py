@@ -81,7 +81,7 @@ def test_params_checked_against_kind_table():
     mimic = LearnerSpec("mimic_deviation", {"base": ok, "signal": 0})
     with pytest.raises(InvalidArgumentError, match="wrap itself"):
         LearnerSpec("mimic_deviation", {"base": mimic, "signal": 1})
-    # Params are numbers (never bools); a mimic's signal, a constant action
+    # Params are finite numbers (never bools); a mimic's signal, a constant action
     # and an initial epoch are integers.
     for kind, params, name in (
         ("stackelberg_leader", {"b": "x"}, "'b'"),
@@ -93,6 +93,9 @@ def test_params_checked_against_kind_table():
         ("mimic_deviation", {"base": ok, "signal": "x"}, "'signal'"),
         ("mimic_deviation", {"base": ok, "signal": 1.7}, "'signal'"),
         ("mimic_deviation", {"base": ok, "signal": False}, "'signal'"),
+        ("multiplicative_weights", {"eta": math.inf}, "'eta'.* finite"),
+        ("stackelberg_leader", {"b": -math.inf}, "'b'.* finite"),
+        ("no_swap_regret_full", {"eta": math.nan}, "'eta'.* finite"),
     ):
         with pytest.raises(InvalidArgumentError, match=name):
             LearnerSpec(kind, params)
@@ -336,6 +339,83 @@ def test_two_action_step_on_underflowed_weights(fig1_prior, lw):
     full = make("no_swap_regret_full", 2, fig1_prior)
     full._lw = lw
     assert full.act() == tuple(stationary_distribution([full._softmax(r) for r in lw]))
+
+
+LOG_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -750.0, -1e4]),  # exp(-750) underflows to exactly 0
+    st.floats(-1e4, 0.0),
+    st.floats(-5.0, 5.0),
+)
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_step_above_two_actions_is_the_generic_solve_bit_for_bit(data):
+    n = data.draw(st.sampled_from([3, 4, 5]))
+    lws = [data.draw(st.lists(LOG_WEIGHTS, min_size=n, max_size=n)) for _ in range(n)]
+    lrn = make("no_swap_regret_full", 1, prior_from_games([cyclic_zero_sum(n)]))
+    lrn._lw = lws
+    q = [lrn._softmax(lw) for lw in lws]
+    before = [list(row) for row in q]
+    expected = [v.hex() for v in stationary_distribution(q)]
+    assert q == before  # the public solve leaves its input alone
+    assert [v.hex() for v in stationary_distribution(tuple(map(tuple, q)))] == expected
+    assert [v.hex() for v in lrn._stationary()] == expected
+
+
+def hexes(lw):
+    """float.hex of every log-weight, whether one list or a list of rows."""
+    return [v.hex() for v in (sum(lw, []) if isinstance(lw[0], list) else lw)]
+
+
+@pytest.mark.parametrize("kind", ["no_swap_regret_full", "multiplicative_weights"])
+@pytest.mark.parametrize("role", [1, 2])
+@pytest.mark.parametrize("params", [{}, {"eta": 0.1}])
+def test_rewards_are_recomputed_only_when_the_opponent_changes(monkeypatch, kind, role, params):
+    rng = random.Random(5)
+    g = game_matrix(
+        "rnd",
+        [[rng.uniform(-5, 5) for _ in range(3)] for _ in range(4)],
+        [[rng.uniform(-5, 5) for _ in range(3)] for _ in range(4)],
+    )
+    lrn = make(kind, role, prior_from_games([g]), **params)
+    rows = g.own_payoffs(role)
+    n = lrn.n_opp
+    pool = [pure(n, 1), (1.0 / n,) * n, (0.5, 0.5, 0.0, 0.0)[:n]]
+    pool.append(tuple(-0.0 if v == 0 else v for v in pool[0]))  # == pool[0], other bits
+    computed = []
+    original = learners.payoffs_against
+
+    def counting(rows, opp):
+        computed.append(opp)
+        return original(rows, opp)
+
+    monkeypatch.setattr(learners, "payoffs_against", counting)
+    ref = [list(lw) if isinstance(lw, list) else lw for lw in lrn._lw]
+    script = random.Random(11)  # repeats, equal but distinct tuples, and changes
+    last = None
+    for t in range(1, 301):
+        own = lrn.act()
+        opp = pool[script.randrange(len(pool))]
+        if script.random() < 0.5:
+            opp = tuple(list(opp))
+        calls = len(computed) + (opp != last)
+        last = opp
+        # The reference update calls payoffs_against every round.
+        eta = params.get("eta") or math.sqrt(math.log(lrn.n_own) / t)
+        rewards = [lrn._normalize(r) for r in original(rows, opp)]
+        if kind == "multiplicative_weights":
+            for a, r in enumerate(rewards):
+                ref[a] += eta * r
+        else:
+            for e, pe in enumerate(lrn._p):
+                scale = eta * pe
+                if scale:
+                    for b, r in enumerate(rewards):
+                        ref[e][b] += scale * r
+        lrn.observe(FeedbackRecord(own, opp, 0.0))
+        assert len(computed) == calls
+        assert hexes(lrn._lw) == hexes(ref)
 
 
 def test_bandit_exp3_finds_best_arm(fig1_g1, fig1_prior):

@@ -26,3 +26,19 @@ def test_study_script_exits_zero(argv):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_round_cost_against_another_checkout():
+    # This checkout against itself, imported a second time under another name.
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "round_cost.py"), "--against", str(SCRIPTS.parent),
+         "--horizon", "20", "--trials", "1", "--repeats", "2"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines() if line.startswith("swap_decay")]
+    assert len(rows) == 1 and len(rows[0]) == 6 and rows[0][5].endswith("/2")
+    this, against, ratio = map(float, rows[0][2:5])
+    assert this > 0 and against > 0 and ratio == pytest.approx(this / against, rel=1e-2)
