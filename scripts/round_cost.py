@@ -9,7 +9,9 @@ pair runs its first --trials trials through the engine's trial function at
 --horizon rounds, in this process; a row reports the fastest of --repeats
 timings divided by trials x horizon. The process-wide perturbed-commitment
 memo, where the checkout has one, is emptied before every timing, so each
-timing solves the same LPs as a fresh process.
+timing solves the same LPs as a fresh process. The `repeat` column is the
+share of those trial-rounds whose two strategies are the objects played the
+round before (rounds the engine can replay), from a separate untimed pass.
 
 The code measured is the one under --src (default: this checkout). With
 --against PATH (another checkout, or its src/ directory) that checkout's
@@ -17,7 +19,8 @@ stratlab is imported too, as the package `stratlab_against`, and every pair is
 timed --repeats times on each side, the side that runs first alternating from
 one pair of timings to the next, so both sides see the same drift of the
 host's speed. A row then reports each side's median, the ratio of the medians
-(this side over the other) and the number of timing pairs this side won.
+(this side over the other), the number of timing pairs this side won and
+this side's repeat share.
 
 Example:
     python3 scripts/round_cost.py --horizon 4000 --repeats 5
@@ -69,6 +72,37 @@ def timing(engine, learners, cfg, trials: int) -> float:
     return perf_counter() - t0
 
 
+def repeat_share(engine, cfg, trials: int) -> float:
+    """Share of the trial-rounds of trials 0..trials-1 of cfg whose two
+    strategies are the objects of the trial's round before, read from the
+    feedback records in an untimed pass that wraps each learner's observe."""
+    init = engine.learner_init
+    played: list = []  # per learner made, its own strategy of every round
+
+    def spying_init(*args):
+        learner = init(*args)
+        observe, seen = learner.observe, []
+        played.append(seen)
+
+        def spied(fb):
+            seen.append(fb.own_strategy)
+            observe(fb)
+
+        learner.observe = spied
+        return learner
+
+    engine.learner_init = spying_init
+    try:
+        for k in range(trials):
+            engine._simulate(cfg, k)
+    finally:
+        engine.learner_init = init
+    repeats = sum(x0 is x1 and y0 is y1
+                  for xs, ys in zip(played[0::2], played[1::2])
+                  for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
+    return repeats / sum(map(len, played[0::2]))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
@@ -92,14 +126,16 @@ def main(argv=None) -> int:
     if args.against is None:
         _, _, engine, learners = modules[0]
         print(f"# {sides[0]}: min of {args.repeats} timings, {size}")
-        print(f"{'config':<26} {'pair':<20} {'us/round':>9}")
+        print(f"{'config':<26} {'pair':<20} {'us/round':>9} {'repeat':>7}")
         for (config, name), cfg in tables[0].items():
             best = min(timing(engine, learners, cfg, args.trials) for _ in range(args.repeats))
-            print(f"{config:<26} {name:<20} {best * us:9.2f}")
+            repeat = repeat_share(engine, cfg, args.trials)
+            print(f"{config:<26} {name:<20} {best * us:9.2f} {repeat:7.1%}")
         return 0
     print(f"# this: {sides[0]}\n# against: {sides[1]}\n"
           f"# medians of {args.repeats} paired timings, {size}")
-    print(f"{'config':<26} {'pair':<20} {'this us':>9} {'against':>9} {'ratio':>6} {'wins':>7}")
+    print(f"{'config':<26} {'pair':<20} {'this us':>9} {'against':>9} {'ratio':>6} {'wins':>7} "
+          f"{'repeat':>7}")
     for key in [k for k in tables[0] if k in tables[1]]:
         times: tuple[list, list] = ([], [])
         for r in range(args.repeats):
@@ -108,8 +144,9 @@ def main(argv=None) -> int:
                 times[side].append(timing(engine, learners, tables[side][key], args.trials))
         this, against = (statistics.median(t) * us for t in times)
         wins = sum(a < b for a, b in zip(*times))
+        repeat = repeat_share(modules[0][2], tables[0][key], args.trials)
         print(f"{key[0]:<26} {key[1]:<20} {this:9.2f} {against:9.2f} {this / against:6.3f} "
-              f"{f'{wins}/{args.repeats}':>7}")
+              f"{f'{wins}/{args.repeats}':>7} {repeat:7.1%}")
     return 0
 
 

@@ -60,7 +60,9 @@ def load_config(path: str, args) -> ExperimentConfig:
         raw["trials"] = args.trials
     if args.horizon is not None:
         raw["horizon"] = args.horizon
-        raw.pop("checkpoints", None)  # stale checkpoints may exceed the new horizon
+        # Stale checkpoints may exceed the new horizon; an explicit override wins.
+        if all(a.partition("=")[0] != "checkpoints" for a in args.set or ()):
+            raw.pop("checkpoints", None)
     return ExperimentConfig.from_dict(raw)
 
 

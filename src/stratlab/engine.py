@@ -286,7 +286,8 @@ def _simulate(
         for player, lrn, tag in ((1, l1, SIDE1_STREAM), (2, l2, SIDE2_STREAM))
         if lrn.needs_side_signal
     ]
-    if cfg.pure_realization:
+    pure_real = cfg.pure_realization
+    if pure_real:
         real1 = stream(seed, trial_index, REALIZE1_STREAM)
         real2 = stream(seed, trial_index, REALIZE2_STREAM)
         onehots1 = [pure(n1, a) for a in range(n1)]
@@ -305,10 +306,13 @@ def _simulate(
     tail2 = [0] * n2
     fold = _BeliefFold(probe, cfg, realized) if probe is not None else None
     belief_errors = [] if probe is not None else None
-    # Bound after learner_init, which may wrap them; each record is refilled every round.
+    # Bound after learner_init, which may wrap them; a replayed round leaves each record as filled.
     act1, act2, observe1, observe2 = l1.act, l2.act, l1.observe, l2.observe
     fb1 = FeedbackRecord(None, None, 0.0)
     fb2 = FeedbackRecord(None, None, 0.0)
+    # The last round's pair, and its (mass row, column, weight) cells and tail
+    # actions, built once the pair repeats.
+    last_x = last_y = cells = None
 
     for t in range(1, horizon + 1):
         for player, lrn, side in sides:
@@ -322,41 +326,57 @@ def _simulate(
 
         x = act1()
         y = act2()
-        if cfg.pure_realization:
+        if pure_real:
             x = onehots1[sample_index(x, real1)]
             y = onehots2[sample_index(y, real2)]
 
-        uu1 = uu2 = 0.0
-        for a, xa in enumerate(x):
-            if xa:
-                row1 = u1m[a]
-                row2 = u2m[a]
-                mrow = mass[a]
+        # Learners never mutate a strategy they returned, so the same two
+        # objects as last round replay its accounting: the same mass cells,
+        # utilities (uu1, uu2), tail actions and feedback records.
+        if x is last_x and y is last_y:
+            if cells is None:
+                cells = [(mass[a], b, xa * yb) for a, xa in enumerate(x) if xa
+                         for b, yb in enumerate(y) if yb]
+                tail_a = next((a for a, xa in enumerate(x) if xa >= thresh), None)
+                tail_b = next((b for b, yb in enumerate(y) if yb >= thresh), None)
+            for mrow, b, w in cells:
+                mrow[b] += w
+            if t > tail_start:
+                if tail_a is not None:
+                    tail1[tail_a] += 1
+                if tail_b is not None:
+                    tail2[tail_b] += 1
+        else:
+            last_x, last_y, cells = x, y, None
+            uu1 = uu2 = 0.0
+            for a, xa in enumerate(x):
+                if xa:
+                    row1 = u1m[a]
+                    row2 = u2m[a]
+                    mrow = mass[a]
+                    for b, yb in enumerate(y):
+                        if yb:
+                            w = xa * yb
+                            mrow[b] += w
+                            uu1 += row1[b] * w
+                            uu2 += row2[b] * w
+            if t > tail_start:
+                for a, xa in enumerate(x):
+                    if xa >= thresh:
+                        tail1[a] += 1
+                        break
                 for b, yb in enumerate(y):
-                    if yb:
-                        w = xa * yb
-                        mrow[b] += w
-                        uu1 += row1[b] * w
-                        uu2 += row2[b] * w
+                    if yb >= thresh:
+                        tail2[b] += 1
+                        break
+            fb1.own_strategy, fb1.own_utility = x, uu1
+            fb2.own_strategy, fb2.own_utility = y, uu2
+            if full_info:
+                fb1.opponent_strategy, fb2.opponent_strategy = y, x
         cum_u1 += uu1
         cum_u2 += uu2
-
-        if t > tail_start:
-            for a, xa in enumerate(x):
-                if xa >= thresh:
-                    tail1[a] += 1
-                    break
-            for b, yb in enumerate(y):
-                if yb >= thresh:
-                    tail2[b] += 1
-                    break
         if fold is not None:
             fold.fold_round(x if probe.player == 1 else y, uu1 if probe.player == 1 else uu2)
-
-        fb1.own_strategy, fb1.own_utility = x, uu1
-        fb2.own_strategy, fb2.own_utility = y, uu2
-        if full_info:
-            fb1.opponent_strategy, fb2.opponent_strategy = y, x
         observe1(fb1)
         observe2(fb2)
 
@@ -446,9 +466,9 @@ def run_summaries(
     (_KEYED_FIELDS); it holds the seed and the trial index only when
     a learner draws from its random stream or takes side signals, or under
     pure_realization. The simulated jobs run in this process at threads == 1,
-    otherwise through one fork-based worker pool. Results are identical for
-    any thread count: each trial derives its own random streams from its
-    config and index.
+    otherwise through one fork-based pool of at most one worker per simulated
+    job. Results are identical for any thread count: each trial derives its
+    own random streams from its config and index.
     """
     if threads < 1:
         raise InvalidArgumentError(f"threads must be >= 1, got {threads}")
@@ -464,7 +484,7 @@ def run_summaries(
         done = [_simulate(*task) for task in tasks]
     else:
         ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(threads) as pool:
+        with ctx.Pool(min(threads, len(tasks))) as pool:
             # Chunks of one task: trial costs differ across the configs of one
             # job list, and a larger chunk can leave one worker idle while the
             # other still works through a chunk of slow trials.

@@ -83,8 +83,10 @@ class LearnerSpec:
 
 class Learner:
     """Base class of the learner kinds; each defines act() and observe(fb),
-    and the base observe ignores the feedback. fb is valid only during that
-    call: the engine refills one record per player every round.
+    and the base observe ignores the feedback. act returns a tuple and never
+    mutates one it returned; returning the same object when the strategy
+    repeats lets the engine replay the last round's accounting. fb holds the
+    round's values only during observe, and a learner never writes to it.
 
     `param_defaults` is the kind's param table: every accepted param and its
     default (None where the param is required or the default is adaptive);

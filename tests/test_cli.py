@@ -165,6 +165,23 @@ def test_simulate_override_paths(capsys, tiny_config, tmp_path):
     assert payload["config"]["spec2"]["params"]["initial_epoch"] == 32
 
 
+@pytest.mark.parametrize(
+    "overrides, checkpoints",
+    [((), [1, 2, 4, 8, 16, 32, 64, 100]), (("--set", "checkpoints=[10,50]"), [10, 50])],
+)
+def test_horizon_resets_checkpoints_unless_overridden(capsys, tmp_path, overrides, checkpoints):
+    # --horizon drops the file's checkpoints (they may exceed it), but an
+    # explicit checkpoints override wins.
+    code, out, _ = run_cli(
+        capsys, "simulate", "--config", str(CONFIGS / "swap_decay.json"), "--out", str(tmp_path),
+        "--trials", "1", "--horizon", "100", *overrides,
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["checkpoints"] == checkpoints
+    assert payload["estimate"]["checkpoints"] == checkpoints
+
+
 def test_override_must_reference_existing_keys(capsys, tiny_config):
     code, _, err = run_cli(
         capsys, "simulate", "--config", tiny_config, "--set", "signal_model.p9=0.5"

@@ -1,13 +1,15 @@
 import json
 import math
+import multiprocessing
 import re
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import THREADS
-from stratlab import engine
+from stratlab import engine, learners
 from stratlab.engine import (
     CSV_HEADER,
     BeliefProbe,
@@ -22,10 +24,10 @@ from stratlab.engine import (
     with_spec,
     write_csv,
 )
-from stratlab.cli import main
+from stratlab.cli import load_config, main
 from stratlab.errors import InvalidArgumentError
 from stratlab.games import SignalModel, builtin_prior, prior_from_games
-from stratlab.learners import LearnerSpec
+from stratlab.learners import LearnerSpec, regrets_from_mass
 
 
 def constant_pair_cfg(prior, horizon=64, trials=8, seed=1, a1=0, a2=0, **kw):
@@ -501,6 +503,173 @@ def test_engine_calls_instance_act_and_observe_once_per_round(monkeypatch, examp
     monkeypatch.setattr(engine, "learner_init", counting_init)
     assert run_summaries(cfg) == plain
     assert tallies == [{"act": 30, "observe": 30}] * 4
+
+
+def hexed(value):
+    """value with every float spelled by float.hex, so == is bit-identity."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (tuple, list)):
+        return tuple(hexed(v) for v in value)
+    return value
+
+
+def spy_on_act(monkeypatch, copy: bool) -> list:
+    """Wrap each learner's act; returns the list that collects, per learner
+    made, the objects it played. With copy, act returns a new equal tuple
+    every round, so no round repeats the last round's pair of objects."""
+    played = []
+    init = engine.learner_init
+
+    def spying_init(*args):
+        learner = init(*args)
+        act, seen = learner.act, []
+        played.append(seen)
+
+        def spied():
+            s = tuple(list(act())) if copy else act()
+            seen.append(s)
+            return s
+
+        learner.act = spied
+        return learner
+
+    monkeypatch.setattr(engine, "learner_init", spying_init)
+    return played
+
+
+def shipped(name, *overrides, horizon=600, trials=3):
+    sizes = SimpleNamespace(set=list(overrides), seed=None, trials=trials, horizon=horizon)
+    return load_config(str(ROOT / "configs" / f"{name}.json"), sizes)
+
+
+@pytest.mark.parametrize(
+    "name, overrides, probe",
+    [
+        # horizon < tail_window: every round is a tail round
+        ("leader_vs_learner_audit", (), None),
+        ("reveal_follow", (), None),
+        # the tail starts mid-trial, while a pair repeats
+        ("leader_vs_learner_audit", ("tail_window=250",), None),
+        ("reveal_follow", ("tail_window=250",), None),
+        ("leader_vs_learner_audit", (), BeliefProbe("utility_likelihood", 2)),
+        ("leader_vs_learner_audit", ("feedback_mode=\"bandit\"",), None),
+        ("leader_vs_learner_audit", ("pure_realization=true",), None),
+        ("example41_external", ("tail_window=250",), None),
+    ],
+)
+def test_replayed_rounds_match_rounds_computed_afresh(monkeypatch, name, overrides, probe):
+    cfg = shipped(name, *overrides)
+    played = spy_on_act(monkeypatch, copy=False)
+    replayed = [engine._simulate(cfg, k, probe) for k in range(cfg.trials)]
+    if not cfg.pure_realization and name != "example41_external":
+        # Mostly repeated pairs, so the replay path runs.
+        for xs, ys in zip(played[0::2], played[1::2]):
+            repeats = sum(x0 is x1 and y0 is y1 for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))
+            assert repeats > cfg.horizon // 2
+    spy_on_act(monkeypatch, copy=True)
+    fresh = [engine._simulate(cfg, k, probe) for k in range(cfg.trials)]
+    assert [hexed(astuple(s)) for s in replayed] == [hexed(astuple(s)) for s in fresh]
+
+
+def test_pure_realization_replay_matches_the_realized_path(monkeypatch, fig1_prior):
+    # Realized one-hots are the engine's own objects, so a wrapped act cannot
+    # force every round afresh: check the summary against the drawn actions.
+    cfg = ExperimentConfig(
+        prior=fig1_prior,
+        signal_model=SignalModel(1.0, 1.0),
+        spec1=LearnerSpec("multiplicative_weights"),
+        spec2=LearnerSpec("no_swap_regret_full"),
+        horizon=400,
+        trials=1,
+        pure_realization=True,
+        master_seed=41,
+        tail_window=150,
+        checkpoints=(100, 400),
+    )
+    drawn = []
+    sample = engine.sample_index
+    monkeypatch.setattr(engine, "sample_index", lambda p, rng: drawn.append(sample(p, rng)) or drawn[-1])
+    s = engine._simulate(cfg, 0)
+    pairs = list(zip(drawn[0::2], drawn[1::2]))
+    assert len(pairs) == cfg.horizon
+    assert sum(p == q for p, q in zip(pairs, pairs[1:])) > cfg.horizon // 2
+    g = fig1_prior.games[s.realized]
+    mass = [[0.0] * g.n2 for _ in range(g.n1)]
+    cum1 = cum2 = 0.0
+    for a, b in pairs:
+        mass[a][b] += 1.0
+        cum1 += g.u1[a][b]
+        cum2 += g.u2[a][b]
+    inv = 1.0 / cfg.horizon
+    assert hexed(s.csp_mass) == hexed([[v * inv for v in row] for row in mass])
+    assert hexed((s.avg_u1, s.avg_u2)) == hexed((cum1 * inv, cum2 * inv))
+    r1, r2 = regrets_from_mass(mass, g, 1), regrets_from_mass(mass, g, 2)
+    assert hexed((s.ext_regret1, s.swap_regret1, s.ext_regret2, s.swap_regret2)) == hexed(
+        (r1.external_regret, r1.swap_regret, r2.external_regret, r2.swap_regret)
+    )
+    tail = pairs[cfg.horizon - cfg.tail_window:]
+    assert s.tail_counts1 == tuple(sum(a == i for a, _ in tail) for i in range(g.n1))
+    assert s.tail_counts2 == tuple(sum(b == i for _, b in tail) for i in range(g.n2))
+
+
+@pytest.mark.parametrize("kind", sorted(learners._CLASSES))
+def test_every_kind_plays_tuples_and_leaves_the_record_alone(monkeypatch, example41_prior, kind):
+    # The replay rests on this contract: act returns a tuple (never mutated
+    # later), and observe never writes to its feedback record.
+    role = 2 if kind == "infer_then_commit_follower" else 1
+    spec = LearnerSpec(kind, {"action": 1} if kind == "constant_action" else {})
+    other = LearnerSpec("stackelberg_leader" if role == 2 else "best_responder")
+    cfg = side_signal_cfg(example41_prior, horizon=40, trials=2)
+    cfg = replace(cfg, spec1=spec, spec2=other) if role == 1 else replace(cfg, spec1=other, spec2=spec)
+    played = spy_on_act(monkeypatch, copy=False)
+    init = engine.learner_init
+
+    def guarded_init(*args):
+        learner = init(*args)
+        observe = learner.observe
+
+        def guarded(fb):
+            before = (fb.own_strategy, fb.opponent_strategy, fb.own_utility)
+            observe(fb)
+            assert (fb.own_strategy, fb.opponent_strategy, fb.own_utility) == before
+
+        learner.observe = guarded
+        return learner
+
+    monkeypatch.setattr(engine, "learner_init", guarded_init)
+    for k in range(cfg.trials):
+        engine._simulate(cfg, k)
+    assert len(played) == 2 * cfg.trials
+    assert all(type(s) is tuple for seen in played[role - 1::2] for s in seen)
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+def test_pool_has_at_most_one_worker_per_simulated_trial(monkeypatch, fig1_prior, threads):
+    cfg = ExperimentConfig(
+        prior=fig1_prior,
+        signal_model=SignalModel(1.0, 0.5),
+        spec1=LearnerSpec("stackelberg_leader"),
+        spec2=LearnerSpec("no_swap_regret_bandit"),
+        horizon=50,
+        trials=3,  # a seeded learner: 3 distinct trial keys
+        master_seed=17,
+    )
+    serial = run_summaries(cfg)
+    pools = []
+
+    def get_context(method):
+        ctx = multiprocessing.get_context(method)
+
+        def pool(processes):
+            pools.append(processes)
+            return ctx.Pool(processes)
+
+        return SimpleNamespace(Pool=pool)
+
+    monkeypatch.setattr(engine, "multiprocessing", SimpleNamespace(get_context=get_context))
+    assert run_summaries(cfg, threads=threads) == serial
+    assert pools == [min(threads, cfg.trials)]
 
 
 def test_horizon_one_trial_reads_checkpoint_and_belief(example41_prior):
