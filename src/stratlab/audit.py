@@ -30,7 +30,7 @@ from .engine import (
     with_spec,
 )
 from .errors import AssumptionViolatedError, InvalidArgumentError
-from .games import Prior, two_game_family_g1, two_game_family_g2
+from .games import Prior, pure, two_game_family_g1, two_game_family_g2
 from .learners import LearnerSpec, canonical_spec
 from .solve import perturbed_commitment, stackelberg_value, stackval_prior
 
@@ -458,13 +458,10 @@ def belief_trace(
     if belief_kind == "nearest_best_response":
         if cfg.prior.support_size != 2:
             raise InvalidArgumentError("nearest_best_response requires a 2-game prior")
-        leader = 3 - player
         n_own = cfg.prior.n1 if player == 1 else cfg.prior.n2
-        targets = []
-        for g in cfg.prior.games:
-            reply = stackelberg_value(g, leader).follower_action
-            targets.append(tuple(1.0 if i == reply else 0.0 for i in range(n_own)))
-        targets = tuple(targets)
+        targets = tuple(
+            pure(n_own, stackelberg_value(g, 3 - player).follower_action) for g in cfg.prior.games
+        )
     if belief_kind == "last_side_signal":
         spec = cfg.spec1 if player == 1 else cfg.spec2
         if not canonical_spec(spec)[0].needs_side_signal:

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 from .audit import BELIEF_KINDS, audit_pne, belief_trace, revelation_analysis, verify_claims
 from .engine import ExperimentConfig, estimate, estimate_csps, write_csv
@@ -22,12 +23,17 @@ from .games import load_game, load_prior
 from .solve import stackelberg_value, stackval_prior
 
 
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
+
+
 def apply_override(raw: dict, assignment: str) -> None:
     """Apply one dotted-path override (e.g. signal_model.p2=0.5) in place.
 
-    Intermediate keys must exist; the final key must exist too, except under a
-    "params" object where new learner parameters may be introduced (the
-    learner spec then checks them against its kind's param table).
+    Intermediate keys must exist; the final key must exist too, except at
+    the top level, where any ExperimentConfig field may be set (a config file
+    may omit one that has a default), and under a "params" object, where new
+    learner parameters may be introduced (the learner spec then checks them
+    against its kind's param table).
     """
     path, sep, value = assignment.partition("=")
     if not sep:
@@ -41,7 +47,7 @@ def apply_override(raw: dict, assignment: str) -> None:
     last = keys[-1]
     if not isinstance(node, dict):
         raise InvalidArgumentError(f"override path {path!r} does not exist")
-    if last not in node and keys[-2:-1] != ["params"]:
+    if last not in node and keys[-2:-1] != ["params"] and not (node is raw and last in _CONFIG_KEYS):
         raise InvalidArgumentError(f"override key {path!r} does not exist")
     try:
         node[last] = json.loads(value)
@@ -90,47 +96,32 @@ def emit(report: dict, args, filename: str | None = None) -> None:
 def cmd_stackval(args) -> int:
     if (args.game is None) == (args.prior is None):
         raise InvalidArgumentError("stackval needs exactly one of --game / --prior")
+
+    def record(g, **head):
+        """g's solution and its per-game record, with head's keys after "game"."""
+        sol = stackelberg_value(g, args.player)
+        return sol, {
+            "game": g.name,
+            **head,
+            "value": sol.value,
+            "leader_strategy": list(sol.leader_strategy),
+            "follower_action": sol.follower_action,
+        }
+
     if args.game is not None:
         g = load_game(args.game)
-        sol = stackelberg_value(g, args.player)
-        emit(
-            {
-                "game": g.name,
-                "player": args.player,
-                "value": sol.value,
-                "leader_strategy": list(sol.leader_strategy),
-                "follower_action": sol.follower_action,
-                "follower_action_label": (
-                    g.action_labels2 if args.player == 1 else g.action_labels1
-                )[sol.follower_action],
-                "per_follower_action_values": list(sol.per_follower_action_values),
-            },
-            args,
-            "stackval.json",
-        )
+        sol, report = record(g, player=args.player)
+        labels = g.action_labels2 if args.player == 1 else g.action_labels1
+        report["follower_action_label"] = labels[sol.follower_action]
+        report["per_follower_action_values"] = list(sol.per_follower_action_values)
     else:
         prior = load_prior(args.prior)
-        per_game = []
-        for g, w in prior.entries:
-            sol = stackelberg_value(g, args.player)
-            per_game.append(
-                {
-                    "game": g.name,
-                    "weight": w,
-                    "value": sol.value,
-                    "leader_strategy": list(sol.leader_strategy),
-                    "follower_action": sol.follower_action,
-                }
-            )
-        emit(
-            {
-                "player": args.player,
-                "per_game": per_game,
-                "expected_value": stackval_prior(prior, args.player),
-            },
-            args,
-            "stackval.json",
-        )
+        report = {
+            "player": args.player,
+            "per_game": [record(g, weight=w)[1] for g, w in prior.entries],
+            "expected_value": stackval_prior(prior, args.player),
+        }
+    emit(report, args, "stackval.json")
     return 0
 
 

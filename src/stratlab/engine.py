@@ -44,10 +44,10 @@ from .rng import (
     stream,
 )
 
-CSV_HEADER = (
-    "trial,realized_game,s1,s2,t,avg_u1,avg_u2,"
-    "ext_regret1,ext_regret2,swap_regret1,swap_regret2"
-)
+# The per-checkpoint path columns: a checkpoint row holds t, then these in
+# this order; the last four are also TrialSummary's final regrets.
+PATH_COLUMNS = ("avg_u1", "avg_u2", "ext_regret1", "ext_regret2", "swap_regret1", "swap_regret2")
+CSV_HEADER = ",".join(("trial", "realized_game", "s1", "s2", "t", *PATH_COLUMNS))
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 Z_95_ONE_SIDED = 1.6448536269514722
@@ -103,6 +103,10 @@ class ExperimentConfig:
             raise InvalidArgumentError("trials must be >= 1")
         if self.tail_window < 1:
             raise InvalidArgumentError("tail_window must be >= 1")
+        # rng.derive_seed reads the seed modulo 2**64: outside this range two
+        # seeds would name the same streams.
+        if not 0 <= self.master_seed < 1 << 64:
+            raise InvalidArgumentError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
         # Above 1/2 at most one action can carry the threshold mass, which is
         # what the tail count of _simulate assumes.
         if not 0.5 < self.tail_threshold <= 1.0:
@@ -187,8 +191,7 @@ class TrialSummary:
     ext_regret2: float
     swap_regret1: float
     swap_regret2: float
-    # One row per configured checkpoint:
-    # (t, avg_u1, avg_u2, ext1, ext2, swap1, swap2)
+    # One row per configured checkpoint: (t, *PATH_COLUMNS)
     checkpoint_rows: tuple[tuple[float, ...], ...]
     tail_counts1: tuple[int, ...]
     tail_counts2: tuple[int, ...]
@@ -648,34 +651,20 @@ def summarize(cfg: ExperimentConfig, summaries: list[TrialSummary]) -> EstimateR
     sw2, sc2 = stratified_mean_ci(cfg.prior, {k: v[1] for k, v in by_game.items()})
 
     regrets = {}
-    for name, vals in (
-        ("ext_regret1", [s.ext_regret1 for s in summaries]),
-        ("ext_regret2", [s.ext_regret2 for s in summaries]),
-        ("swap_regret1", [s.swap_regret1 for s in summaries]),
-        ("swap_regret2", [s.swap_regret2 for s in summaries]),
-    ):
-        m, c = mean_ci(vals)
+    for name in PATH_COLUMNS[2:]:
+        m, c = mean_ci([getattr(s, name) for s in summaries])
         regrets[name] = {"mean": m, "ci95": c}
 
     curves = []
     n = len(summaries)
+    width = len(PATH_COLUMNS)
     for idx, t in enumerate(cfg.checkpoints):
-        row = [0.0] * 6
+        row = [0.0] * width
         for s in summaries:
             r = s.checkpoint_rows[idx]
-            for j in range(6):
+            for j in range(width):
                 row[j] += r[1 + j]
-        curves.append(
-            {
-                "t": t,
-                "avg_u1": row[0] / n,
-                "avg_u2": row[1] / n,
-                "ext_regret1": row[2] / n,
-                "ext_regret2": row[3] / n,
-                "swap_regret1": row[4] / n,
-                "swap_regret2": row[5] / n,
-            }
-        )
+        curves.append({"t": t, **{name: v / n for name, v in zip(PATH_COLUMNS, row)}})
 
     tail_rounds = sum(s.tail_rounds for s in summaries)
     tail = {
@@ -807,19 +796,7 @@ def csv_rows(report: EstimateReport):
     """One row per (trial, checkpoint), matching CSV_HEADER."""
     for s in report.summaries:
         for row in s.checkpoint_rows:
-            yield (
-                s.trial_index,
-                s.realized,
-                s.s1,
-                s.s2,
-                int(row[0]),
-                row[1],
-                row[2],
-                row[3],
-                row[4],
-                row[5],
-                row[6],
-            )
+            yield (s.trial_index, s.realized, s.s1, s.s2, int(row[0]), *row[1:])
 
 
 def write_csv(report: EstimateReport, path: str) -> None:

@@ -190,14 +190,6 @@ class CSP:
         if abs(total - 1.0) > CSP_TOL:
             raise InvalidArgumentError(f"CSP mass sums to {total!r}, not 1")
 
-    @property
-    def n1(self) -> int:
-        return len(self.mass)
-
-    @property
-    def n2(self) -> int:
-        return len(self.mass[0])
-
 
 class FeedbackRecord:
     """Per-round feedback handed to a learner.
@@ -270,57 +262,34 @@ def signal_weights(prior: Prior, realized_index: int, precision: float) -> list[
 # ---------------------------------------------------------------------------
 
 
+def _fig1_game(index: int, gamma: float) -> GameMatrix:
+    """Game `index` (1 or 2) of the builtin signal-threshold family; player
+    2's payoffs are the same in both."""
+    if not 0.0 < gamma <= 1.0:
+        raise InvalidArgumentError(f"gamma must be in (0,1], got {gamma!r}")
+    s = 1.0 / gamma
+    u1 = [[16.0 * s, 16.0 * s], [2.0, 0.0]] if index == 1 else [[1.0, 0.0], [0.9, 0.1]]
+    return game_matrix(f"fig1_g{index}:gamma={gamma:g}", u1, [[1.0, -32.0 * s], [0.0, 2.0]])
+
+
 def two_game_family_g1(gamma: float = 1.0) -> GameMatrix:
     """First game of the builtin signal-threshold family (ref fig1_g1:gamma=...)."""
-    _check_gamma(gamma)
-    s = 1.0 / gamma
-    return game_matrix(
-        f"fig1_g1:gamma={gamma:g}",
-        [[16.0 * s, 16.0 * s], [2.0, 0.0]],
-        [[1.0, -32.0 * s], [0.0, 2.0]],
-        ["A", "B"],
-        ["C", "D"],
-    )
+    return _fig1_game(1, gamma)
 
 
 def two_game_family_g2(gamma: float = 1.0) -> GameMatrix:
     """Second game of the builtin signal-threshold family (ref fig1_g2:gamma=...)."""
-    _check_gamma(gamma)
-    s = 1.0 / gamma
-    return game_matrix(
-        f"fig1_g2:gamma={gamma:g}",
-        [[1.0, 0.0], [0.9, 0.1]],
-        [[1.0, -32.0 * s], [0.0, 2.0]],
-        ["A", "B"],
-        ["C", "D"],
-    )
+    return _fig1_game(2, gamma)
 
 
 def revealing_family_g1() -> GameMatrix:
     """First game of the builtin one-round-revelation family (ref example41_g1)."""
-    return game_matrix(
-        "example41_g1",
-        [[1.0, -1.0], [0.0, 2.0]],
-        [[1.0, 5.0], [2.0, 5.0]],
-        ["A", "B"],
-        ["C", "D"],
-    )
+    return game_matrix("example41_g1", [[1.0, -1.0], [0.0, 2.0]], [[1.0, 5.0], [2.0, 5.0]])
 
 
 def revealing_family_g2() -> GameMatrix:
     """Second game of the builtin one-round-revelation family (ref example41_g2)."""
-    return game_matrix(
-        "example41_g2",
-        [[1.0, -1.0], [0.0, 2.0]],
-        [[3.0, 0.0], [7.0, 8.0]],
-        ["A", "B"],
-        ["C", "D"],
-    )
-
-
-def _check_gamma(gamma: float) -> None:
-    if not 0.0 < gamma <= 1.0:
-        raise InvalidArgumentError(f"gamma must be in (0,1], got {gamma!r}")
+    return game_matrix("example41_g2", [[1.0, -1.0], [0.0, 2.0]], [[3.0, 0.0], [7.0, 8.0]])
 
 
 _BUILTIN_GAMES = {
@@ -352,15 +321,19 @@ def builtin_game(ref: str) -> GameMatrix:
         raise InvalidArgumentError(f"bad arguments for builtin {ref!r}: {e}") from e
 
 
+# Each builtin prior is uniform over two builtin games, which take its arguments.
+_BUILTIN_PRIORS = {
+    "fig1": ("fig1_g1", "fig1_g2"),
+    "example41": ("example41_g1", "example41_g2"),
+}
+
+
 def builtin_prior(ref: str) -> Prior:
-    """Resolve a builtin prior reference: "fig1:gamma=<g>" or "example41" (uniform pairs)."""
-    name, _, argpart = ref.partition(":")
-    suffix = f":{argpart}" if argpart else ""
-    if name == "fig1":
-        return prior_from_games([builtin_game(f"fig1_g1{suffix}"), builtin_game(f"fig1_g2{suffix}")])
-    if name == "example41":
-        return prior_from_games([builtin_game("example41_g1"), builtin_game("example41_g2")])
-    raise InvalidArgumentError(f"unknown builtin prior {ref!r}")
+    """Resolve a builtin prior reference: "fig1:gamma=<g>" or "example41"."""
+    name, sep, argpart = ref.partition(":")
+    if name not in _BUILTIN_PRIORS:
+        raise InvalidArgumentError(f"unknown builtin prior {ref!r}")
+    return prior_from_games([builtin_game(g + sep + argpart) for g in _BUILTIN_PRIORS[name]])
 
 
 def game_to_dict(g: GameMatrix) -> dict:
@@ -410,7 +383,7 @@ def load_game(ref_or_path: str) -> GameMatrix:
 
 def load_prior(ref_or_path: str) -> Prior:
     """Load a prior from a builtin ref ("fig1:gamma=1", "example41") or a JSON file."""
-    if ref_or_path.partition(":")[0] in ("fig1", "example41"):
+    if ref_or_path.partition(":")[0] in _BUILTIN_PRIORS:
         return builtin_prior(ref_or_path)
     with open(ref_or_path) as f:
         return prior_from_dict(json.load(f))

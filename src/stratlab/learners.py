@@ -91,7 +91,8 @@ class Learner:
     `param_defaults` is the kind's param table: every accepted param and its
     default (None where the param is required or the default is adaptive);
     the params named in `integer_params` must be ints, the others numbers.
-    An instance's `params` is that table filled in from its spec.
+    An instance's `params` is that table filled in from its spec, and its
+    `_rows` the signaled game's own_payoffs.
     A config with bandit feedback rejects classes with `requires_full_info`.
     `reads_signal` is False only for classes whose play never depends on
     their pre-play signal, and `draws_randomness` is True only for classes
@@ -117,6 +118,7 @@ class Learner:
         self.rng = rng
         self.n_own = prior.n1 if role == 1 else prior.n2
         self.n_opp = prior.n2 if role == 1 else prior.n1
+        self._rows = prior.games[signal].own_payoffs(role)
 
     def act(self) -> MixedStrategy:
         raise NotImplementedError
@@ -166,8 +168,8 @@ class ConstantAction(Learner):
 
 class _HedgeCore(Learner):
     """Shared machinery: log-weights, softmax, payoff normalization, the
-    full-information rewards (from the _rows a subclass sets), and the round
-    counter t that each observe advances last."""
+    full-information rewards (from _rows), and the round counter t that each
+    observe advances last."""
 
     param_defaults = {"eta": None}
     _opp = None  # the opponent strategy that _reward_vec was computed against
@@ -212,7 +214,6 @@ class MultiplicativeWeights(_HedgeCore):
 
     def __init__(self, params, role, prior, signal, rng):
         super().__init__(params, role, prior, signal, rng)
-        self._rows = prior.games[signal].own_payoffs(role)
         self._lw = [0.0] * self.n_own
 
     def act(self):
@@ -379,10 +380,6 @@ class _SwapRegretCore(_HedgeCore):
 class NoSwapRegretFull(_SwapRegretCore):
     requires_full_info = True
 
-    def __init__(self, params, role, prior, signal, rng):
-        super().__init__(params, role, prior, signal, rng)
-        self._rows = prior.games[signal].own_payoffs(role)
-
     def act(self):
         self._p = self._stationary()
         return tuple(self._p)
@@ -504,7 +501,6 @@ class BestResponder(Learner):
 
     def __init__(self, params, role, prior, signal, rng):
         super().__init__(params, role, prior, signal, rng)
-        self._rows = prior.games[signal].own_payoffs(role)
         self._last_opp: MixedStrategy | None = None
         self._cached_reply: MixedStrategy | None = None
 

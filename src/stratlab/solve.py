@@ -35,12 +35,19 @@ def _orient(g: GameMatrix, leader: int):
     return g.own_payoffs(leader), g.own_payoffs(3 - leader)
 
 
+def _as_strategy(x) -> MixedStrategy:
+    """An LP solution's leader weights clamped to [0, 1] and renormalised."""
+    x = [min(max(v, 0.0), 1.0) for v in x]
+    s = sum(x)
+    return tuple(v / s for v in x)
+
+
 def stackelberg_value(g: GameMatrix, leader: int) -> StackelbergSolution:
     """Optimistic Stackelberg value and commitment for `leader`."""
     lead, fol = _orient(g, leader)
     n_lead, n_fol = len(lead), len(fol)
     per_vals: list[float] = []
-    best: tuple[float, MixedStrategy, int] | None = None
+    xs = []
     for f in range(n_fol):
         rows = []
         for f2 in range(n_fol):
@@ -53,19 +60,16 @@ def stackelberg_value(g: GameMatrix, leader: int) -> StackelbergSolution:
             a_eq=[[1.0] * n_lead],
             b_eq=[1.0],
         )
-        if sol.status != OPTIMAL:
-            per_vals.append(-math.inf)
-            continue
-        per_vals.append(sol.value)
-        if best is None or sol.value > best[0]:
-            best = (sol.value, sol.x, f)
-    if best is None:  # unreachable: some reply is a best response to any commitment
+        per_vals.append(sol.value if sol.status == OPTIMAL else -math.inf)
+        xs.append(sol.x)
+    top = max(per_vals)
+    if top == -math.inf:  # unreachable: some reply is a best response to any commitment
         raise AssumptionViolatedError("no feasible follower reply found")
-    value, x, f = best
-    strategy = tuple(min(max(v, 0.0), 1.0) for v in x)
-    s = sum(strategy)
-    strategy = tuple(v / s for v in strategy)
-    return StackelbergSolution(value, strategy, f, tuple(per_vals))
+    # Replies within a relative 1e-9 of the best tie, and the lowest index
+    # wins, so that rounding (say, after scaling the leader's payoffs) cannot
+    # flip the reply.
+    f = next(f for f, v in enumerate(per_vals) if v >= top - 1e-9 * max(1.0, abs(top)))
+    return StackelbergSolution(per_vals[f], _as_strategy(xs[f]), f, tuple(per_vals))
 
 
 def stackval_prior(prior: Prior, player: int) -> float:
@@ -103,9 +107,7 @@ def commitment_margin(g: GameMatrix, leader: int, target_reply: int) -> tuple[Mi
     )
     if sol.status != OPTIMAL:
         raise AssumptionViolatedError("margin LP unsolvable")
-    x_bar = tuple(min(max(v, 0.0), 1.0) for v in sol.x[:n_lead])
-    s = sum(x_bar)
-    return tuple(v / s for v in x_bar), sol.value
+    return _as_strategy(sol.x[:n_lead]), sol.value
 
 
 def perturbed_commitment(

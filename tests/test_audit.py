@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,6 +20,7 @@ from stratlab.audit import (
 from stratlab.engine import (
     ExperimentConfig,
     environment_draw,
+    mean_ci,
     run_summaries,
     summarize,
     with_spec,
@@ -94,6 +96,13 @@ def test_null_deviation_gain_is_zero(fig1_prior):
     gain, ci = paired_gain(cfg.prior, base, dev, 2)
     assert gain == 0.0
     assert ci == 0.0
+
+
+def test_paired_gain_falls_back_to_the_raw_mean_when_a_game_never_realized(fig1_prior):
+    cfg = reveal_cfg(fig1_prior, horizon=20, trials=4)
+    base = [replace(s, realized=0, avg_u1=0.0) for s in run_summaries(cfg)]
+    dev = [replace(s, avg_u1=float(k)) for k, s in enumerate(base)]
+    assert paired_gain(cfg.prior, base, dev, 1) == mean_ci([0.0, 1.0, 2.0, 3.0])
 
 
 def test_stage_equilibrium_constant_pair_passes(fig1_g1):

@@ -182,6 +182,30 @@ def test_horizon_resets_checkpoints_unless_overridden(capsys, tmp_path, override
     assert payload["estimate"]["checkpoints"] == checkpoints
 
 
+def test_override_may_set_a_config_key_the_file_omits(capsys, tmp_path):
+    # reveal_follow.json leaves checkpoints at their default.
+    argv = ["simulate", "--config", str(CONFIGS / "reveal_follow.json"), "--out", str(tmp_path)]
+    code, out, _ = run_cli(
+        capsys, *argv, "--trials", "1", "--set", "horizon=100", "--set", "checkpoints=[10,50]"
+    )
+    assert code == 0 and json.loads(out)["config"]["checkpoints"] == [10, 50]
+    code, _, err = run_cli(capsys, *argv, "--set", "checkpoint=[10,50]")
+    assert code == 1 and "does not exist" in err
+
+
+@pytest.mark.parametrize("seed, ok", [("-1", False), (str(2**64), False), (str(2**64 - 1), True)])
+def test_seed_must_fit_64_bits(capsys, tmp_path, seed, ok):
+    # The streams read the seed modulo 2**64: -1 would replay seed 2**64 - 1.
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(CONFIGS / "reveal_follow.json"), "--out", str(tmp_path),
+        "--trials", "1", "--horizon", "5", "--seed", seed,
+    )
+    if ok:
+        assert code == 0 and json.loads(out)["config"]["master_seed"] == int(seed)
+    else:
+        assert code == 1 and out == "" and err.startswith("error: master_seed must lie in [0, 2**64)")
+
+
 def test_override_must_reference_existing_keys(capsys, tiny_config):
     code, _, err = run_cli(
         capsys, "simulate", "--config", tiny_config, "--set", "signal_model.p9=0.5"

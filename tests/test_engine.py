@@ -19,7 +19,9 @@ from stratlab.engine import (
     environment_draw,
     estimate,
     estimate_csps,
+    mean_ci,
     run_summaries,
+    stratified_mean_ci,
     trial_key,
     with_spec,
     write_csv,
@@ -713,3 +715,10 @@ def test_leader_vs_learner_csps_concentrate(fig1_prior):
     for i in (0, 1):
         assert rep.by_game[i] is not None
         assert rep.by_game[i].mass[0][0] >= 0.95
+
+
+def test_stratified_mean_ci_skips_zero_weight_games_and_needs_every_other(fig1_g1, fig1_g2):
+    values = {0: [1.0, 3.0]}
+    first_only = prior_from_games([fig1_g1, fig1_g2], [1.0, 0.0])
+    assert stratified_mean_ci(first_only, values) == pytest.approx(mean_ci([1.0, 3.0]))
+    assert stratified_mean_ci(prior_from_games([fig1_g1, fig1_g2]), values) == (None, None)

@@ -206,6 +206,8 @@ def test_builtin_bad_refs():
         builtin_game("fig1_g1:gamma=oops")
     with pytest.raises(InvalidArgumentError):
         builtin_prior("nope")
+    with pytest.raises(InvalidArgumentError, match="bad arguments"):  # example41 takes none
+        builtin_prior("example41:gamma=0.5")
 
 
 def test_game_json_roundtrip(fig1_g1, tmp_path):

@@ -453,6 +453,15 @@ def power_iteration_to_step(q, start):
     return cur, sweep
 
 
+def test_one_action_chain_and_swap_regret_learner():
+    assert stationary_distribution([[1.0]]) == [1.0]
+    prior = prior_from_games([game_matrix("one_row", [[1.0, 0.0]], [[0.0, 1.0]])])
+    lrn = learner_init(LearnerSpec("no_swap_regret_full"), 1, prior, 0, random.Random(0))
+    for _ in range(3):
+        assert lrn.act() == (1.0,)
+        lrn.observe(FeedbackRecord((1.0,), (0.5, 0.5), 0.5))
+
+
 def test_stationary_hand_solved_three_state_chain():
     q = [[0.5, 0.25, 0.25], [0.5, 0.0, 0.5], [0.25, 0.25, 0.5]]
     pi = stationary_distribution(q)

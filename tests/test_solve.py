@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grid_oracle import grid_stackelberg, maximin_two_actions, random_leader_follower_game
 from stratlab.errors import AssumptionViolatedError, InvalidArgumentError
@@ -78,6 +78,7 @@ def test_solver_oracle_equivalence_suite():
 
 
 @given(st.integers(0, 2**32), st.floats(0.25, 4.0))
+@example(seed=57358, lam=3.0)  # replies 0 and 2 tie; after scaling, 2 wins by one ulp
 @settings(max_examples=40)
 def test_leader_scale_invariance(seed, lam):
     rng = np.random.default_rng(seed)
@@ -102,6 +103,11 @@ def test_value_at_least_maximin(seed):
 # ---------------------------------------------------------------------------
 # Perturbed commitments
 # ---------------------------------------------------------------------------
+
+
+def test_commitment_margin_with_one_follower_action():
+    g = game_matrix("one_reply", [[1.0], [2.0], [0.0]], [[0.0], [0.0], [0.0]])
+    assert commitment_margin(g, 1, 0) == ((1 / 3, 1 / 3, 1 / 3), math.inf)
 
 
 def test_perturbed_commitment_examples(fig1_g1, fig1_g2):
