@@ -20,7 +20,7 @@ from .audit import BELIEF_KINDS, audit_pne, belief_trace, revelation_analysis, v
 from .engine import ExperimentConfig, estimate, estimate_csps, write_csv
 from .errors import AssumptionViolatedError, InvalidArgumentError
 from .games import load_game, load_prior
-from .solve import stackelberg_value, stackval_prior
+from .solve import stackelberg_value
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)}
@@ -115,11 +115,12 @@ def cmd_stackval(args) -> int:
         report["follower_action_label"] = labels[sol.follower_action]
         report["per_follower_action_values"] = list(sol.per_follower_action_values)
     else:
-        prior = load_prior(args.prior)
+        per_game = [record(g, weight=w)[1] for g, w in load_prior(args.prior).entries]
         report = {
             "player": args.player,
-            "per_game": [record(g, weight=w)[1] for g, w in prior.entries],
-            "expected_value": stackval_prior(prior, args.player),
+            "per_game": per_game,
+            # solve.stackval_prior's sum, over the values solved once above
+            "expected_value": sum(r["weight"] * r["value"] for r in per_game),
         }
     emit(report, args, "stackval.json")
     return 0

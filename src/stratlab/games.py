@@ -210,17 +210,23 @@ class FeedbackRecord:
 # ---------------------------------------------------------------------------
 
 
-def sample_index(probs: Sequence[float], rng: Random) -> int:
-    """Draw an index with probability probs[i], from one rng.random().
+def sample_index(
+    probs: Sequence[float], rng: Random, scale: float = 1.0, shift: float = 0.0
+) -> int:
+    """Draw an index with probability scale * probs[i] + shift, from one
+    rng.random().
 
     Scans the cumulative sum of the positive entries. When rounding leaves
     the draw past the end of the sum, returns the last index with positive
-    probability, so an index of weight zero is never drawn.
+    probability, so an index of weight zero is never drawn. scale and shift
+    let a caller draw from an affine mixture without building it; at their
+    defaults each entry is probs[i] itself.
     """
     r = rng.random()
     acc = 0.0
     last = 0
     for i, p in enumerate(probs):
+        p = scale * p + shift
         if p > 0.0:
             acc += p
             last = i

@@ -230,8 +230,9 @@ class MultiplicativeWeights(_HedgeCore):
 class _BanditPlay(_HedgeCore):
     """Bandit-feedback play: a one-hot draw from the exploration mixture
     (1 - gamma) * base + gamma / n, gamma_t = min(1, sqrt(n ln n / t)) unless
-    fixed by the `exploration` param. The mixture is kept for the
-    importance-weighted estimate of the drawn action's reward."""
+    fixed by the `exploration` param. sample_index scans the mixture without
+    building it; only the drawn action's probability is kept, for the
+    importance-weighted estimate of its reward."""
 
     param_defaults = {"eta": None, "exploration": None}
     reads_signal = False
@@ -243,7 +244,7 @@ class _BanditPlay(_HedgeCore):
         if explore is not None and not 0.0 <= explore <= 1.0:
             raise InvalidArgumentError(f"exploration must be in [0,1], got {explore!r}")
         self._explore_fixed = explore
-        self._played = [1.0 / self.n_own] * self.n_own
+        self._played_a = 1.0 / self.n_own  # the drawn action's mixture probability
         self._last_action = 0
         self._onehots = [pure(self.n_own, a) for a in range(self.n_own)]
 
@@ -251,18 +252,21 @@ class _BanditPlay(_HedgeCore):
         n = self.n_own
         gamma = self._explore_fixed
         if gamma is None:
-            gamma = min(1.0, math.sqrt(n * self._log_n / self.t)) if n > 1 else 0.0
+            gamma = math.sqrt(n * self._log_n / self.t) if n > 1 else 0.0
+            if gamma > 1.0:
+                gamma = 1.0
         self._round_gamma = gamma  # read again by _estimate
-        p = [(1.0 - gamma) * v + gamma / n for v in base]
-        self._played = p
-        a = sample_index(p, self.rng)
+        keep = 1.0 - gamma
+        spread = gamma / n
+        a = sample_index(base, self.rng, keep, spread)
         self._last_action = a
+        self._played_a = keep * base[a] + spread
         return self._onehots[a]
 
     def _estimate(self, fb) -> tuple[int, float, float]:
         """(drawn action, importance-weighted reward estimate, step size)."""
         a = self._last_action
-        est = (fb.own_utility - self._u_lo) * self._u_scale / self._played[a]  # _normalize
+        est = (fb.own_utility - self._u_lo) * self._u_scale / self._played_a  # _normalize
         step = self._eta_fixed if self._eta_fixed is not None else self._round_gamma / self.n_own
         return a, est, step
 
@@ -425,11 +429,13 @@ _COMMITMENTS: dict[tuple[GameMatrix, int, float], MixedStrategy] = {}
 class _EpochedCommitment(Learner):
     """Doubling-trick scaffolding: within an epoch of horizon T_m the learner
     commits to a strategy computed at perturbation delta = T_m^(-b). observe
-    starts the next epoch, of twice the horizon, once round t passes T_m."""
+    starts the next epoch, of twice the horizon, once round t passes T_m, and
+    clears `_current`, the commitment a subclass caches for the epoch."""
 
     # b in the schedule delta = T_m^(-b), 0 < b < 1-a
     param_defaults = {"b": 0.25, "initial_epoch": 64}
     integer_params = ("initial_epoch",)
+    _current = None
 
     def __init__(self, params, role, prior, signal, rng):
         super().__init__(params, role, prior, signal, rng)
@@ -447,6 +453,7 @@ class _EpochedCommitment(Learner):
         self.t += 1
         if self.t > self.epoch_horizon:
             self.epoch_horizon *= 2
+            self._current = None
 
     def _commitment(self, game_index: int) -> MixedStrategy:
         key = (game_index, self.epoch_horizon)
@@ -462,10 +469,14 @@ class _EpochedCommitment(Learner):
 
 class StackelbergLeader(_EpochedCommitment):
     """Commits every round to the signaled game's perturbed Stackelberg
-    commitment; trusts the signal as the true game."""
+    commitment; trusts the signal as the true game. The commitment is looked
+    up once per epoch, and every round of the epoch returns that object."""
 
     def act(self):
-        return self._commitment(self.signal)
+        s = self._current
+        if s is None:
+            s = self._current = self._commitment(self.signal)
+        return s
 
 
 class ExternalSignalLeader(_EpochedCommitment):

@@ -64,6 +64,29 @@ def test_stackval_prior(capsys):
     assert payload["expected_value"] == pytest.approx(1.5, abs=1e-6)
 
 
+@pytest.mark.parametrize("ref, player", [("fig1:gamma=1", 2), ("example41", 1)])
+def test_stackval_prior_solves_each_game_once(capsys, monkeypatch, ref, player):
+    from stratlab import cli, solve
+    from stratlab.games import load_prior
+
+    prior = load_prior(ref)
+    expected = solve.stackval_prior(prior, player)
+    solved = []
+    stackelberg_value = solve.stackelberg_value
+
+    def counted(g, leader):
+        solved.append(g.name)
+        return stackelberg_value(g, leader)
+
+    monkeypatch.setattr(solve, "stackelberg_value", counted)
+    monkeypatch.setattr(cli, "stackelberg_value", counted)
+    code, out, _ = run_cli(capsys, "stackval", "--prior", ref, "--player", str(player))
+    assert code == 0
+    assert solved == [g.name for g, _ in prior.entries]
+    # the same bits as solve.stackval_prior, which solves every game again
+    assert json.loads(out)["expected_value"] == expected
+
+
 def test_stackval_single_cell_game(capsys, tmp_path):
     path = tmp_path / "one.json"
     path.write_text(

@@ -21,6 +21,7 @@ from stratlab.games import (
     prior_from_dict,
     prior_from_games,
     prior_to_dict,
+    sample_index,
     sample_signal,
     two_game_family_g1,
 )
@@ -117,6 +118,50 @@ def test_draw_past_rounded_sum_never_returns_zero_weight_game(fig1_g1):
 
     assert prior_draw(prior, Stub()) == 1
     assert sample_signal(prior, 0, 0.0, Stub()) == 1
+
+
+def scan(probs, rng):
+    """The categorical draw written out: the first index whose cumulative
+    positive weight exceeds one rng.random(), else the last positive index."""
+    r = rng.random()
+    acc, last = 0.0, 0
+    for i, p in enumerate(probs):
+        if p > 0.0:
+            acc += p
+            last = i
+            if r < acc:
+                return i
+    return last
+
+
+class AlmostOne:
+    """A stub rng whose draw is the largest float below 1, past most rounded sums."""
+
+    def random(self):
+        return 1.0 - 2.0**-53
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_sample_index_scans_the_mixture_without_building_it(seed):
+    gen = random.Random(seed)
+    n = gen.randint(1, 6)
+    p = [gen.random() if gen.random() < 0.7 else 0.0 for _ in range(n)]
+    if not any(p):
+        p[gen.randrange(n)] = 1.0
+    p = [v / sum(p) for v in p]
+    # (1.0, 0.0) are the defaults: the entries are drawn as they are
+    for keep, spread in [(1.0, 0.0)] + [(1.0 - g, g / n) for g in (0.0, 1.0, gen.random())]:
+        explicit = [keep * v + spread for v in p]
+        mine, ref = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert sample_index(p, mine, keep, spread) == scan(explicit, ref)
+        assert mine.getstate() == ref.getstate()
+        assert sample_index(p, AlmostOne(), keep, spread) == scan(explicit, AlmostOne())
+    mine, ref = random.Random(seed), random.Random(seed)
+    for _ in range(200):
+        assert sample_index(p, mine) == scan(p, ref)
+    assert mine.getstate() == ref.getstate()
+    assert sample_index(p, AlmostOne()) == scan(p, AlmostOne())
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,21 @@ def test_commitments_are_solved_once_per_process(monkeypatch):
     assert calls == [(g, 1, t_m ** -0.25) for t_m in (64, 128, 256, 512)]
 
 
+def test_stackelberg_leader_returns_one_object_per_epoch():
+    g = game_matrix("mixed_commit", [[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [0.0, 2.0]])
+    lrn = make("stackelberg_leader", 1, prior_from_games([g]), b=0.25)
+    first = lrn.act()
+    for t_m, rounds in ((64, 64), (128, 64), (256, 128)):
+        assert lrn.epoch_horizon == t_m
+        current = lrn.act()
+        assert current is lrn._commitment(lrn.signal)
+        for _ in range(rounds):
+            assert lrn.act() is current
+            lrn.observe(FeedbackRecord(current, pure(2, 0), 0.0))
+    assert lrn.epoch_horizon == 512
+    assert lrn.act() != first  # the commitment moves with the epoch
+
+
 def test_external_signal_leader_follows_side_channel(fig1_prior):
     lrn = make("external_signal_leader", 2, fig1_prior, b=0.25)
     assert lrn.side_signal_accuracy(1) == 0.0
@@ -282,8 +297,8 @@ def test_no_swap_regret_bandit_reproducible(fig1_g1, fig1_prior):
 
 def generic_bandit_step(lrn, rng):
     """NoSwapRegretBandit.act at any n, written as the generic reduction:
-    (stationary distribution of the softmax rows, exploration mixture, one-hot
-    strategy drawn from the mixture with rng)."""
+    (stationary distribution of the softmax rows, exploration mixture, index
+    drawn from the mixture with rng)."""
     n = lrn.n_own
     p = stationary_distribution([lrn._softmax(lw) for lw in lrn._lw])
     if lrn._explore_fixed is not None:
@@ -291,15 +306,15 @@ def generic_bandit_step(lrn, rng):
     else:
         gamma = min(1.0, math.sqrt(n * lrn._log_n / lrn.t))
     played = [(1.0 - gamma) * v + gamma / n for v in p]
-    return p, played, pure(n, sample_index(played, rng))
+    return p, played, sample_index(played, rng)
 
 
 def assert_bandit_step_is_generic(lrn):
     clone = random.Random()
     clone.setstate(lrn.rng.getstate())
-    p, played, strategy = generic_bandit_step(lrn, clone)
-    assert lrn.act() == strategy
-    assert lrn._p == p and lrn._played == played
+    p, played, a = generic_bandit_step(lrn, clone)
+    assert lrn.act() == pure(lrn.n_own, a)
+    assert lrn._p == p and lrn._played_a == played[a]
     assert lrn.rng.getstate() == clone.getstate()
 
 
