@@ -148,15 +148,17 @@ def test_sample_index_scans_the_mixture_without_building_it(seed):
     p = [gen.random() if gen.random() < 0.7 else 0.0 for _ in range(n)]
     if not any(p):
         p[gen.randrange(n)] = 1.0
-    p = [v / sum(p) for v in p]
-    # (1.0, 0.0) are the defaults: the entries are drawn as they are
-    for keep, spread in [(1.0, 0.0)] + [(1.0 - g, g / n) for g in (0.0, 1.0, gen.random())]:
+    total = sum(p)
+    p = [v / total for v in p]
+    for gamma in (0.0, 1.0, gen.random()):
+        keep, spread = 1.0 - gamma, gamma / n
         explicit = [keep * v + spread for v in p]
         mine, ref = random.Random(seed), random.Random(seed)
         for _ in range(200):
             assert sample_index(p, mine, keep, spread) == scan(explicit, ref)
         assert mine.getstate() == ref.getstate()
         assert sample_index(p, AlmostOne(), keep, spread) == scan(explicit, AlmostOne())
+    # at the defaults the entries are drawn as they are
     mine, ref = random.Random(seed), random.Random(seed)
     for _ in range(200):
         assert sample_index(p, mine) == scan(p, ref)
