@@ -185,8 +185,16 @@ def cmd_learn(args) -> int:
     return 0 if report.success else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, as on any other error (2 is a failing verdict)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="stratlab",
         description="Repeated Bayesian-game laboratory: benchmarks, simulations, audits.",
     )
@@ -204,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="KEY=VALUE",
                 help="dotted-path config override, e.g. signal_model.p2=0.5",
             )
-        sp.add_argument("--threads", type=int, default=1, help="trial worker processes")
+            sp.add_argument("--threads", type=int, default=1, help="trial worker processes")
         sp.add_argument("--out", default=None, help="output directory (env STRATLAB_OUT)")
 
     sp = sub.add_parser("stackval", help="optimistic Stackelberg value of a game or prior")

@@ -214,8 +214,9 @@ def environment_draw(cfg: ExperimentConfig, trial_index: int) -> tuple[int, int,
 class _BeliefFold:
     """Per-trial belief evaluation at checkpoint rounds (history before t)."""
 
-    def __init__(self, probe: BeliefProbe, cfg: ExperimentConfig, realized: int):
+    def __init__(self, probe: BeliefProbe, cfg: ExperimentConfig, realized: int, learner):
         self.probe = probe
+        self.learner = learner  # the traced player's
         self.prior = cfg.prior
         self.realized = realized
         self.mode = cfg.prior.mode()
@@ -224,15 +225,14 @@ class _BeliefFold:
         own_n = cfg.prior.n1 if probe.player == 1 else cfg.prior.n2
         self.cum_own = [0.0] * own_n
         self.rounds_seen = 0
-        self.last_side = None
         if probe.kind == "utility_likelihood":
             # own-payoff columns per candidate game: cols[k][opp][own]
             self.cols = [tuple(zip(*g.own_payoffs(probe.player))) for g in cfg.prior.games]
 
     def current_belief(self) -> int:
         kind = self.probe.kind
-        if kind == "last_side_signal":
-            return self.mode if self.last_side is None else self.last_side
+        if kind == "last_side_signal":  # read after the round's side signal
+            return self.learner.game
         if kind == "nearest_best_response":
             if self.rounds_seen == 0:
                 return self.mode
@@ -284,9 +284,9 @@ def _simulate(
 
     l1 = learner_init(cfg.spec1, 1, prior, s1, stream(seed, trial_index, LEARNER1_STREAM))
     l2 = learner_init(cfg.spec2, 2, prior, s2, stream(seed, trial_index, LEARNER2_STREAM))
-    sides = [  # (player, learner, its side-signal stream), player 1 first
-        (player, lrn, stream(seed, trial_index, tag))
-        for player, lrn, tag in ((1, l1, SIDE1_STREAM), (2, l2, SIDE2_STREAM))
+    sides = [  # (learner, its side-signal stream), player 1 first
+        (lrn, stream(seed, trial_index, tag))
+        for lrn, tag in ((l1, SIDE1_STREAM), (l2, SIDE2_STREAM))
         if lrn.needs_side_signal
     ]
     pure_real = cfg.pure_realization
@@ -307,7 +307,7 @@ def _simulate(
     thresh = cfg.tail_threshold
     tail1 = [0] * n1
     tail2 = [0] * n2
-    fold = _BeliefFold(probe, cfg, realized) if probe is not None else None
+    fold = None if probe is None else _BeliefFold(probe, cfg, realized, l1 if probe.player == 1 else l2)
     belief_errors = [] if probe is not None else None
     # Bound after learner_init, which may wrap them; a replayed round leaves each record as filled.
     act1, act2, observe1, observe2 = l1.act, l2.act, l1.observe, l2.observe
@@ -318,12 +318,9 @@ def _simulate(
     last_x = last_y = cells = None
 
     for t in range(1, horizon + 1):
-        for player, lrn, side in sides:
+        for lrn, side in sides:
             acc = lrn.side_signal_accuracy(t)
-            q = realized if side.random() < acc else prior_draw(prior, side)
-            lrn.receive_side_signal(q)
-            if fold is not None and probe.player == player:
-                fold.last_side = q
+            lrn.receive_side_signal(realized if side.random() < acc else prior_draw(prior, side))
         if fold is not None and t == next_cp:
             belief_errors.append(fold.error())
 

@@ -55,6 +55,9 @@ class GameMatrix:
                         raise InvalidArgumentError(f"non-finite utility {v!r}")
         if len(self.action_labels1) != n1 or len(self.action_labels2) != n2:
             raise InvalidArgumentError("action label counts must match matrix shape")
+        for labels in (self.action_labels1, self.action_labels2):
+            if len(set(labels)) != len(labels):
+                raise InvalidArgumentError(f"repeated action label in {list(labels)!r}")
 
     @property
     def n1(self) -> int:
@@ -317,8 +320,11 @@ def builtin_game(ref: str) -> GameMatrix:
             key, _, val = piece.partition("=")
             if not val:
                 raise InvalidArgumentError(f"malformed builtin argument {piece!r} in {ref!r}")
+            key = key.strip()
+            if key in kwargs:
+                raise InvalidArgumentError(f"builtin argument {key!r} repeated in {ref!r}")
             try:
-                kwargs[key.strip()] = float(val)
+                kwargs[key] = float(val)
             except ValueError as e:
                 raise InvalidArgumentError(f"bad numeric argument in {ref!r}") from e
     try:

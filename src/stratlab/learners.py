@@ -94,6 +94,8 @@ class Learner:
     An instance's `params` is that table filled in from its spec, and its
     `_rows` the signaled game's own_payoffs.
     A config with bandit feedback rejects classes with `requires_full_info`.
+    A class with `needs_side_signal` gets a side signal before each round's
+    act (receive_side_signal) and keeps the last one in `game`.
     `reads_signal` is False only for classes whose play never depends on
     their pre-play signal, and `draws_randomness` is True only for classes
     that draw from their random stream `rng`.
@@ -428,14 +430,15 @@ _COMMITMENTS: dict[tuple[GameMatrix, int, float], MixedStrategy] = {}
 
 class _EpochedCommitment(Learner):
     """Doubling-trick scaffolding: within an epoch of horizon T_m the learner
-    commits to a strategy computed at perturbation delta = T_m^(-b). observe
-    starts the next epoch, of twice the horizon, once round t passes T_m, and
-    clears `_current`, the commitment a subclass caches for the epoch."""
+    commits to the perturbed Stackelberg commitment of the game `game` at
+    perturbation delta = T_m^(-b). `_epoch` holds one commitment slot per game
+    of the prior, filled on the epoch's first act for that game; observe
+    starts the next epoch, of twice the horizon, with a new list once round t
+    passes T_m."""
 
     # b in the schedule delta = T_m^(-b), 0 < b < 1-a
     param_defaults = {"b": 0.25, "initial_epoch": 64}
     integer_params = ("initial_epoch",)
-    _current = None
 
     def __init__(self, params, role, prior, signal, rng):
         super().__init__(params, role, prior, signal, rng)
@@ -446,37 +449,31 @@ class _EpochedCommitment(Learner):
         self.epoch_horizon = self.params["initial_epoch"]
         if self.epoch_horizon < 1:
             raise InvalidArgumentError("initial_epoch must be >= 1")
-        self._cache: dict[tuple[int, int], MixedStrategy] = {}
+        self.game = signal
+        self._epoch: list[MixedStrategy | None] = [None] * prior.support_size
         self.t = 1
+
+    def act(self):
+        s = self._epoch[self.game]
+        if s is None:
+            key = (self.prior.games[self.game], self.role, self.epoch_horizon ** (-self._b))
+            s = _COMMITMENTS.get(key)
+            if s is None:
+                s = _COMMITMENTS[key] = perturbed_commitment(*key)[0]
+            self._epoch[self.game] = s
+        return s
 
     def observe(self, fb):
         self.t += 1
         if self.t > self.epoch_horizon:
             self.epoch_horizon *= 2
-            self._current = None
-
-    def _commitment(self, game_index: int) -> MixedStrategy:
-        key = (game_index, self.epoch_horizon)
-        s = self._cache.get(key)
-        if s is None:
-            shared = (self.prior.games[game_index], self.role, self.epoch_horizon ** (-self._b))
-            s = _COMMITMENTS.get(shared)
-            if s is None:
-                s = _COMMITMENTS[shared] = perturbed_commitment(*shared)[0]
-            self._cache[key] = s
-        return s
+            self._epoch = [None] * self.prior.support_size
 
 
 class StackelbergLeader(_EpochedCommitment):
     """Commits every round to the signaled game's perturbed Stackelberg
-    commitment; trusts the signal as the true game. The commitment is looked
-    up once per epoch, and every round of the epoch returns that object."""
-
-    def act(self):
-        s = self._current
-        if s is None:
-            s = self._current = self._commitment(self.signal)
-        return s
+    commitment; trusts the signal as the true game. Every round of an epoch
+    returns the one commitment object looked up at its start."""
 
 
 class ExternalSignalLeader(_EpochedCommitment):
@@ -492,39 +489,32 @@ class ExternalSignalLeader(_EpochedCommitment):
         if not decay > 0:
             raise InvalidArgumentError(f"accuracy_decay must be positive, got {decay!r}")
         self._decay = decay
-        self._q = signal
 
     def side_signal_accuracy(self, t: int) -> float:
         return 1.0 - t ** (-self._decay)
 
     def receive_side_signal(self, index: int) -> None:
-        self._q = index
-
-    def act(self):
-        return self._commitment(self._q)
+        self.game = index
 
 
 class BestResponder(Learner):
     """Per-round best reply (in the signaled game) to the opponent's previous
-    strategy; uniform opponent assumed in round 1. Lowest-index tie-break."""
+    strategy; uniform opponent assumed in round 1. Lowest-index tie-break.
+    The reply is computed when the opponent's strategy changes (!=)."""
 
     requires_full_info = True
 
     def __init__(self, params, role, prior, signal, rng):
         super().__init__(params, role, prior, signal, rng)
         self._last_opp: MixedStrategy | None = None
-        self._cached_reply: MixedStrategy | None = None
+        self._reply = self._round_one()
 
     def _reply_to(self, opp: Sequence[float]) -> MixedStrategy:
         values = payoffs_against(self._rows, opp)
         return pure(self.n_own, values.index(max(values)))  # lowest index among ties
 
     def act(self):
-        if self._last_opp is None:
-            return self._round_one()
-        if self._cached_reply is None:
-            self._cached_reply = self._reply_to(self._last_opp)
-        return self._cached_reply
+        return self._reply
 
     def _round_one(self) -> MixedStrategy:
         return self._reply_to([1.0 / self.n_opp] * self.n_opp)
@@ -533,7 +523,7 @@ class BestResponder(Learner):
         opp = fb.opponent_strategy
         if opp != self._last_opp:
             self._last_opp = opp
-            self._cached_reply = None
+            self._reply = self._reply_to(opp)
 
 
 class RevealThenFollowLeader(BestResponder):
@@ -561,18 +551,18 @@ class InferThenCommitFollower(Learner):
         if role != 2:
             raise InvalidArgumentError("infer_then_commit_follower is a player-2 algorithm")
         super().__init__(params, role, prior, signal, rng)
-        self._commitment: MixedStrategy | None = None
+        self._strategy = pure(self.n_own, 0)
+        self._committed = False
 
     def act(self):
-        if self._commitment is None:
-            return pure(self.n_own, 0)
-        return self._commitment
+        return self._strategy
 
     def observe(self, fb):
-        if self._commitment is None:
+        if not self._committed:
+            self._committed = True
             opp = fb.opponent_strategy
             inferred = max(range(len(opp)), key=lambda a: opp[a]) % self.prior.support_size
-            self._commitment = stackelberg_value(
+            self._strategy = stackelberg_value(
                 self.prior.games[inferred], self.role
             ).leader_strategy
 

@@ -107,6 +107,63 @@ def test_stackval_argument_errors(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["audit", "--config", str(CONFIGS / "reveal_follow.json"), "--trails", "2"],
+         "unrecognized arguments: --trails 2"),
+        (["stackval", "--game", "fig1_g2:gamma=1", "--player", "3"], "invalid choice: 3"),
+        (["learn", "--config", str(CONFIGS / "example41_learn.json"), "--tau", "0.1",
+          "--belief", "nope"], "invalid choice: 'nope'"),
+        # --threads belongs to the commands that simulate
+        (["stackval", "--game", "fig1_g2:gamma=1", "--player", "2", "--threads", "2"],
+         "unrecognized arguments: --threads 2"),
+        (["reveal", "--prior", "fig1:gamma=1", "--player", "2", "--threads", "2"],
+         "unrecognized arguments: --threads 2"),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, message):
+    # 2 is reserved for a failing verdict
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 1 and out.out == ""
+    assert out.err.startswith("usage: stratlab") and message in out.err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["stackval", "--help"])
+    assert exc.value.code == 0 and "--player" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, ref", [("--game", "fig1_g1:gamma=0.5,gamma=1"), ("--prior", "fig1:gamma=0.5, gamma=1")]
+)
+def test_repeated_builtin_argument_is_error(capsys, flag, ref):
+    code, out, err = run_cli(capsys, "stackval", flag, ref, "--player", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: builtin argument 'gamma' repeated in ")
+
+
+@pytest.mark.parametrize("player", [1, 2])
+def test_repeated_action_label_is_error(capsys, tmp_path, player):
+    labels = {"actions1": ["A", "B"], "actions2": ["C", "D"]}
+    labels[f"actions{player}"] = ["A", "A"] if player == 1 else ["C", "C"]
+    game = {"name": "twins", **labels, "u1": [[1, 0], [0, 1]], "u2": [[0, 1], [1, 0]]}
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game))
+    code, out, err = run_cli(capsys, "stackval", "--game", str(path), "--player", "1")
+    assert code == 1 and out == "" and err.startswith("error: repeated action label in ")
+    cfg = json.loads((CONFIGS / "reveal_follow.json").read_text())
+    cfg["prior"] = {"games": [{"weight": 1.0, "game": game}]}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--trials", "1",
+                             "--horizon", "5", "--out", str(tmp_path))
+    assert code == 1 and out == "" and err.startswith("error: repeated action label in ")
+
+
+@pytest.mark.parametrize(
     "where, value, what",
     [
         ("weight", "0.5", "prior weight"),

@@ -198,6 +198,40 @@ def test_best_responder_round_one_uniform(fig1_g2, fig1_prior):
     assert lrn.act() == (1.0, 0.0)
 
 
+@pytest.mark.parametrize("kind, role", [("best_responder", 1), ("best_responder", 2),
+                                        ("reveal_then_follow_leader", 1)])
+def test_replies_are_computed_only_when_the_opponent_changes(monkeypatch, fig1_prior, kind, role):
+    computed = []
+    original = learners.payoffs_against
+
+    def counting(rows, opp):
+        computed.append(opp)
+        return original(rows, opp)
+
+    monkeypatch.setattr(learners, "payoffs_against", counting)
+    lrn = make(kind, role, fig1_prior)
+    at_construction = len(computed)  # best_responder's reply to a uniform opponent
+    assert at_construction == (kind == "best_responder")
+    pool = [pure(2, 0), pure(2, 1), (0.5, 0.5), (-0.0, 1.0)]  # the last == pool[1]
+    script = random.Random(7)  # repeats, equal but distinct tuples, and changes
+    held, last, changes = lrn.act(), None, 0
+    for _ in range(300):
+        opp = pool[script.randrange(len(pool))]
+        if script.random() < 0.5:
+            opp = tuple(list(opp))
+        lrn.observe(FeedbackRecord(held, opp, 0.0))
+        reply = lrn.act()
+        if opp == last:
+            assert reply is held
+        else:
+            changes += 1
+            values = original(lrn._rows, opp)
+            assert reply == pure(2, values.index(max(values)))
+        assert lrn.act() is reply
+        held, last = reply, opp
+    assert len(computed) == at_construction + changes
+
+
 def test_mimic_matches_base_under_forced_signal(fig1_prior):
     base = LearnerSpec("stackelberg_leader", {"b": 0.25})
     mimic = LearnerSpec("mimic_deviation", {"base": base, "signal": 0})
@@ -256,12 +290,40 @@ def test_stackelberg_leader_returns_one_object_per_epoch():
     for t_m, rounds in ((64, 64), (128, 64), (256, 128)):
         assert lrn.epoch_horizon == t_m
         current = lrn.act()
-        assert current is lrn._commitment(lrn.signal)
+        assert current == perturbed_commitment(g, 1, t_m ** -0.25)[0]
         for _ in range(rounds):
             assert lrn.act() is current
             lrn.observe(FeedbackRecord(current, pure(2, 0), 0.0))
     assert lrn.epoch_horizon == 512
     assert lrn.act() != first  # the commitment moves with the epoch
+
+
+def test_external_signal_leader_holds_one_object_per_game_and_epoch(monkeypatch):
+    games = [
+        game_matrix("mixed_commit", [[1.0, 0.0], [2.0, 0.0]], [[2.0, 0.0], [0.0, 2.0]]),
+        game_matrix("lopsided", [[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0], [0.0, 1.0]]),
+    ]
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return perturbed_commitment(*args)
+
+    monkeypatch.setattr(learners, "perturbed_commitment", counted)
+    monkeypatch.setattr(learners, "_COMMITMENTS", {})
+    lrn = make("external_signal_leader", 1, prior_from_games(games), b=0.25, initial_epoch=8)
+    epochs = ((8, 8), (16, 8), (32, 16))
+    for t_m, rounds in epochs:
+        assert lrn.epoch_horizon == t_m
+        held = {}
+        for t in range(rounds):
+            lrn.receive_side_signal(t % 2)  # 0, 1, 0, 1, ...
+            s = lrn.act()
+            assert held.setdefault(t % 2, s) is s
+            lrn.observe(FeedbackRecord(s, pure(2, 0), 0.0))
+        for k, s in held.items():
+            assert s == perturbed_commitment(games[k], 1, t_m ** -0.25)[0]
+    assert calls == [(g, 1, t_m ** -0.25) for t_m, _ in epochs for g in games]
 
 
 def test_external_signal_leader_follows_side_channel(fig1_prior):
