@@ -309,11 +309,12 @@ _BUILTIN_GAMES = {
 }
 
 
-def builtin_game(ref: str) -> GameMatrix:
-    """Resolve a builtin game reference like "fig1_g1:gamma=0.5" or "example41_g1"."""
+def _builtin_ref(ref: str, table: dict, what: str) -> tuple[str, dict]:
+    """(name, keyword arguments) of a builtin ref "name" or "name:key=value,...",
+    whose name must be in table; every error names ref as given."""
     name, _, argpart = ref.partition(":")
-    if name not in _BUILTIN_GAMES:
-        raise InvalidArgumentError(f"unknown builtin game {ref!r}")
+    if name not in table:
+        raise InvalidArgumentError(f"unknown builtin {what} {ref!r}")
     kwargs = {}
     if argpart:
         for piece in argpart.split(","):
@@ -327,10 +328,19 @@ def builtin_game(ref: str) -> GameMatrix:
                 kwargs[key] = float(val)
             except ValueError as e:
                 raise InvalidArgumentError(f"bad numeric argument in {ref!r}") from e
+    return name, kwargs
+
+
+def _make_game(name: str, kwargs: dict, ref: str) -> GameMatrix:
     try:
         return _BUILTIN_GAMES[name](**kwargs)
     except TypeError as e:
         raise InvalidArgumentError(f"bad arguments for builtin {ref!r}: {e}") from e
+
+
+def builtin_game(ref: str) -> GameMatrix:
+    """Resolve a builtin game reference like "fig1_g1:gamma=0.5" or "example41_g1"."""
+    return _make_game(*_builtin_ref(ref, _BUILTIN_GAMES, "game"), ref)
 
 
 # Each builtin prior is uniform over two builtin games, which take its arguments.
@@ -342,10 +352,8 @@ _BUILTIN_PRIORS = {
 
 def builtin_prior(ref: str) -> Prior:
     """Resolve a builtin prior reference: "fig1:gamma=<g>" or "example41"."""
-    name, sep, argpart = ref.partition(":")
-    if name not in _BUILTIN_PRIORS:
-        raise InvalidArgumentError(f"unknown builtin prior {ref!r}")
-    return prior_from_games([builtin_game(g + sep + argpart) for g in _BUILTIN_PRIORS[name]])
+    name, kwargs = _builtin_ref(ref, _BUILTIN_PRIORS, "prior")
+    return prior_from_games([_make_game(g, kwargs, ref) for g in _BUILTIN_PRIORS[name]])
 
 
 def game_to_dict(g: GameMatrix) -> dict:

@@ -302,92 +302,104 @@ def stationary_distribution(q: Sequence[Sequence[float]]) -> list[float]:
     the back-substitution keep every intermediate in [0, 1], so a subnormal
     s_k cannot overflow. Underflow can also make s_k exactly 0: then k is
     absorbing in the chain censored to 0..k, so pi is 0 below k and follows
-    by back-substitution from pi_k = 1. At n = 2 this is the closed form
-    (q10, q01) / (q01 + q10), and (0, 1) when q10 == 0.
+    by back-substitution from pi_k = 1. At n = 2 this is (q10, q01) /
+    (q01 + q10), and (0, 1) when q10 == 0.
+
+    The solve for n states is straight-line code on local variables (see
+    _emit_solves), compiled on its first use in the process and kept in
+    _SOLVES; its code, and so its compile time, grows as n^3. q is only read.
     """
-    return _gth([list(row) for row in q])
+    return _solves(len(q))[1](q)
 
 
-def _gth(a: list[list[float]]) -> list[float]:
-    """stationary_distribution of the row-stochastic matrix a, whose rows it
-    overwrites."""
-    n = len(a)
-    if n == 1:
-        return [1.0]
-    exits = [0.0] * n  # s_k
-    first = 0  # the states below it get no stationary mass
+# The two entry forms of the stationary solve, by state count n.
+_SOLVES: dict[int, tuple] = {}
+
+
+def _solves(n: int) -> tuple:
+    """(solve from log-weights, solve from rows q) for n states."""
+    solves = _SOLVES.get(n)
+    if solves is None:
+        solves = _SOLVES[n] = _emit_solves(n)
+    return solves
+
+
+def _emit_solves(n: int) -> tuple:
+    """Compile stationary_distribution for n states as straight-line code on
+    local variables, in two forms: from the rows q, and from log-weights lw
+    whose rows it first turns into softmax rows as _HedgeCore._softmax does.
+
+    Both do the float operations of the loop form of GTH in its order, so
+    their results are bit-identical to it: max is a `>` chain, as builtin max
+    is, and a sum() of more than two entries stays a sum() call, which is
+    compensated from Python 3.12 on; a sum() of two equals their `+`. The
+    diagonal is never read, so it is never divided or updated. Every entry is
+    finite and non-negative, so adding 0.0 * x leaves it unchanged and the
+    elimination needs no zero test."""
+    a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
+
+    def total(terms: list[str]) -> str:
+        return " + ".join(terms) if len(terms) <= 2 else f"sum(({', '.join(terms)}))"
+
+    def unpack(rows: list[list[str]], arg: str) -> str:
+        return "".join(f"({', '.join(row)},), " for row in rows) + f"= {arg}"
+
+    def back_substitution(first: int) -> list[str]:
+        # p{first..j} is the stationary distribution of the chain censored to
+        # states 0..j; v is a running sum in the loop form, so a `+` chain.
+        lines = [f"p{first} = 1.0"]
+        for j in range(first + 1, n):
+            lines.append("v = " + " + ".join(f"p{i} * {a[i][j]}" for i in range(first, j)))
+            lines += [f"t = s{j} + v", f"c = s{j} / t"]
+            lines += [f"p{i} *= c" for i in range(first, j)]
+            lines.append(f"p{j} = v / t")
+        pi = ["0.0"] * first + [f"p{i}" for i in range(first, n)]
+        return lines + [f"return [{', '.join(pi)}]"]
+
+    solve = []
     for k in range(n - 1, 0, -1):
-        ak = a[k]
-        s = sum(ak[:k])
-        if not s:
-            first = k
-            break
-        exits[k] = s
-        if k == 1:  # the rest of the step would only write entries never read
-            break
-        for j in range(k):
-            ak[j] /= s
-        for i in range(k):
-            ai = a[i]
-            f = ai[k]
-            if f:
-                for j in range(k):
-                    ai[j] += f * ak[j]
-    # pi[first..j] holds the stationary distribution of the chain censored
-    # to states 0..j, normalised to sum 1.
-    pi = [0.0] * n
-    pi[first] = 1.0
-    for j in range(first + 1, n):
-        v = 0.0
-        for i in range(first, j):
-            v += pi[i] * a[i][j]
-        t = exits[j] + v
-        c = exits[j] / t
-        for i in range(first, j):
-            pi[i] *= c
-        pi[j] = v / t
-    return pi
+        solve += [f"s{k} = {total(a[k][:k])}", f"if not s{k}:"]
+        solve += ["    " + line for line in back_substitution(k)]
+        if k > 1:  # at k = 1 the rest of the step writes only the diagonal
+            solve += [f"{a[k][j]} /= s{k}" for j in range(k)]
+            solve += [f"{a[i][j]} += {a[i][k]} * {a[k][j]}"
+                      for i in range(k) for j in range(k) if i != j]
+    solve += back_substitution(0)
+
+    lw = [[f"l{i}_{j}" for j in range(n)] for i in range(n)]
+    from_lw = [unpack(lw, "lw")]
+    for i, row in enumerate(lw):
+        from_lw += [f"m = {row[0]}"] + [f"if {x} > m: m = {x}" for x in row[1:]]
+        from_lw += [f"e{j} = exp({x} - m)" for j, x in enumerate(row)]
+        from_lw.append(f"s = {total([f'e{j}' for j in range(n)])}")
+        from_lw += [f"{a[i][j]} = e{j} / s" for j in range(n) if j != i]
+    from_rows = [unpack([[x if i != j else "_" for j, x in enumerate(row)]
+                         for i, row in enumerate(a)], "q")]
+    src = "".join(f"def {name}({arg}):\n" + "".join(f"    {line}\n" for line in head + solve)
+                  for name, arg, head in (("from_lw", "lw", from_lw), ("from_rows", "q", from_rows)))
+    namespace = {"exp": math.exp}
+    exec(compile(src, f"<stationary solve, n = {n}>", "exec"), namespace)
+    return namespace["from_lw"], namespace["from_rows"]
 
 
 class _SwapRegretCore(_HedgeCore):
     """Expert reduction: one hedge instance per own action; play the stationary
-    distribution of the experts' recommendation matrix, solved exactly (see
-    stationary_distribution)."""
+    distribution of the experts' recommendation matrix, the softmax rows of
+    the log-weights, solved exactly by `_solve` (see stationary_distribution)."""
 
     def __init__(self, params, role, prior, signal, rng):
         super().__init__(params, role, prior, signal, rng)
         n = self.n_own
         self._lw = [[0.0] * n for _ in range(n)]
         self._p = [1.0 / n] * n
-
-    def _stationary(self) -> list[float]:
-        """stationary_distribution of the softmax rows of the log-weights, each
-        computed as _softmax does: new rows that _gth eliminates in place, or at
-        two actions only the entries read (q01, q10) and the closed form."""
-        if self.n_own != 2:
-            rows = []
-            for lw in self._lw:
-                m = max(lw)
-                es = [math.exp(v - m) for v in lw]
-                s = sum(es)
-                rows.append([e / s for e in es])
-            return _gth(rows)
-        (a0, a1), (b0, b1) = self._lw
-        m = a0 if a0 >= a1 else a1
-        e0, e1 = math.exp(a0 - m), math.exp(a1 - m)
-        q01 = e1 / (e0 + e1)
-        m = b0 if b0 >= b1 else b1
-        e0, e1 = math.exp(b0 - m), math.exp(b1 - m)
-        q10 = e0 / (e0 + e1)
-        s = q01 + q10
-        return [q10 / s, q01 / s] if s else [0.0, 1.0]
+        self._solve = _solves(n)[0]
 
 
 class NoSwapRegretFull(_SwapRegretCore):
     requires_full_info = True
 
     def act(self):
-        self._p = self._stationary()
+        self._p = self._solve(self._lw)
         return tuple(self._p)
 
     def observe(self, fb):
@@ -409,7 +421,7 @@ class NoSwapRegretBandit(_BanditPlay, _SwapRegretCore):
     the base of the exploration mixture (see _BanditPlay)."""
 
     def act(self):
-        self._p = self._stationary()
+        self._p = self._solve(self._lw)
         return self._sample(self._p)
 
     def observe(self, fb):
