@@ -145,6 +145,18 @@ def test_repeated_builtin_argument_is_error(capsys, flag, ref):
     assert err.startswith("error: builtin argument 'gamma' repeated in ")
 
 
+@pytest.mark.parametrize(
+    "ref, message",
+    [
+        ("fig1:gamma=0.5,gamma=1", "builtin argument 'gamma' repeated in 'fig1:gamma=0.5,gamma=1'"),
+        ("fig1:gamma=x", "bad numeric argument in 'fig1:gamma=x'"),
+    ],
+)
+def test_builtin_prior_argument_error_names_the_ref_as_typed(capsys, ref, message):
+    code, out, err = run_cli(capsys, "stackval", "--prior", ref, "--player", "1")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("player", [1, 2])
 def test_repeated_action_label_is_error(capsys, tmp_path, player):
     labels = {"actions1": ["A", "B"], "actions2": ["C", "D"]}

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stratlab import learners
+from stratlab.engine import ExperimentConfig, run_summaries
 from stratlab.errors import InvalidArgumentError
 from stratlab.games import (
     FeedbackRecord,
+    SignalModel,
     game_matrix,
     prior_from_games,
     pure,
@@ -357,12 +359,59 @@ def test_no_swap_regret_bandit_reproducible(fig1_g1, fig1_prior):
     assert runs[0] == runs[1]
 
 
+def gth(q):
+    """Stationary distribution of the row-stochastic matrix q by the loop form
+    of Grassmann-Taksar-Heyman elimination: the reference that the compiled
+    solves of learners.stationary_distribution must match bit for bit."""
+    a = [list(row) for row in q]
+    n = len(a)
+    if n == 1:
+        return [1.0]
+    exits = [0.0] * n  # s_k
+    first = 0  # the states below it get no stationary mass
+    for k in range(n - 1, 0, -1):
+        ak = a[k]
+        s = sum(ak[:k])
+        if not s:
+            first = k
+            break
+        exits[k] = s
+        if k == 1:  # the rest of the step would only write entries never read
+            break
+        for j in range(k):
+            ak[j] /= s
+        for i in range(k):
+            ai = a[i]
+            f = ai[k]
+            if f:
+                for j in range(k):
+                    ai[j] += f * ak[j]
+    # pi[first..j] holds the stationary distribution of the chain censored
+    # to states 0..j, normalised to sum 1.
+    pi = [0.0] * n
+    pi[first] = 1.0
+    for j in range(first + 1, n):
+        v = 0.0
+        for i in range(first, j):
+            v += pi[i] * a[i][j]
+        t = exits[j] + v
+        c = exits[j] / t
+        for i in range(first, j):
+            pi[i] *= c
+        pi[j] = v / t
+    return pi
+
+
+def softmax_rows(lws):
+    return [learners._HedgeCore._softmax(lw) for lw in lws]
+
+
 def generic_bandit_step(lrn, rng):
     """NoSwapRegretBandit.act at any n, written as the generic reduction:
     (stationary distribution of the softmax rows, exploration mixture, index
     drawn from the mixture with rng)."""
     n = lrn.n_own
-    p = stationary_distribution([lrn._softmax(lw) for lw in lrn._lw])
+    p = gth(softmax_rows(lrn._lw))
     if lrn._explore_fixed is not None:
         gamma = lrn._explore_fixed
     else:
@@ -394,7 +443,7 @@ def test_full_two_action_step_matches_generic_step(fig1_prior):
     lrn = make("no_swap_regret_full", 2, fig1_prior, seed=7)
     script = random.Random(11)  # the opponent's scripted mixtures
     for _ in range(5000):
-        p = stationary_distribution([lrn._softmax(lw) for lw in lrn._lw])
+        p = gth(softmax_rows(lrn._lw))
         own = lrn.act()
         assert own == tuple(p) and lrn._p == p
         w = script.random()
@@ -415,7 +464,7 @@ def test_two_action_step_on_underflowed_weights(fig1_prior, lw):
     assert_bandit_step_is_generic(lrn)
     full = make("no_swap_regret_full", 2, fig1_prior)
     full._lw = lw
-    assert full.act() == tuple(stationary_distribution([full._softmax(r) for r in lw]))
+    assert full.act() == tuple(gth(softmax_rows(lw)))
 
 
 LOG_WEIGHTS = st.one_of(
@@ -425,19 +474,76 @@ LOG_WEIGHTS = st.one_of(
 )
 
 
-@settings(max_examples=500)
-@given(st.data())
-def test_step_above_two_actions_is_the_generic_solve_bit_for_bit(data):
-    n = data.draw(st.sampled_from([3, 4, 5]))
-    lws = [data.draw(st.lists(LOG_WEIGHTS, min_size=n, max_size=n)) for _ in range(n)]
+def assert_both_solves_are_the_loop_solve(lws):
+    """The learner's solve from log-weights and stationary_distribution on
+    their softmax rows (lists, then tuples) both equal gth by float.hex; the
+    public solve leaves its input alone. Returns the solution."""
+    n = len(lws)
     lrn = make("no_swap_regret_full", 1, prior_from_games([cyclic_zero_sum(n)]))
     lrn._lw = lws
-    q = [lrn._softmax(lw) for lw in lws]
+    q = softmax_rows(lws)
     before = [list(row) for row in q]
-    expected = [v.hex() for v in stationary_distribution(q)]
-    assert q == before  # the public solve leaves its input alone
+    pi = gth(q)
+    expected = [v.hex() for v in pi]
+    assert [v.hex() for v in stationary_distribution(q)] == expected
+    assert q == before
     assert [v.hex() for v in stationary_distribution(tuple(map(tuple, q)))] == expected
-    assert [v.hex() for v in lrn._stationary()] == expected
+    assert [v.hex() for v in lrn._solve(lws)] == expected
+    assert lrn.act() == tuple(pi)
+    return pi
+
+
+@settings(max_examples=800)
+@given(st.data())
+def test_stationary_solve_is_the_loop_solve_bit_for_bit(data):
+    n = data.draw(st.integers(1, 8))
+    assert_both_solves_are_the_loop_solve(
+        [data.draw(st.lists(LOG_WEIGHTS, min_size=n, max_size=n)) for _ in range(n)]
+    )
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 9) for k in range(1, n)])
+def test_every_zero_exit_mass_is_the_loop_solve_bit_for_bit(n, k):
+    # States k..n-1 form a closed class (their weights on states below k
+    # underflow to 0), so s_k is exactly 0 and the solve exits at k.
+    rng = random.Random(100 * n + k)
+    lws = [[-1e4 if i >= k > j else rng.uniform(-5.0, 5.0) for j in range(n)] for i in range(n)]
+    pi = assert_both_solves_are_the_loop_solve(lws)
+    assert pi[:k] == [0.0] * k and pi[k] > 0.0
+
+
+def test_learners_of_one_action_count_share_one_compiled_solve(monkeypatch, fig1_prior):
+    compiled = []
+    emit = learners._emit_solves
+    monkeypatch.setattr(learners, "_SOLVES", {})
+    monkeypatch.setattr(learners, "_emit_solves", lambda n: compiled.append(n) or emit(n))
+    full = make("no_swap_regret_full", 2, fig1_prior)
+    bandit = make("no_swap_regret_bandit", 1, fig1_prior, seed=3)
+    make("no_swap_regret_full", 1, prior_from_games([cyclic_zero_sum(3)]))
+    stationary_distribution([[0.5, 0.5], [0.25, 0.75]])
+    assert full._solve is bandit._solve is learners._SOLVES[2][0]
+    assert compiled == [2, 3]
+
+
+def test_pool_workers_inherit_the_compiled_solve(monkeypatch, fig1_prior):
+    monkeypatch.setattr(learners, "_SOLVES", {})
+    cfg = ExperimentConfig(
+        prior=fig1_prior,
+        signal_model=SignalModel(1.0, 0.5),
+        spec1=LearnerSpec("stackelberg_leader"),
+        spec2=LearnerSpec("no_swap_regret_bandit"),
+        horizon=50,
+        trials=3,  # a seeded learner: 3 distinct trials, so the pool forks
+        master_seed=17,
+    )
+    # Checking the config built a throwaway bandit, which compiled its solve.
+    assert list(learners._SOLVES) == [2]
+
+    def refuse(n):
+        raise AssertionError(f"the solve for n = {n} was compiled again")
+
+    monkeypatch.setattr(learners, "_emit_solves", refuse)
+    assert run_summaries(cfg, threads=2) == run_summaries(cfg)
 
 
 def hexes(lw):
