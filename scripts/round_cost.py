@@ -18,9 +18,12 @@ The code measured is the one under --src (default: this checkout). With
 stratlab is imported too, as the package `stratlab_against`, and every pair is
 timed --repeats times on each side, the side that runs first alternating from
 one pair of timings to the next, so both sides see the same drift of the
-host's speed. A row then reports each side's median, the ratio of the medians
-(this side over the other), the number of timing pairs this side won and
-this side's repeat share.
+host's speed. A row then reports each side's median, the interquartile range
+of the other side's timings, the ratio of the medians (this side over the
+other), the number of timing pairs this side won, a verdict and this side's
+repeat share. The verdict is `faster` or `slower` only when one side won at
+least 9 in 10 of the pairs and the medians differ by more than that IQR;
+otherwise the row is `unresolved`, as a change within the host's noise is.
 
 Example:
     python3 scripts/round_cost.py --horizon 4000 --repeats 5
@@ -34,6 +37,8 @@ import statistics
 import sys
 from pathlib import Path
 from time import perf_counter
+
+from bench_record import spread
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -103,6 +108,20 @@ def repeat_share(engine, cfg, trials: int) -> float:
     return repeats / sum(map(len, played[0::2]))
 
 
+def compare(this: list, against: list) -> tuple[float, int, str]:
+    """(IQR of against, pairs this won, verdict) of paired timings this[r],
+    against[r]: `faster` or `slower` when the side with the lower median won
+    at least 9 in 10 of the pairs and the medians differ by more than the
+    IQR, else `unresolved`."""
+    gap = statistics.median(this) - statistics.median(against)
+    iqr = spread(against)["iqr"]
+    wins = sum(a < b for a, b in zip(this, against))
+    won = wins if gap < 0 else sum(a > b for a, b in zip(this, against))
+    if 10 * won >= 9 * len(this) and abs(gap) > iqr:
+        return iqr, wins, "faster" if gap < 0 else "slower"
+    return iqr, wins, "unresolved"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--src", type=Path, default=ROOT / "src",
@@ -134,8 +153,8 @@ def main(argv=None) -> int:
         return 0
     print(f"# this: {sides[0]}\n# against: {sides[1]}\n"
           f"# medians of {args.repeats} paired timings, {size}")
-    print(f"{'config':<26} {'pair':<20} {'this us':>9} {'against':>9} {'ratio':>6} {'wins':>7} "
-          f"{'repeat':>7}")
+    print(f"{'config':<26} {'pair':<20} {'this us':>9} {'against':>9} {'IQR':>7} {'ratio':>6} "
+          f"{'wins':>7} {'verdict':>10} {'repeat':>7}")
     for key in [k for k in tables[0] if k in tables[1]]:
         times: tuple[list, list] = ([], [])
         for r in range(args.repeats):
@@ -143,10 +162,11 @@ def main(argv=None) -> int:
                 _, _, engine, learners = modules[side]
                 times[side].append(timing(engine, learners, tables[side][key], args.trials))
         this, against = (statistics.median(t) * us for t in times)
-        wins = sum(a < b for a, b in zip(*times))
+        iqr, wins, verdict = compare(*times)
+        iqr *= us
         repeat = repeat_share(modules[0][2], tables[0][key], args.trials)
-        print(f"{key[0]:<26} {key[1]:<20} {this:9.2f} {against:9.2f} {this / against:6.3f} "
-              f"{f'{wins}/{args.repeats}':>7} {repeat:7.1%}")
+        print(f"{key[0]:<26} {key[1]:<20} {this:9.2f} {against:9.2f} {iqr:7.2f} "
+              f"{this / against:6.3f} {f'{wins}/{args.repeats}':>7} {verdict:>10} {repeat:7.1%}")
     return 0
 
 

@@ -58,6 +58,8 @@ def apply_override(raw: dict, assignment: str) -> None:
 def load_config(path: str, args) -> ExperimentConfig:
     with open(path) as f:
         raw = json.load(f)
+    if not isinstance(raw, dict):
+        raise InvalidArgumentError(f"config {path!r} is not a JSON object")
     for assignment in args.set or ():
         apply_override(raw, assignment)
     if args.seed is not None:
@@ -254,7 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    errors = (InvalidArgumentError, AssumptionViolatedError, FileNotFoundError, json.JSONDecodeError)
+    # OSError and UnicodeDecodeError: an input path that is missing, a
+    # directory or unreadable, or a file that is not UTF-8.
+    errors = (InvalidArgumentError, AssumptionViolatedError, OSError, UnicodeDecodeError,
+              json.JSONDecodeError)
     try:
         return args.fn(args)
     except errors as e:

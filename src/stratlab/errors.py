@@ -10,9 +10,11 @@ class AssumptionViolatedError(RuntimeError):
 
 
 def check_type(value, what: str, kind: str = "number"):
-    """Return value if it is of kind "integer", "number", "boolean" or "list",
-    where a bool is never a number; else raise InvalidArgumentError naming what."""
-    types = {"integer": int, "number": (int, float), "boolean": bool, "list": (list, tuple)}[kind]
+    """Return value if it is of kind "integer", "number", "boolean", "string"
+    or "list", where a bool is never a number; else raise InvalidArgumentError
+    naming what."""
+    types = {"integer": int, "number": (int, float), "boolean": bool, "string": str,
+             "list": (list, tuple)}[kind]
     if isinstance(value, types) and (kind == "boolean") == isinstance(value, bool):
         return value
     article = "an" if kind == "integer" else "a"

@@ -372,6 +372,10 @@ def game_from_dict(d: dict) -> GameMatrix:
             for row in d[key]:
                 for v in row:
                     check_type(v, f"game {key} entry")
+        for key in ("actions1", "actions2"):
+            if d.get(key) is not None:
+                for label in check_type(d[key], f"game {key}", "list"):
+                    check_type(label, f"game {key} label", "string")
         return game_matrix(d["name"], d["u1"], d["u2"], d.get("actions1"), d.get("actions2"))
     except (KeyError, TypeError) as e:
         raise InvalidArgumentError(f"malformed game object: {e}") from e

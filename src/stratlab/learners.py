@@ -12,6 +12,7 @@ estimates need the observed utility to belong to the sampled action.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from random import Random
@@ -185,7 +186,7 @@ class _HedgeCore(Learner):
         if eta is not None and not eta > 0:
             raise InvalidArgumentError(f"eta must be positive, got {eta!r}")
         self._eta_fixed = eta
-        self._log_n = math.log(self.n_own) if self.n_own > 1 else 0.0
+        self._log_n = math.log(self.n_own)
         self.t = 1
 
     def _normalize(self, u: float) -> float:
@@ -254,7 +255,7 @@ class _BanditPlay(_HedgeCore):
         n = self.n_own
         gamma = self._explore_fixed
         if gamma is None:
-            gamma = math.sqrt(n * self._log_n / self.t) if n > 1 else 0.0
+            gamma = math.sqrt(n * self._log_n / self.t)
             if gamma > 1.0:
                 gamma = 1.0
         self._round_gamma = gamma  # read again by _estimate
@@ -289,60 +290,36 @@ class BanditExp3(_BanditPlay):
         self.t += 1
 
 
-def stationary_distribution(q: Sequence[Sequence[float]]) -> list[float]:
-    """A distribution pi with pi q = pi for the row-stochastic matrix q.
+@functools.cache
+def _emit_solve(n: int):
+    """The stationary solve for n actions, compiled on first use: from
+    log-weights lw (only read), the tuple pi with pi q = pi for q the softmax
+    rows of lw, as _HedgeCore._softmax computes them. Its code, and so its
+    compile time, grows as n^3.
 
     Exact, with no iteration and no tolerance: Grassmann-Taksar-Heyman
     elimination (Operations Research 1985), which only adds, multiplies and
-    divides non-negative numbers and never reads the diagonal.
-
-    Eliminating state k censors the chain to states 0..k-1; s_k is k's mass
-    towards them. Dividing k's row by s_k (rather than the column entering k,
-    as GTH is usually written) and rescaling the partial pi at each step of
-    the back-substitution keep every intermediate in [0, 1], so a subnormal
-    s_k cannot overflow. Underflow can also make s_k exactly 0: then k is
+    divides non-negative numbers and never reads the diagonal. Eliminating
+    state k censors the chain to states 0..k-1; s_k is k's mass towards them.
+    Dividing k's row by s_k (rather than the column entering k, as GTH is
+    usually written) and rescaling the partial pi at each step of the
+    back-substitution keep every intermediate in [0, 1], so a subnormal s_k
+    cannot overflow. Underflow can also make s_k exactly 0: then k is
     absorbing in the chain censored to 0..k, so pi is 0 below k and follows
     by back-substitution from pi_k = 1. At n = 2 this is (q10, q01) /
     (q01 + q10), and (0, 1) when q10 == 0.
 
-    The solve for n states is straight-line code on local variables (see
-    _emit_solves), compiled on its first use in the process and kept in
-    _SOLVES; its code, and so its compile time, grows as n^3. q is only read.
-    """
-    return _solves(len(q))[1](q)
-
-
-# The two entry forms of the stationary solve, by state count n.
-_SOLVES: dict[int, tuple] = {}
-
-
-def _solves(n: int) -> tuple:
-    """(solve from log-weights, solve from rows q) for n states."""
-    solves = _SOLVES.get(n)
-    if solves is None:
-        solves = _SOLVES[n] = _emit_solves(n)
-    return solves
-
-
-def _emit_solves(n: int) -> tuple:
-    """Compile stationary_distribution for n states as straight-line code on
-    local variables, in two forms: from the rows q, and from log-weights lw
-    whose rows it first turns into softmax rows as _HedgeCore._softmax does.
-
-    Both do the float operations of the loop form of GTH in its order, so
-    their results are bit-identical to it: max is a `>` chain, as builtin max
-    is, and a sum() of more than two entries stays a sum() call, which is
-    compensated from Python 3.12 on; a sum() of two equals their `+`. The
-    diagonal is never read, so it is never divided or updated. Every entry is
-    finite and non-negative, so adding 0.0 * x leaves it unchanged and the
-    elimination needs no zero test."""
+    The code is straight-line on local variables and does the float
+    operations of the loop form of GTH in its order, so it is bit-identical
+    to it: max is a `>` chain, as builtin max is, and a sum() of more than
+    two entries stays a sum() call, which is compensated from Python 3.12 on
+    (a sum() of two equals their `+`). Every entry is finite and
+    non-negative, so adding 0.0 * x leaves it unchanged and the elimination
+    needs no zero test."""
     a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
 
     def total(terms: list[str]) -> str:
         return " + ".join(terms) if len(terms) <= 2 else f"sum(({', '.join(terms)}))"
-
-    def unpack(rows: list[list[str]], arg: str) -> str:
-        return "".join(f"({', '.join(row)},), " for row in rows) + f"= {arg}"
 
     def back_substitution(first: int) -> list[str]:
         # p{first..j} is the stationary distribution of the chain censored to
@@ -354,45 +331,43 @@ def _emit_solves(n: int) -> tuple:
             lines += [f"p{i} *= c" for i in range(first, j)]
             lines.append(f"p{j} = v / t")
         pi = ["0.0"] * first + [f"p{i}" for i in range(first, n)]
-        return lines + [f"return [{', '.join(pi)}]"]
-
-    solve = []
-    for k in range(n - 1, 0, -1):
-        solve += [f"s{k} = {total(a[k][:k])}", f"if not s{k}:"]
-        solve += ["    " + line for line in back_substitution(k)]
-        if k > 1:  # at k = 1 the rest of the step writes only the diagonal
-            solve += [f"{a[k][j]} /= s{k}" for j in range(k)]
-            solve += [f"{a[i][j]} += {a[i][k]} * {a[k][j]}"
-                      for i in range(k) for j in range(k) if i != j]
-    solve += back_substitution(0)
+        return lines + [f"return ({', '.join(pi)},)"]
 
     lw = [[f"l{i}_{j}" for j in range(n)] for i in range(n)]
-    from_lw = [unpack(lw, "lw")]
+    body = ["".join(f"({', '.join(row)},), " for row in lw) + "= lw"]
     for i, row in enumerate(lw):
-        from_lw += [f"m = {row[0]}"] + [f"if {x} > m: m = {x}" for x in row[1:]]
-        from_lw += [f"e{j} = exp({x} - m)" for j, x in enumerate(row)]
-        from_lw.append(f"s = {total([f'e{j}' for j in range(n)])}")
-        from_lw += [f"{a[i][j]} = e{j} / s" for j in range(n) if j != i]
-    from_rows = [unpack([[x if i != j else "_" for j, x in enumerate(row)]
-                         for i, row in enumerate(a)], "q")]
-    src = "".join(f"def {name}({arg}):\n" + "".join(f"    {line}\n" for line in head + solve)
-                  for name, arg, head in (("from_lw", "lw", from_lw), ("from_rows", "q", from_rows)))
+        body += [f"m = {row[0]}"] + [f"if {x} > m: m = {x}" for x in row[1:]]
+        body += [f"e{j} = exp({x} - m)" for j, x in enumerate(row)]
+        body.append(f"s = {total([f'e{j}' for j in range(n)])}")
+        body += [f"{a[i][j]} = e{j} / s" for j in range(n) if j != i]
+    for k in range(n - 1, 0, -1):
+        body += [f"s{k} = {total(a[k][:k])}", f"if not s{k}:"]
+        body += ["    " + line for line in back_substitution(k)]
+        if k > 1:  # at k = 1 the rest of the step writes only the diagonal
+            body += [f"{a[k][j]} /= s{k}" for j in range(k)]
+            body += [f"{a[i][j]} += {a[i][k]} * {a[k][j]}"
+                     for i in range(k) for j in range(k) if i != j]
+    body += back_substitution(0)
+    src = "def solve(lw):\n" + "".join(f"    {line}\n" for line in body)
     namespace = {"exp": math.exp}
     exec(compile(src, f"<stationary solve, n = {n}>", "exec"), namespace)
-    return namespace["from_lw"], namespace["from_rows"]
+    return namespace["solve"]
 
 
 class _SwapRegretCore(_HedgeCore):
     """Expert reduction: one hedge instance per own action; play the stationary
     distribution of the experts' recommendation matrix, the softmax rows of
-    the log-weights, solved exactly by `_solve` (see stationary_distribution)."""
+    the log-weights, solved exactly by `_solve` (see _emit_solve)."""
 
     def __init__(self, params, role, prior, signal, rng):
         super().__init__(params, role, prior, signal, rng)
         n = self.n_own
         self._lw = [[0.0] * n for _ in range(n)]
-        self._p = [1.0 / n] * n
-        self._solve = _solves(n)[0]
+        # act sets _p before any read, but setting it here puts it in the
+        # attribute layout that __init__ gives the instance: first set later,
+        # it makes the bandit's per-round attribute reads slower.
+        self._p = (1.0 / n,) * n
+        self._solve = _emit_solve(n)
 
 
 class NoSwapRegretFull(_SwapRegretCore):
@@ -400,7 +375,7 @@ class NoSwapRegretFull(_SwapRegretCore):
 
     def act(self):
         self._p = self._solve(self._lw)
-        return tuple(self._p)
+        return self._p
 
     def observe(self, fb):
         rewards = self._rewards(fb.opponent_strategy)

@@ -176,6 +176,27 @@ def test_repeated_action_label_is_error(capsys, tmp_path, player):
 
 
 @pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([1, "1"], "game actions1 label must be a string, got 1"),
+        (["A", None], "game actions1 label must be a string, got None"),
+        ("AB", "game actions1 must be a list, got 'AB'"),
+    ],
+)
+def test_action_labels_must_be_strings(capsys, tmp_path, labels, message):
+    game = {"name": "g", "actions1": labels, "actions2": ["C", "D"],
+            "u1": [[1, 0], [0, 1]], "u2": [[0, 1], [1, 0]]}
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game))
+    for command in ("stackval", "reveal"):
+        flag = "--game" if command == "stackval" else "--prior"
+        if command == "reveal":
+            path.write_text(json.dumps({"games": [{"weight": 1.0, "game": game}]}))
+        code, out, err = run_cli(capsys, command, flag, str(path), "--player", "1")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
     "where, value, what",
     [
         ("weight", "0.5", "prior weight"),
@@ -412,6 +433,32 @@ def test_unknown_config_key_is_error(capsys, tmp_path):
 def test_missing_config_is_error(capsys):
     code, _, err = run_cli(capsys, "simulate", "--config", "/does/not/exist.json")
     assert code == 1
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"x"', "3", "null"])
+@pytest.mark.parametrize("seed", [[], ["--seed", "3"]])
+def test_config_that_is_not_a_json_object_is_error(capsys, tmp_path, text, seed):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "simulate", "--config", str(path), *seed)
+    assert (code, out, err) == (1, "", f"error: config {str(path)!r} is not a JSON object\n")
+
+
+@pytest.mark.parametrize("unreadable", ["directory", "latin-1 file"])
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--config"], ["stackval", "--player", "1", "--game"],
+     ["stackval", "--player", "1", "--prior"], ["reveal", "--player", "1", "--prior"]],
+    ids=["simulate-config", "stackval-game", "stackval-prior", "reveal-prior"],
+)
+def test_unreadable_input_path_is_error(capsys, tmp_path, unreadable, argv):
+    path = tmp_path / "input.json"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes('{"name": "caf\u00e9"}'.encode("latin-1"))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1 and out == "" and err.startswith("error: ")
 
 
 def test_failed_assumption_is_error(capsys, tmp_path):

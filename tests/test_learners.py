@@ -21,7 +21,6 @@ from stratlab.learners import (
     canonical_spec,
     learner_init,
     regrets_from_mass,
-    stationary_distribution,
 )
 from stratlab.solve import perturbed_commitment
 
@@ -362,7 +361,7 @@ def test_no_swap_regret_bandit_reproducible(fig1_g1, fig1_prior):
 def gth(q):
     """Stationary distribution of the row-stochastic matrix q by the loop form
     of Grassmann-Taksar-Heyman elimination: the reference that the compiled
-    solves of learners.stationary_distribution must match bit for bit."""
+    solve of learners._emit_solve must match bit for bit."""
     a = [list(row) for row in q]
     n = len(a)
     if n == 1:
@@ -425,7 +424,7 @@ def assert_bandit_step_is_generic(lrn):
     clone.setstate(lrn.rng.getstate())
     p, played, a = generic_bandit_step(lrn, clone)
     assert lrn.act() == pure(lrn.n_own, a)
-    assert lrn._p == p and lrn._played_a == played[a]
+    assert lrn._p == tuple(p) and lrn._played_a == played[a]
     assert lrn.rng.getstate() == clone.getstate()
 
 
@@ -445,7 +444,7 @@ def test_full_two_action_step_matches_generic_step(fig1_prior):
     for _ in range(5000):
         p = gth(softmax_rows(lrn._lw))
         own = lrn.act()
-        assert own == tuple(p) and lrn._p == p
+        assert own == tuple(p) and own is lrn._p
         w = script.random()
         lrn.observe(FeedbackRecord(own, (w, 1.0 - w), 0.0))
 
@@ -474,21 +473,14 @@ LOG_WEIGHTS = st.one_of(
 )
 
 
-def assert_both_solves_are_the_loop_solve(lws):
-    """The learner's solve from log-weights and stationary_distribution on
-    their softmax rows (lists, then tuples) both equal gth by float.hex; the
-    public solve leaves its input alone. Returns the solution."""
+def assert_solve_is_the_loop_solve(lws):
+    """The learner's solve from log-weights equals gth on their softmax rows
+    by float.hex, and act plays it. Returns the solution."""
     n = len(lws)
     lrn = make("no_swap_regret_full", 1, prior_from_games([cyclic_zero_sum(n)]))
     lrn._lw = lws
-    q = softmax_rows(lws)
-    before = [list(row) for row in q]
-    pi = gth(q)
-    expected = [v.hex() for v in pi]
-    assert [v.hex() for v in stationary_distribution(q)] == expected
-    assert q == before
-    assert [v.hex() for v in stationary_distribution(tuple(map(tuple, q)))] == expected
-    assert [v.hex() for v in lrn._solve(lws)] == expected
+    pi = gth(softmax_rows(lws))
+    assert [v.hex() for v in lrn._solve(lws)] == [v.hex() for v in pi]
     assert lrn.act() == tuple(pi)
     return pi
 
@@ -497,7 +489,7 @@ def assert_both_solves_are_the_loop_solve(lws):
 @given(st.data())
 def test_stationary_solve_is_the_loop_solve_bit_for_bit(data):
     n = data.draw(st.integers(1, 8))
-    assert_both_solves_are_the_loop_solve(
+    assert_solve_is_the_loop_solve(
         [data.draw(st.lists(LOG_WEIGHTS, min_size=n, max_size=n)) for _ in range(n)]
     )
 
@@ -508,25 +500,32 @@ def test_every_zero_exit_mass_is_the_loop_solve_bit_for_bit(n, k):
     # underflow to 0), so s_k is exactly 0 and the solve exits at k.
     rng = random.Random(100 * n + k)
     lws = [[-1e4 if i >= k > j else rng.uniform(-5.0, 5.0) for j in range(n)] for i in range(n)]
-    pi = assert_both_solves_are_the_loop_solve(lws)
+    pi = assert_solve_is_the_loop_solve(lws)
     assert pi[:k] == [0.0] * k and pi[k] > 0.0
 
 
-def test_learners_of_one_action_count_share_one_compiled_solve(monkeypatch, fig1_prior):
-    compiled = []
-    emit = learners._emit_solves
-    monkeypatch.setattr(learners, "_SOLVES", {})
-    monkeypatch.setattr(learners, "_emit_solves", lambda n: compiled.append(n) or emit(n))
+def test_subnormal_exit_mass_is_the_loop_solve_bit_for_bit():
+    # State 2's softmax row is about (exp(-744), 0, 1): s_2 is subnormal, and
+    # 1 / s_2 would overflow.
+    lws = [[0.0, -1e4, 0.0], [-1e4, 0.0, 0.0], [-744.0, -1e4, 0.0]]
+    q = softmax_rows(lws)
+    assert 0.0 < q[2][0] < 2.2250738585072014e-308 and q[2][1] == 0.0
+    pi = assert_solve_is_the_loop_solve(lws)
+    assert all(math.isfinite(v) and v >= 0.0 for v in pi) and pi[2] > 0.0
+
+
+def test_learners_of_one_action_count_share_one_compiled_solve(fig1_prior):
+    learners._emit_solve.cache_clear()
     full = make("no_swap_regret_full", 2, fig1_prior)
     bandit = make("no_swap_regret_bandit", 1, fig1_prior, seed=3)
     make("no_swap_regret_full", 1, prior_from_games([cyclic_zero_sum(3)]))
-    stationary_distribution([[0.5, 0.5], [0.25, 0.75]])
-    assert full._solve is bandit._solve is learners._SOLVES[2][0]
-    assert compiled == [2, 3]
+    assert full._solve is bandit._solve is learners._emit_solve(2)
+    info = learners._emit_solve.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
 
 
 def test_pool_workers_inherit_the_compiled_solve(monkeypatch, fig1_prior):
-    monkeypatch.setattr(learners, "_SOLVES", {})
+    learners._emit_solve.cache_clear()
     cfg = ExperimentConfig(
         prior=fig1_prior,
         signal_model=SignalModel(1.0, 0.5),
@@ -537,12 +536,12 @@ def test_pool_workers_inherit_the_compiled_solve(monkeypatch, fig1_prior):
         master_seed=17,
     )
     # Checking the config built a throwaway bandit, which compiled its solve.
-    assert list(learners._SOLVES) == [2]
+    assert learners._emit_solve.cache_info().currsize == 1
 
-    def refuse(n):
-        raise AssertionError(f"the solve for n = {n} was compiled again")
+    def refuse(*args):
+        raise AssertionError("a stationary solve was compiled again")
 
-    monkeypatch.setattr(learners, "_emit_solves", refuse)
+    monkeypatch.setattr(learners, "compile", refuse, raising=False)
     assert run_summaries(cfg, threads=2) == run_summaries(cfg)
 
 
@@ -637,7 +636,7 @@ def power_iteration_to_step(q, start):
 
 
 def test_one_action_chain_and_swap_regret_learner():
-    assert stationary_distribution([[1.0]]) == [1.0]
+    assert gth([[1.0]]) == [1.0] and learners._emit_solve(1)([[0.0]]) == (1.0,)
     prior = prior_from_games([game_matrix("one_row", [[1.0, 0.0]], [[0.0, 1.0]])])
     lrn = learner_init(LearnerSpec("no_swap_regret_full"), 1, prior, 0, random.Random(0))
     for _ in range(3):
@@ -647,7 +646,7 @@ def test_one_action_chain_and_swap_regret_learner():
 
 def test_stationary_hand_solved_three_state_chain():
     q = [[0.5, 0.25, 0.25], [0.5, 0.0, 0.5], [0.25, 0.25, 0.5]]
-    pi = stationary_distribution(q)
+    pi = gth(q)
     assert max(abs(a - b) for a, b in zip(pi, (0.4, 0.2, 0.4))) <= 1e-15
 
 
@@ -656,7 +655,7 @@ def test_stationary_slowly_mixing_chain_is_exact_where_a_step_rule_is_not():
     # pi proportional to (1, 2e-6/1e-6, 2 * 3e-6/1e-6) = (1, 2, 6).
     q = [[1 - 2e-6, 2e-6, 0.0], [1e-6, 1 - 4e-6, 3e-6], [0.0, 1e-6, 1 - 1e-6]]
     hand = (1 / 9, 2 / 9, 6 / 9)
-    pi = stationary_distribution(q)
+    pi = gth(q)
     assert max(abs(a - b) for a, b in zip(pi, hand)) <= 1e-15
     # Warm-started 5e-6 away, as after a round moved q: the first step moves
     # only 6e-11, so the step rule stops at once, 5e-6 from the solution.
@@ -671,7 +670,7 @@ def test_stationary_slowly_mixing_chain_is_exact_where_a_step_rule_is_not():
 )
 def test_stationary_two_state_closed_form(q01, q10, hand):
     q = [[1.0 - q01, q01], [q10, 1.0 - q10]]
-    pi = stationary_distribution(q)
+    pi = gth(q)
     assert pi == pytest.approx(hand, abs=1e-16)
     assert residual(pi, q) <= 1e-16
 
@@ -688,7 +687,7 @@ UNIT_ENTRIES = st.one_of(
 def test_stationary_two_states_is_the_closed_form_bit_for_bit(q01, q10):
     s = q01 + q10
     closed = [q10 / s, q01 / s] if s else [0.0, 1.0]
-    pi = stationary_distribution([[1.0 - q01, q01], [q10, 1.0 - q10]])
+    pi = gth([[1.0 - q01, q01], [q10, 1.0 - q10]])
     assert [v.hex() for v in pi] == [v.hex() for v in closed]
 
 
@@ -698,7 +697,7 @@ def test_stationary_solves_random_chains(data):
     n = data.draw(st.integers(2, 8))
     weights = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).filter(lambda w: sum(w) > 0)
     q = [[w / sum(row) for w in row] for row in (data.draw(weights) for _ in range(n))]
-    pi = stationary_distribution(q)
+    pi = gth(q)
     assert all(v >= 0.0 for v in pi)
     assert abs(sum(pi) - 1.0) <= 1e-14
     assert residual(pi, q) <= 1e-13
@@ -717,7 +716,7 @@ def test_stationary_solves_random_chains(data):
     ],
 )
 def test_stationary_reducible_chains_stay_finite(q):
-    pi = stationary_distribution(q)
+    pi = gth(q)
     assert all(v >= 0.0 for v in pi) and sum(pi) == pytest.approx(1.0, abs=1e-15)
     assert residual(pi, q) <= 1e-15
 

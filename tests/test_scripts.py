@@ -39,11 +39,36 @@ def test_round_cost_against_another_checkout():
     )
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines() if line.startswith("swap_decay")]
-    assert len(rows) == 1 and len(rows[0]) == 7 and rows[0][5].endswith("/2")
-    this, against, ratio = map(float, rows[0][2:5])
-    assert this > 0 and against > 0 and ratio == pytest.approx(this / against, rel=1e-2)
+    assert len(rows) == 1 and len(rows[0]) == 9 and rows[0][6].endswith("/2")
+    this, against, iqr, ratio = map(float, rows[0][2:6])
+    assert this > 0 and against > 0 and iqr >= 0
+    assert ratio == pytest.approx(this / against, rel=1e-2)
+    assert rows[0][7] in ("faster", "slower", "unresolved")
     # no_swap_regret_full builds a new tuple every round: no round repeats.
-    assert rows[0][6] == "0.0%"
+    assert rows[0][8] == "0.0%"
+
+
+@pytest.mark.parametrize(
+    "this, against, expected",
+    [
+        ([1.0] * 10, [2.0] * 10, (0.0, 10, "faster")),
+        ([2.0] * 10, [1.0] * 10, (0.0, 0, "slower")),
+        # 9 of 10 pairs won, the medians 1.0 apart, the other side's IQR 0.4375.
+        ([1.0] * 9 + [9.0], [2.0, 2.5, 1.75, 2.25, 2.0, 2.5, 1.75, 2.0, 2.25, 0.5],
+         (0.4375, 9, "faster")),
+        # 8 of 10 won: unresolved, however far apart the medians.
+        ([1.0] * 8 + [9.0] * 2, [2.0] * 10, (0.0, 8, "unresolved")),
+        # Every pair won, but the gap of 2.0 is not beyond the IQR of 2.0.
+        ([1.0, 2.0, 3.0, 4.0, 5.0], [2.0, 4.0, 5.0, 6.0, 7.0], (2.0, 5, "unresolved")),
+    ],
+)
+def test_round_cost_resolves_a_row_only_beyond_the_noise(this, against, expected):
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        import round_cost
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    assert round_cost.compare(this, against) == expected
 
 
 def test_round_cost_repeat_share():
