@@ -186,13 +186,11 @@ def test_repeated_action_label_is_error(capsys, tmp_path, player):
 def test_action_labels_must_be_strings(capsys, tmp_path, labels, message):
     game = {"name": "g", "actions1": labels, "actions2": ["C", "D"],
             "u1": [[1, 0], [0, 1]], "u2": [[0, 1], [1, 0]]}
-    path = tmp_path / "game.json"
-    path.write_text(json.dumps(game))
-    for command in ("stackval", "reveal"):
-        flag = "--game" if command == "stackval" else "--prior"
-        if command == "reveal":
-            path.write_text(json.dumps({"games": [{"weight": 1.0, "game": game}]}))
-        code, out, err = run_cli(capsys, command, flag, str(path), "--player", "1")
+    game_path, prior_path = tmp_path / "game.json", tmp_path / "prior.json"
+    game_path.write_text(json.dumps(game))
+    prior_path.write_text(json.dumps({"games": [{"weight": 1.0, "game": game}]}))
+    for argv in (["stackval", "--game", str(game_path)], ["reveal", "--prior", str(prior_path)]):
+        code, out, err = run_cli(capsys, *argv, "--player", "1")
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
 

@@ -475,12 +475,14 @@ LOG_WEIGHTS = st.one_of(
 
 def assert_solve_is_the_loop_solve(lws):
     """The learner's solve from log-weights equals gth on their softmax rows
-    by float.hex, and act plays it. Returns the solution."""
+    by float.hex and leaves lws alone, and act plays it. Returns the solution."""
     n = len(lws)
     lrn = make("no_swap_regret_full", 1, prior_from_games([cyclic_zero_sum(n)]))
     lrn._lw = lws
+    before = [list(row) for row in lws]
     pi = gth(softmax_rows(lws))
     assert [v.hex() for v in lrn._solve(lws)] == [v.hex() for v in pi]
+    assert lws == before
     assert lrn.act() == tuple(pi)
     return pi
 
