@@ -20,6 +20,7 @@ from stratlab.learners import (
     LearnerSpec,
     canonical_spec,
     learner_init,
+    payoffs_against,
     regrets_from_mass,
 )
 from stratlab.solve import perturbed_commitment
@@ -358,10 +359,16 @@ def test_no_swap_regret_bandit_reproducible(fig1_g1, fig1_prior):
     assert runs[0] == runs[1]
 
 
+# ---------------------------------------------------------------------------
+# The swap-regret learners, tested by what they play
+# ---------------------------------------------------------------------------
+
+
 def gth(q):
     """Stationary distribution of the row-stochastic matrix q by the loop form
-    of Grassmann-Taksar-Heyman elimination: the reference that the compiled
-    solve of learners._emit_solve must match bit for bit."""
+    of Grassmann-Taksar-Heyman elimination: the reference that the learners'
+    compiled kernels must match bit for bit. Sums run left to right from
+    0.0, as the kernels' do."""
     a = [list(row) for row in q]
     n = len(a)
     if n == 1:
@@ -370,7 +377,9 @@ def gth(q):
     first = 0  # the states below it get no stationary mass
     for k in range(n - 1, 0, -1):
         ak = a[k]
-        s = sum(ak[:k])
+        s = 0.0
+        for v in ak[:k]:
+            s += v
         if not s:
             first = k
             break
@@ -401,133 +410,212 @@ def gth(q):
     return pi
 
 
+def softmax(lw):
+    """exp(lw - max lw), normalised by its left-to-right sum."""
+    m = max(lw)
+    es = [math.exp(v - m) for v in lw]
+    s = 0.0
+    for e in es:
+        s += e
+    return [e / s for e in es]
+
+
 def softmax_rows(lws):
-    return [learners._HedgeCore._softmax(lw) for lw in lws]
+    return [softmax(lw) for lw in lws]
 
 
-def generic_bandit_step(lrn, rng):
-    """NoSwapRegretBandit.act at any n, written as the generic reduction:
-    (stationary distribution of the softmax rows, exploration mixture, index
-    drawn from the mixture with rng)."""
-    n = lrn.n_own
-    p = gth(softmax_rows(lrn._lw))
-    if lrn._explore_fixed is not None:
-        gamma = lrn._explore_fixed
-    else:
-        gamma = min(1.0, math.sqrt(n * lrn._log_n / lrn.t))
-    played = [(1.0 - gamma) * v + gamma / n for v in p]
-    return p, played, sample_index(played, rng)
+def hexes(strategy):
+    return [v.hex() for v in strategy]
 
 
-def assert_bandit_step_is_generic(lrn):
-    clone = random.Random()
-    clone.setstate(lrn.rng.getstate())
-    p, played, a = generic_bandit_step(lrn, clone)
-    assert lrn.act() == pure(lrn.n_own, a)
-    assert lrn._p == tuple(p) and lrn._played_a == played[a]
-    assert lrn.rng.getstate() == clone.getstate()
+def full_update(lws, p, eta, rewards):
+    """Add eta * p[e] * rewards to each row e of lws whose scale is not 0."""
+    for e, row in enumerate(lws):
+        scale = eta * p[e]
+        if scale:
+            for b, r in enumerate(rewards):
+                row[b] += scale * r
 
 
-@pytest.mark.parametrize("params", [{}, {"eta": 0.05}, {"exploration": 0.1}])
-def test_bandit_two_action_step_matches_generic_step(fig1_g1, fig1_prior, params):
-    lrn = make("no_swap_regret_bandit", 2, fig1_prior, seed=7, **params)
-    script = random.Random(11)  # the opponent's scripted pure actions
-    for _ in range(5000):
-        assert_bandit_step_is_generic(lrn)
-        b = lrn._last_action
-        lrn.observe(FeedbackRecord(lrn._onehots[b], None, fig1_g1.u2[script.randrange(2)][b]))
+def bandit_update(lws, p, step, a, est):
+    """Add step * p[e] * est to entry a of each row e of lws whose scale is
+    not 0."""
+    for e, row in enumerate(lws):
+        scale = step * p[e]
+        if scale:
+            row[a] += scale * est
 
 
-def test_full_two_action_step_matches_generic_step(fig1_prior):
-    lrn = make("no_swap_regret_full", 2, fig1_prior, seed=7)
-    script = random.Random(11)  # the opponent's scripted mixtures
-    for _ in range(5000):
-        p = gth(softmax_rows(lrn._lw))
-        own = lrn.act()
-        assert own == tuple(p) and own is lrn._p
-        w = script.random()
-        lrn.observe(FeedbackRecord(own, (w, 1.0 - w), 0.0))
+class Reference:
+    """A hedge or swap-regret learner of `kind` written as loops over lists:
+    the oracle that the learners' play must match bit for bit.
+
+    Swap-regret kinds play gth of the softmax rows of their log-weights (the
+    Blum-Mansour reduction); the bandit draws from its exploration mixture
+    with sample_index and adds the drawn action's importance-weighted
+    estimate to its column. Full-information kinds add eta times the
+    normalised rewards, every round from payoffs_against."""
+
+    def __init__(self, kind, role, prior, signal=0, seed=0, eta=None, exploration=None):
+        self.kind = kind
+        self.rows = prior.games[signal].own_payoffs(role)
+        n = self.n = len(self.rows)
+        lo, hi = prior.payoff_range(role)
+        self.lo, self.scale = lo, 1.0 / (hi - lo) if hi > lo else 1.0
+        self.eta, self.exploration = eta, exploration
+        self.rng = random.Random(seed)
+        self.t = 1
+        hedge = kind == "multiplicative_weights"
+        self.lw = [0.0] * n if hedge else [[0.0] * n for _ in range(n)]
+
+    def act(self):
+        n = self.n
+        if self.kind == "multiplicative_weights":
+            return tuple(softmax(self.lw))
+        self.p = gth(softmax_rows(self.lw))
+        if self.kind == "no_swap_regret_full":
+            return tuple(self.p)
+        gamma = self.exploration
+        if gamma is None:
+            gamma = min(1.0, math.sqrt(n * math.log(n) / self.t))
+        self.gamma = gamma
+        keep, spread = 1.0 - gamma, gamma / n
+        self.a = sample_index(self.p, self.rng, keep, spread)
+        self.drawn = keep * self.p[self.a] + spread
+        return pure(n, self.a)
+
+    def observe(self, fb):
+        n, lw = self.n, self.lw
+        if self.kind == "no_swap_regret_bandit":
+            est = (fb.own_utility - self.lo) * self.scale / self.drawn
+            step = self.eta if self.eta is not None else self.gamma / n
+            bandit_update(lw, self.p, step, self.a, est)
+        else:
+            values = payoffs_against(self.rows, fb.opponent_strategy)
+            rewards = [(v - self.lo) * self.scale for v in values]
+            eta = self.eta if self.eta is not None else math.sqrt(math.log(n) / self.t)
+            if self.kind == "multiplicative_weights":
+                for a, r in enumerate(rewards):
+                    lw[a] += eta * r
+            else:
+                full_update(lw, self.p, eta, rewards)
+        self.t += 1
 
 
-@pytest.mark.parametrize(
-    "lw",
-    [
-        [[0.0, -1e4], [-1e4, 0.0]],  # q01 and q10 both underflow: s == 0
-        [[0.0, -1e4], [0.0, 0.0]],  # q01 alone underflows
-        [[-1e4, 0.0], [0.0, -1e4]],  # both rows at the far action
-    ],
-)
-def test_two_action_step_on_underflowed_weights(fig1_prior, lw):
-    lrn = make("no_swap_regret_bandit", 2, fig1_prior, seed=3)
-    lrn._lw = lw
-    assert_bandit_step_is_generic(lrn)
-    full = make("no_swap_regret_full", 2, fig1_prior)
-    full._lw = lw
-    assert full.act() == tuple(gth(softmax_rows(lw)))
-
-
-LOG_WEIGHTS = st.one_of(
-    st.sampled_from([0.0, -750.0, -1e4]),  # exp(-750) underflows to exactly 0
-    st.floats(-1e4, 0.0),
-    st.floats(-5.0, 5.0),
-)
-
-
-def assert_solve_is_the_loop_solve(lws):
-    """The learner's solve from log-weights equals gth on their softmax rows
-    by float.hex and leaves lws alone, and act plays it. Returns the solution."""
-    n = len(lws)
-    lrn = make("no_swap_regret_full", 1, prior_from_games([cyclic_zero_sum(n)]))
-    lrn._lw = lws
-    before = [list(row) for row in lws]
-    pi = gth(softmax_rows(lws))
-    assert [v.hex() for v in lrn._solve(lws)] == [v.hex() for v in pi]
-    assert lws == before
-    assert lrn.act() == tuple(pi)
-    return pi
-
-
-@settings(max_examples=800)
-@given(st.data())
-def test_stationary_solve_is_the_loop_solve_bit_for_bit(data):
-    n = data.draw(st.integers(1, 8))
-    assert_solve_is_the_loop_solve(
-        [data.draw(st.lists(LOG_WEIGHTS, min_size=n, max_size=n)) for _ in range(n)]
+def pair(kind, role, prior, signal=0, seed=0, **params):
+    """A learner of `kind` and its Reference, on equal random streams."""
+    return make(kind, role, prior, signal, seed, **params), Reference(
+        kind, role, prior, signal, seed, **params
     )
 
 
-@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 9) for k in range(1, n)])
-def test_every_zero_exit_mass_is_the_loop_solve_bit_for_bit(n, k):
-    # States k..n-1 form a closed class (their weights on states below k
-    # underflow to 0), so s_k is exactly 0 and the solve exits at k.
-    rng = random.Random(100 * n + k)
-    lws = [[-1e4 if i >= k > j else rng.uniform(-5.0, 5.0) for j in range(n)] for i in range(n)]
-    pi = assert_solve_is_the_loop_solve(lws)
-    assert pi[:k] == [0.0] * k and pi[k] > 0.0
+def play(lrn, ref, opponents):
+    """One round of lrn and ref against each opponent strategy, with the same
+    feedback: each round's strategies must agree by float.hex, the random
+    streams must end in one state, and the bandit must return one object per
+    action. Returns lrn's strategies."""
+    bandit = ref.kind == "no_swap_regret_bandit"
+    seq, onehots = [], {}
+    for t, opp in enumerate(opponents, 1):
+        own, want = lrn.act(), ref.act()
+        assert hexes(own) == hexes(want), f"round {t}"
+        if bandit:
+            assert onehots.setdefault(ref.a, own) is own
+        u = sum(x * v for x, v in zip(own, payoffs_against(ref.rows, opp)))
+        fb = FeedbackRecord(own, None if bandit else opp, u)
+        lrn.observe(fb)
+        ref.observe(fb)
+        seq.append(own)
+    assert lrn.rng.getstate() == ref.rng.getstate()
+    return seq
 
 
-def test_subnormal_exit_mass_is_the_loop_solve_bit_for_bit():
-    # State 2's softmax row is about (exp(-744), 0, 1): s_2 is subnormal, and
+@pytest.mark.parametrize("params", [{}, {"eta": 0.05}, {"exploration": 0.1}])
+def test_bandit_two_action_step_matches_generic_step(fig1_prior, params):
+    lrn, ref = pair("no_swap_regret_bandit", 2, fig1_prior, seed=7, **params)
+    script = random.Random(11)  # the opponent's scripted pure actions
+    play(lrn, ref, [pure(2, script.randrange(2)) for _ in range(5000)])
+
+
+def test_full_two_action_step_matches_generic_step(fig1_prior):
+    lrn, ref = pair("no_swap_regret_full", 2, fig1_prior, seed=7)
+    script = random.Random(11)  # the opponent's scripted mixtures
+    play(lrn, ref, [(w, 1.0 - w) for w in (script.random() for _ in range(5000))])
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_swap_regret_learners_play_as_the_reference(data):
+    kind = data.draw(st.sampled_from(["no_swap_regret_full", "no_swap_regret_bandit"]))
+    n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+    u1 = [data.draw(st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m)) for _ in range(n)]
+    g = game_matrix("rnd", u1, [[0.0] * m for _ in range(n)])
+    params = {}
+    # From eta 1e3 on, one round can underflow weights to exactly 0.
+    eta = data.draw(st.sampled_from([None, 0.05, 1.0, 1e3, 1e5]))
+    if eta is not None:
+        params["eta"] = eta
+    if kind == "no_swap_regret_bandit":
+        explore = data.draw(st.sampled_from([None, 0.0, 0.2, 1.0]))
+        if explore is not None:
+            params["exploration"] = explore
+    pool = [pure(m, j) for j in range(m)] + [(1.0 / m,) * m]
+    opponents = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    lrn, ref = pair(kind, 1, prior_from_games([g]), seed=data.draw(st.integers(0, 99)), **params)
+    play(lrn, ref, opponents)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_play_reaches_every_zero_exit_mass(n):
+    # Round 1 adds about 1000 times the rewards to every row of log-weights.
+    # Actions below k earn 0 and the others 0.995 to 1, so from round 2 on
+    # states k..n-1 form a closed class, s_k is exactly 0 and the solve
+    # exits at k; later rounds move those rows by less than 250.
+    rounds = 6
+    for k in range(1, n):
+        rng = random.Random(100 * n + k)
+        u1 = [[0.0 if a < k else rng.uniform(0.995, 1.0) for _ in range(rounds)] for a in range(n)]
+        u1[k][0] = 1.0  # the payoff range is [0, 1], so the rewards are the payoffs
+        g = game_matrix("closed", u1, [[0.0] * rounds for _ in range(n)])
+        lrn, ref = pair("no_swap_regret_full", 1, prior_from_games([g]), eta=1000.0 * n)
+        seq = play(lrn, ref, [pure(rounds, t) for t in range(rounds)])
+        for s in seq[1:]:
+            assert s[:k] == (0.0,) * k and s[k] > 0.0
+
+
+def test_play_reaches_a_subnormal_exit_mass():
+    # Round 1 adds about 1000 * (0.256, 0, 1) to every row, so in round 2
+    # each softmax row is about (exp(-744), 0, 1): s_2 is subnormal, and
     # 1 / s_2 would overflow.
-    lws = [[0.0, -1e4, 0.0], [-1e4, 0.0, 0.0], [-744.0, -1e4, 0.0]]
-    q = softmax_rows(lws)
-    assert 0.0 < q[2][0] < 2.2250738585072014e-308 and q[2][1] == 0.0
-    pi = assert_solve_is_the_loop_solve(lws)
-    assert all(math.isfinite(v) and v >= 0.0 for v in pi) and pi[2] > 0.0
+    g = game_matrix("subnormal", [[0.256], [0.0], [1.0]], [[0.0], [0.0], [0.0]])
+    lrn, ref = pair("no_swap_regret_full", 1, prior_from_games([g]), eta=3000.0)
+    seq = play(lrn, ref, [(1.0,)] * 3)
+    assert 0.0 < seq[1][0] < 2.2250738585072014e-308 and seq[1][1] == 0.0
+    assert all(math.isfinite(v) and v >= 0.0 for s in seq for v in s)
 
 
-def test_learners_of_one_action_count_share_one_compiled_solve(fig1_prior):
-    learners._emit_solve.cache_clear()
-    full = make("no_swap_regret_full", 2, fig1_prior)
-    bandit = make("no_swap_regret_bandit", 1, fig1_prior, seed=3)
-    make("no_swap_regret_full", 1, prior_from_games([cyclic_zero_sum(3)]))
-    assert full._solve is bandit._solve is learners._emit_solve(2)
-    info = learners._emit_solve.cache_info()
-    assert (info.misses, info.currsize) == (2, 2)
+def test_learners_of_one_action_count_share_one_compiled_solve(monkeypatch):
+    # No other test builds a swap-regret learner with 9 actions, so the
+    # first one compiles its kernel here.
+    compiled = []
+
+    def counting(*args):
+        compiled.append(args[1])
+        return compile(*args)
+
+    monkeypatch.setattr(learners, "compile", counting, raising=False)
+    prior = prior_from_games([cyclic_zero_sum(9)])
+    counts = []
+    for kind in ["no_swap_regret_full"] * 2 + ["no_swap_regret_bandit"] * 2:
+        for role in (1, 2):
+            lrn, ref = pair(kind, role, prior, seed=3)
+            play(lrn, ref, [(1.0 / 9,) * 9] * 2)
+        counts.append(len(compiled))
+    # One kernel per action count and kind at most, compiled once per process.
+    assert counts[0] == counts[1] == 1 and counts[2] == counts[3] <= 2
 
 
 def test_pool_workers_inherit_the_compiled_solve(monkeypatch, fig1_prior):
-    learners._emit_solve.cache_clear()
     cfg = ExperimentConfig(
         prior=fig1_prior,
         signal_model=SignalModel(1.0, 0.5),
@@ -537,19 +625,14 @@ def test_pool_workers_inherit_the_compiled_solve(monkeypatch, fig1_prior):
         trials=3,  # a seeded learner: 3 distinct trials, so the pool forks
         master_seed=17,
     )
-    # Checking the config built a throwaway bandit, which compiled its solve.
-    assert learners._emit_solve.cache_info().currsize == 1
+    # Checking the config built a throwaway bandit, whose kernel this
+    # process has compiled by now.
 
     def refuse(*args):
-        raise AssertionError("a stationary solve was compiled again")
+        raise AssertionError("a kernel was compiled again")
 
     monkeypatch.setattr(learners, "compile", refuse, raising=False)
     assert run_summaries(cfg, threads=2) == run_summaries(cfg)
-
-
-def hexes(lw):
-    """float.hex of every log-weight, whether one list or a list of rows."""
-    return [v.hex() for v in (sum(lw, []) if isinstance(lw[0], list) else lw)]
 
 
 @pytest.mark.parametrize("kind", ["no_swap_regret_full", "multiplicative_weights"])
@@ -562,44 +645,97 @@ def test_rewards_are_recomputed_only_when_the_opponent_changes(monkeypatch, kind
         [[rng.uniform(-5, 5) for _ in range(3)] for _ in range(4)],
         [[rng.uniform(-5, 5) for _ in range(3)] for _ in range(4)],
     )
-    lrn = make(kind, role, prior_from_games([g]), **params)
-    rows = g.own_payoffs(role)
+    lrn, ref = pair(kind, role, prior_from_games([g]), **params)
     n = lrn.n_opp
     pool = [pure(n, 1), (1.0 / n,) * n, (0.5, 0.5, 0.0, 0.0)[:n]]
     pool.append(tuple(-0.0 if v == 0 else v for v in pool[0]))  # == pool[0], other bits
     computed = []
-    original = learners.payoffs_against
 
     def counting(rows, opp):
         computed.append(opp)
-        return original(rows, opp)
+        return payoffs_against(rows, opp)
 
+    # The reference calls payoffs_against every round, through its own name.
     monkeypatch.setattr(learners, "payoffs_against", counting)
-    ref = [list(lw) if isinstance(lw, list) else lw for lw in lrn._lw]
     script = random.Random(11)  # repeats, equal but distinct tuples, and changes
-    last = None
+    last, changes = None, 0
     for t in range(1, 301):
-        own = lrn.act()
         opp = pool[script.randrange(len(pool))]
         if script.random() < 0.5:
             opp = tuple(list(opp))
-        calls = len(computed) + (opp != last)
+        changes += opp != last
         last = opp
-        # The reference update calls payoffs_against every round.
-        eta = params.get("eta") or math.sqrt(math.log(lrn.n_own) / t)
-        rewards = [lrn._normalize(r) for r in original(rows, opp)]
-        if kind == "multiplicative_weights":
-            for a, r in enumerate(rewards):
-                ref[a] += eta * r
-        else:
-            for e, pe in enumerate(lrn._p):
-                scale = eta * pe
-                if scale:
-                    for b, r in enumerate(rewards):
-                        ref[e][b] += scale * r
-        lrn.observe(FeedbackRecord(own, opp, 0.0))
-        assert len(computed) == calls
-        assert hexes(lrn._lw) == hexes(ref)
+        play(lrn, ref, [opp])
+        assert len(computed) == changes, f"round {t}"
+
+
+# ---------------------------------------------------------------------------
+# The compiled kernels, as pure functions of the state they are given
+# ---------------------------------------------------------------------------
+
+
+def kernel_solve(lws):
+    """The stationary distribution that the compiled kernel for len(lws)
+    actions solves from the log-weights lws."""
+    return learners._emit_solve(len(lws))(lws)
+
+
+def assert_kernel_is_the_loop_solve(lws):
+    """The kernel's solution equals gth on the softmax rows of lws by
+    float.hex and leaves lws alone. Returns the solution."""
+    before = [list(row) for row in lws]
+    pi = gth(softmax_rows(lws))
+    assert hexes(kernel_solve(lws)) == hexes(pi)
+    assert lws == before
+    return pi
+
+
+@pytest.mark.parametrize(
+    "lw",
+    [
+        [[0.0, -1e4], [-1e4, 0.0]],  # q01 and q10 both underflow: s == 0
+        [[0.0, -1e4], [0.0, 0.0]],  # q01 alone underflows
+        [[-1e4, 0.0], [0.0, -1e4]],  # both rows at the far action
+    ],
+)
+def test_two_action_step_on_underflowed_weights(lw):
+    assert_kernel_is_the_loop_solve(lw)
+
+
+LOG_WEIGHTS = st.one_of(
+    st.sampled_from([0.0, -750.0, -1e4]),  # exp(-750) underflows to exactly 0
+    st.floats(-1e4, 0.0),
+    st.floats(-5.0, 5.0),
+)
+
+
+@settings(max_examples=800)
+@given(st.data())
+def test_stationary_solve_is_the_loop_solve_bit_for_bit(data):
+    n = data.draw(st.integers(1, 8))
+    assert_kernel_is_the_loop_solve(
+        [data.draw(st.lists(LOG_WEIGHTS, min_size=n, max_size=n)) for _ in range(n)]
+    )
+
+
+@pytest.mark.parametrize("n, k", [(n, k) for n in range(2, 9) for k in range(1, n)])
+def test_every_zero_exit_mass_is_the_loop_solve_bit_for_bit(n, k):
+    # States k..n-1 form a closed class (their weights on states below k
+    # underflow to 0), so s_k is exactly 0 and the solve exits at k.
+    rng = random.Random(100 * n + k)
+    lws = [[-1e4 if i >= k > j else rng.uniform(-5.0, 5.0) for j in range(n)] for i in range(n)]
+    pi = assert_kernel_is_the_loop_solve(lws)
+    assert pi[:k] == [0.0] * k and pi[k] > 0.0
+
+
+def test_subnormal_exit_mass_is_the_loop_solve_bit_for_bit():
+    # State 2's softmax row is about (exp(-744), 0, 1): s_2 is subnormal, and
+    # 1 / s_2 would overflow.
+    lws = [[0.0, -1e4, 0.0], [-1e4, 0.0, 0.0], [-744.0, -1e4, 0.0]]
+    q = softmax_rows(lws)
+    assert 0.0 < q[2][0] < 2.2250738585072014e-308 and q[2][1] == 0.0
+    pi = assert_kernel_is_the_loop_solve(lws)
+    assert all(math.isfinite(v) and v >= 0.0 for v in pi) and pi[2] > 0.0
 
 
 def test_bandit_exp3_finds_best_arm(fig1_g1, fig1_prior):
@@ -638,12 +774,11 @@ def power_iteration_to_step(q, start):
 
 
 def test_one_action_chain_and_swap_regret_learner():
-    assert gth([[1.0]]) == [1.0] and learners._emit_solve(1)([[0.0]]) == (1.0,)
+    assert gth([[1.0]]) == [1.0]
     prior = prior_from_games([game_matrix("one_row", [[1.0, 0.0]], [[0.0, 1.0]])])
-    lrn = learner_init(LearnerSpec("no_swap_regret_full"), 1, prior, 0, random.Random(0))
-    for _ in range(3):
-        assert lrn.act() == (1.0,)
-        lrn.observe(FeedbackRecord((1.0,), (0.5, 0.5), 0.5))
+    for kind in ("no_swap_regret_full", "no_swap_regret_bandit"):
+        lrn, ref = pair(kind, 1, prior)
+        assert play(lrn, ref, [(0.5, 0.5)] * 3) == [(1.0,)] * 3
 
 
 def test_stationary_hand_solved_three_state_chain():
