@@ -251,16 +251,20 @@ class _BanditPlay(_HedgeCore):
         self._last_action = 0
         self._onehots = [pure(self.n_own, a) for a in range(self.n_own)]
 
-    def _sample(self, base: Sequence[float]) -> MixedStrategy:
-        n = self.n_own
+    def _exploration(self) -> float:
+        """This round's gamma, kept for the step size of its estimate."""
         gamma = self._explore_fixed
         if gamma is None:
-            gamma = math.sqrt(n * self._log_n / self.t)
+            gamma = math.sqrt(self.n_own * self._log_n / self.t)
             if gamma > 1.0:
                 gamma = 1.0
         self._round_gamma = gamma  # read again by _estimate
+        return gamma
+
+    def _sample(self, base: Sequence[float]) -> MixedStrategy:
+        gamma = self._exploration()
         keep = 1.0 - gamma
-        spread = gamma / n
+        spread = gamma / self.n_own
         a = sample_index(base, self.rng, keep, spread)
         self._last_action = a
         self._played_a = keep * base[a] + spread
@@ -290,123 +294,165 @@ class BanditExp3(_BanditPlay):
         self.t += 1
 
 
-@functools.cache
-def _emit_solve(n: int):
-    """The stationary solve for n actions, compiled on first use: from
-    log-weights lw (only read), the tuple pi with pi q = pi for q the softmax
-    rows of lw, as _HedgeCore._softmax computes them. Its code, and so its
-    compile time, grows as n^3.
-
-    Exact, with no iteration and no tolerance: Grassmann-Taksar-Heyman
-    elimination (Operations Research 1985), which only adds, multiplies and
-    divides non-negative numbers and never reads the diagonal. Eliminating
-    state k censors the chain to states 0..k-1; s_k is k's mass towards them.
-    Dividing k's row by s_k (rather than the column entering k, as GTH is
-    usually written) and rescaling the partial pi at each step of the
-    back-substitution keep every intermediate in [0, 1], so a subnormal s_k
-    cannot overflow. Underflow can also make s_k exactly 0: then k is
-    absorbing in the chain censored to 0..k, so pi is 0 below k and follows
-    by back-substitution from pi_k = 1. At n = 2 this is (q10, q01) /
-    (q01 + q10), and (0, 1) when q10 == 0.
-
-    The code is straight-line on local variables and does the float
-    operations of the loop form of GTH in its order, so it is bit-identical
-    to it: max is a `>` chain, as builtin max is, and a sum() of more than
-    two entries stays a sum() call, which is compensated from Python 3.12 on
-    (a sum() of two equals their `+`). Every entry is finite and
-    non-negative, so adding 0.0 * x leaves it unchanged and the elimination
-    needs no zero test."""
+def _step_source(n: int, bandit: bool) -> str:
+    """The source of the round step that _emit_step compiles; see there."""
+    lw = [[f"l{i}_{j}" for j in range(n)] for i in range(n)]
     a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
-
-    def total(terms: list[str]) -> str:
-        return " + ".join(terms) if len(terms) <= 2 else f"sum(({', '.join(terms)}))"
+    flat = ", ".join(x for row in lw for x in row)
+    ps = ", ".join(f"p{i}" for i in range(n))
 
     def back_substitution(first: int) -> list[str]:
         # p{first..j} is the stationary distribution of the chain censored to
-        # states 0..j; v is a running sum in the loop form, so a `+` chain.
+        # states 0..j.
         lines = [f"p{first} = 1.0"]
         for j in range(first + 1, n):
             lines.append("v = " + " + ".join(f"p{i} * {a[i][j]}" for i in range(first, j)))
             lines += [f"t = s{j} + v", f"c = s{j} / t"]
             lines += [f"p{i} *= c" for i in range(first, j)]
             lines.append(f"p{j} = v / t")
-        pi = ["0.0"] * first + [f"p{i}" for i in range(first, n)]
-        return lines + [f"return ({', '.join(pi)},)"]
+        return lines + [f"p{i} = 0.0" for i in range(first)] + ["break"]
 
-    lw = [[f"l{i}_{j}" for j in range(n)] for i in range(n)]
-    body = ["".join(f"({', '.join(row)},), " for row in lw) + "= lw"]
+    # Last round's update: rows that p gave no weight are left alone.
+    body = [f"({flat},) = lw", "if g:", f"    ({ps},) = p"]
+    if bandit:
+        for col in range(n):
+            body.append(f"    {'if' if col == 0 else 'elif'} b == {col}:")
+            for e in range(n):
+                body += [f"        s = g * p{e}", f"        if s: {lw[e][col]} += s * x"]
+    else:
+        body.append(f"    ({', '.join(f'r{j}' for j in range(n))},) = r")
+        for e in range(n):
+            body += [f"    s = g * p{e}", "    if s:"]
+            body += [f"        {x} += s * r{j}" for j, x in enumerate(lw[e])]
+    # The softmax rows, as _HedgeCore._softmax computes them.
     for i, row in enumerate(lw):
         body += [f"m = {row[0]}"] + [f"if {x} > m: m = {x}" for x in row[1:]]
         body += [f"e{j} = exp({x} - m)" for j, x in enumerate(row)]
-        body.append(f"s = {total([f'e{j}' for j in range(n)])}")
+        body.append(f"s = {' + '.join(f'e{j}' for j in range(n))}")
         body += [f"{a[i][j]} = e{j} / s" for j in range(n) if j != i]
+    # Elimination and back-substitution: every exit sets p0..p{n-1}.
+    solve = []
     for k in range(n - 1, 0, -1):
-        body += [f"s{k} = {total(a[k][:k])}", f"if not s{k}:"]
-        body += ["    " + line for line in back_substitution(k)]
+        solve += [f"s{k} = {' + '.join(a[k][:k])}", f"if not s{k}:"]
+        solve += ["    " + line for line in back_substitution(k)]
         if k > 1:  # at k = 1 the rest of the step writes only the diagonal
-            body += [f"{a[k][j]} /= s{k}" for j in range(k)]
-            body += [f"{a[i][j]} += {a[i][k]} * {a[k][j]}"
-                     for i in range(k) for j in range(k) if i != j]
-    body += back_substitution(0)
-    src = "def solve(lw):\n" + "".join(f"    {line}\n" for line in body)
+            solve += [f"{a[k][j]} /= s{k}" for j in range(k)]
+            solve += [f"{a[i][j]} += {a[i][k]} * {a[k][j]}"
+                      for i in range(k) for j in range(k) if i != j]
+    body += ["while True:"] + ["    " + line for line in solve + back_substitution(0)]
+    out = f"({flat},), ({ps},)"
+    if bandit:
+        # sample_index(p, u, keep, spread): the first index whose running sum
+        # of positive mixture weights passes u, else the last positive one.
+        body += ["keep = 1.0 - gamma", f"spread = gamma / {n}", "acc = 0.0",
+                 "a = 0", "pa = keep * p0 + spread", "while True:",
+                 "    if pa > 0.0:", "        acc += pa", "        if u < acc: break"]
+        for i in range(1, n):
+            body += [f"    w = keep * p{i} + spread", "    if w > 0.0:", "        acc += w",
+                     f"        a = {i}", "        pa = w", "        if u < acc: break"]
+        body.append("    break")
+        out += ", a, pa"
+    args = "lw, p, g, b, x, u, gamma" if bandit else "lw, p, g, r"
+    return f"def step({args}):\n" + "".join(f"    {line}\n" for line in body + [f"return {out}"])
+
+
+@functools.cache
+def _emit_step(n: int, bandit: bool):
+    """One round of a swap-regret learner with n actions, compiled on first
+    use: it applies last round's update to the flat log-weights lw (row-major,
+    only read), solves for the stationary distribution p of the softmax rows,
+    and for the bandit draws from the exploration mixture.
+
+    step(lw, p, g, r) -> (lw, p) for full information adds g * p_e * r to
+    each row e of lw, with p last round's distribution and r its normalised
+    rewards. step(lw, p, g, b, x, u, gamma) -> (lw, p, a, pa) for the bandit
+    adds g * p_e * x to entry b of each row e, x being the estimate for the
+    drawn action b, then draws a from (1 - gamma) * p + gamma / n with the
+    uniform draw u, exactly as games.sample_index does, and returns a's
+    mixture probability pa. A row whose scale g * p_e is 0 is not touched,
+    so g = 0.0 means no update.
+
+    The solve is exact, with no iteration and no tolerance:
+    Grassmann-Taksar-Heyman elimination (Operations Research 1985), which
+    only adds, multiplies and divides non-negative numbers and never reads
+    the diagonal. Eliminating state k censors the chain to states 0..k-1;
+    s_k is k's mass towards them. Dividing k's row by s_k (rather than the
+    column entering k, as GTH is usually written) and rescaling the partial
+    p at each step of the back-substitution keep every intermediate in
+    [0, 1], so a subnormal s_k cannot overflow. Underflow can also make s_k
+    exactly 0: then k is absorbing in the chain censored to 0..k, so p is 0
+    below k and follows by back-substitution from p_k = 1. At n = 2 this is
+    (q10, q01) / (q01 + q10), and (0, 1) when q10 == 0.
+
+    The code is straight-line on local variables and does the float
+    operations of the learners' loop forms in their order, so it is
+    bit-identical to them: max is a `>` chain, as builtin max is, and every
+    sum is a left-to-right `+` chain, as a loop adding from 0.0 is. Every entry of the
+    elimination is finite and non-negative, so adding 0.0 * x leaves it
+    unchanged and it needs no zero test. The elimination and the n
+    back-substitutions sit in one `while True:` block that each exit leaves
+    by `break`, so the update and the draw are written once; the code, and
+    so the compile time, grows as n^3."""
+    src = _step_source(n, bandit)
     namespace = {"exp": math.exp}
-    exec(compile(src, f"<stationary solve, n = {n}>", "exec"), namespace)
-    return namespace["solve"]
+    kind = "bandit" if bandit else "full-information"
+    exec(compile(src, f"<{kind} swap-regret step, n = {n}>", "exec"), namespace)
+    return namespace["step"]
 
 
 class _SwapRegretCore(_HedgeCore):
     """Expert reduction: one hedge instance per own action; play the stationary
     distribution of the experts' recommendation matrix, the softmax rows of
-    the log-weights, solved exactly by `_solve` (see _emit_solve)."""
+    the log-weights. observe stores last round's update and act runs it in
+    the compiled round step `_step` (see _emit_step)."""
 
     def __init__(self, params, role, prior, signal, rng):
         super().__init__(params, role, prior, signal, rng)
         n = self.n_own
-        self._lw = [[0.0] * n for _ in range(n)]
-        # act sets _p before any read, but setting it here puts it in the
-        # attribute layout that __init__ gives the instance: first set later,
-        # it makes the bandit's per-round attribute reads slower.
+        self._lw = (0.0,) * (n * n)  # row e holds expert e's log-weights
         self._p = (1.0 / n,) * n
-        self._solve = _emit_solve(n)
+        self._g = 0.0  # the scale of the update act applies next
+        self._step = _emit_step(n, isinstance(self, _BanditPlay))
 
 
 class NoSwapRegretFull(_SwapRegretCore):
     requires_full_info = True
 
+    def __init__(self, params, role, prior, signal, rng):
+        super().__init__(params, role, prior, signal, rng)
+        self._r = ()
+
     def act(self):
-        self._p = self._solve(self._lw)
+        self._lw, self._p = self._step(self._lw, self._p, self._g, self._r)
+        self._g = 0.0
         return self._p
 
     def observe(self, fb):
-        rewards = self._rewards(fb.opponent_strategy)
-        eta = self._eta_fixed if self._eta_fixed is not None else math.sqrt(self._log_n / self.t)
-        p = self._p
-        lw = self._lw
-        for e in range(self.n_own):
-            scale = eta * p[e]
-            if scale:
-                lwe = lw[e]
-                for b, rb in enumerate(rewards):
-                    lwe[b] += scale * rb
+        self._r = self._rewards(fb.opponent_strategy)
+        self._g = self._eta_fixed if self._eta_fixed is not None else math.sqrt(self._log_n / self.t)
         self.t += 1
 
 
 class NoSwapRegretBandit(_BanditPlay, _SwapRegretCore):
     """Same reduction under bandit feedback: the stationary distribution is
-    the base of the exploration mixture (see _BanditPlay)."""
+    the base of the exploration mixture (see _BanditPlay), drawn from in the
+    round step with this round's one rng.random()."""
+
+    def __init__(self, params, role, prior, signal, rng):
+        super().__init__(params, role, prior, signal, rng)
+        self._x = 0.0
 
     def act(self):
-        self._p = self._solve(self._lw)
-        return self._sample(self._p)
+        self._lw, self._p, a, self._played_a = self._step(
+            self._lw, self._p, self._g, self._last_action, self._x,
+            self.rng.random(), self._exploration(),
+        )
+        self._g = 0.0
+        self._last_action = a
+        return self._onehots[a]
 
     def observe(self, fb):
-        a, est, eta = self._estimate(fb)
-        p = self._p
-        lw = self._lw
-        for e in range(self.n_own):
-            scale = eta * p[e]
-            if scale:
-                lw[e][a] += scale * est
+        _, self._x, self._g = self._estimate(fb)
         self.t += 1
 
 

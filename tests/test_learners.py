@@ -670,22 +670,80 @@ def test_rewards_are_recomputed_only_when_the_opponent_changes(monkeypatch, kind
 
 
 # ---------------------------------------------------------------------------
-# The compiled kernels, as pure functions of the state they are given
+# The compiled round steps, as pure functions of the state they are given
 # ---------------------------------------------------------------------------
 
 
-def kernel_solve(lws):
-    """The stationary distribution that the compiled kernel for len(lws)
-    actions solves from the log-weights lws."""
-    return learners._emit_solve(len(lws))(lws)
+ALMOST_ONE = 1.0 - 2.0**-53  # the largest draw random() returns
+
+
+class Draw:
+    """A random stream whose every draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def rows_of(lw, n):
+    return [list(lw[i * n:(i + 1) * n]) for i in range(n)]
+
+
+def full_step(lws, p, g, r):
+    """learners._emit_step(n, False) on the rows lws: (rows, p)."""
+    n = len(lws)
+    lw, p = learners._emit_step(n, False)(tuple(sum(lws, [])), p, g, r)
+    return rows_of(lw, n), p
+
+
+def bandit_step(lws, p, g, b, x, u, gamma):
+    """learners._emit_step(n, True) on the rows lws: (rows, p, a, pa)."""
+    n = len(lws)
+    lw, p, a, pa = learners._emit_step(n, True)(tuple(sum(lws, [])), p, g, b, x, u, gamma)
+    return rows_of(lw, n), p, a, pa
+
+
+def loop_full_step(lws, p, g, r):
+    rows = [list(row) for row in lws]
+    full_update(rows, p, g, r)
+    return rows, tuple(gth(softmax_rows(rows)))
+
+
+def loop_bandit_step(lws, p, g, b, x, u, gamma):
+    rows = [list(row) for row in lws]
+    bandit_update(rows, p, g, b, x)
+    pi = gth(softmax_rows(rows))
+    keep, spread = 1.0 - gamma, gamma / len(lws)
+    a = sample_index(pi, Draw(u), keep, spread)
+    return rows, tuple(pi), a, keep * pi[a] + spread
+
+
+def assert_same_bits(got, want):
+    """Equal by float.hex: the rows, p and, for the bandit, the drawn action
+    and its mixture probability."""
+    (rows, p, *draw), (want_rows, want_p, *want_draw) = got, want
+    assert [hexes(row) for row in rows] == [hexes(row) for row in want_rows]
+    assert hexes(p) == hexes(want_p)
+    if draw:
+        assert (draw[0], draw[1].hex()) == (want_draw[0], want_draw[1].hex())
 
 
 def assert_kernel_is_the_loop_solve(lws):
-    """The kernel's solution equals gth on the softmax rows of lws by
-    float.hex and leaves lws alone. Returns the solution."""
+    """Both steps, with no update (g = 0.0), return lws and gth of its
+    softmax rows by float.hex, and the bandit's draw is sample_index's, at
+    exploration 0, 0.3 and 1 and draws 0, 0.5 and just below 1. Returns the
+    solution."""
+    n = len(lws)
     before = [list(row) for row in lws]
+    old = (1.0 / n,) * n
     pi = gth(softmax_rows(lws))
-    assert hexes(kernel_solve(lws)) == hexes(pi)
+    assert_same_bits(full_step(lws, old, 0.0, ()), (lws, pi))
+    for gamma in (0.0, 0.3, 1.0):
+        for u in (0.0, 0.5, ALMOST_ONE):
+            got = bandit_step(lws, old, 0.0, 0, 0.0, u, gamma)
+            assert_same_bits(got, loop_bandit_step(lws, old, 0.0, 0, 0.0, u, gamma))
     assert lws == before
     return pi
 
@@ -736,6 +794,66 @@ def test_subnormal_exit_mass_is_the_loop_solve_bit_for_bit():
     assert 0.0 < q[2][0] < 2.2250738585072014e-308 and q[2][1] == 0.0
     pi = assert_kernel_is_the_loop_solve(lws)
     assert all(math.isfinite(v) and v >= 0.0 for v in pi) and pi[2] > 0.0
+
+
+UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+DRAWS = st.one_of(st.sampled_from([0.0, ALMOST_ONE]), st.floats(0.0, 1.0, exclude_max=True))
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_round_step_is_the_loop_round_bit_for_bit(data):
+    n = data.draw(st.integers(1, 6))
+    lws = [data.draw(st.lists(LOG_WEIGHTS, min_size=n, max_size=n)) for _ in range(n)]
+    p = tuple(data.draw(st.lists(st.one_of(st.just(5e-324), UNIT), min_size=n, max_size=n)))
+    g = data.draw(st.one_of(st.sampled_from([0.0, 0.05, 1e4]), st.floats(0.0, 10.0)))
+    r = tuple(data.draw(st.lists(UNIT, min_size=n, max_size=n)))
+    assert_same_bits(full_step(lws, p, g, r), loop_full_step(lws, p, g, r))
+    b, x = data.draw(st.integers(0, n - 1)), data.draw(st.floats(0.0, 1e3))
+    u, gamma = data.draw(DRAWS), data.draw(UNIT)
+    got = bandit_step(lws, p, g, b, x, u, gamma)
+    assert_same_bits(got, loop_bandit_step(lws, p, g, b, x, u, gamma))
+
+
+@settings(max_examples=500)
+@given(st.data())
+def test_emitted_draw_is_sample_index(data):
+    # Underflowed log-weights give the solved p zero entries.
+    n = data.draw(st.integers(1, 8))
+    lws = [data.draw(st.lists(LOG_WEIGHTS, min_size=n, max_size=n)) for _ in range(n)]
+    u, gamma = data.draw(DRAWS), data.draw(UNIT)
+    _, p, a, pa = bandit_step(lws, (1.0 / n,) * n, 0.0, 0, 0.0, u, gamma)
+    keep, spread = 1.0 - gamma, gamma / n
+    want = sample_index(p, Draw(u), keep, spread)
+    assert (a, pa.hex()) == (want, (keep * p[want] + spread).hex())
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_emitted_draw_falls_back_to_the_last_positive_entry(n):
+    # Column n-1 underflows in every other row, so p_{n-1} is 0; seek p whose
+    # left-to-right sum rounds to at most the draw just below 1.
+    rng = random.Random(n)
+    while True:
+        lws = [[-1e4 if j == n - 1 != i else rng.uniform(-5.0, 5.0) for j in range(n)]
+               for i in range(n)]
+        _, p, a, pa = bandit_step(lws, (1.0 / n,) * n, 0.0, 0, 0.0, ALMOST_ONE, 0.0)
+        acc = 0.0
+        for v in p:
+            acc += v
+        if acc <= ALMOST_ONE:
+            break
+    assert p[-1] == 0.0 < p[-2]
+    assert (a, pa) == (n - 2, p[-2]) == (sample_index(p, Draw(ALMOST_ONE)), p[-2])
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 32])
+def test_each_step_is_written_with_one_exit_and_one_draw(n):
+    # Writing the update, the return and the draw once keeps the code, and
+    # so the compile time, at O(n^3): a draw at each of the n exits of the
+    # solve took over 1.9 s to compile at n = 32.
+    full, bandit = learners._step_source(n, False), learners._step_source(n, True)
+    assert full.count("return") == bandit.count("return") == 1
+    assert bandit.count("u < acc") == n and "u < acc" not in full
 
 
 def test_bandit_exp3_finds_best_arm(fig1_g1, fig1_prior):
