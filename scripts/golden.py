@@ -8,8 +8,10 @@ estimate_csps on every config in configs/; audit_pne and verify_claims on
 leader_vs_learner_audit and reveal_follow; belief_trace for every belief kind
 that applies to the example41_* configs.
 
-The first line names the Python major.minor version: from 3.12 on, sum() of
-floats is compensated, so the hashes hold only within one version.
+The first line names the Python major.minor version that printed it. The
+hashes are the same on every supported version: stratlab adds floats left to
+right (games.add_up), never with builtin sum(), which compensates its
+rounding from Python 3.12 on.
 scripts/golden.txt keeps this output for the current code, and
 tests/test_golden.py checks it; a change that moves numbers rewrites it.
 

@@ -19,7 +19,7 @@ from dataclasses import fields
 from .audit import BELIEF_KINDS, audit_pne, belief_trace, revelation_analysis, verify_claims
 from .engine import ExperimentConfig, estimate, estimate_csps, write_csv
 from .errors import AssumptionViolatedError, InvalidArgumentError
-from .games import load_game, load_prior
+from .games import add_up, load_game, load_prior
 from .solve import stackelberg_value
 
 
@@ -122,7 +122,7 @@ def cmd_stackval(args) -> int:
             "player": args.player,
             "per_game": per_game,
             # solve.stackval_prior's sum, over the values solved once above
-            "expected_value": sum(r["weight"] * r["value"] for r in per_game),
+            "expected_value": add_up(r["weight"] * r["value"] for r in per_game),
         }
     emit(report, args, "stackval.json")
     return 0

@@ -23,6 +23,7 @@ from .games import (
     FeedbackRecord,
     Prior,
     SignalModel,
+    add_up,
     load_prior,
     prior_draw,
     prior_from_dict,
@@ -240,7 +241,7 @@ class _BeliefFold:
             avg = [v * inv for v in self.cum_own]
             dists = []
             for target in self.probe.targets:
-                dists.append(sum(abs(a - b) for a, b in zip(avg, target)))
+                dists.append(add_up(abs(a - b) for a, b in zip(avg, target)))
             best = min(dists)
             winners = [i for i, d in enumerate(dists) if d <= best + 1e-12]
             return winners[0] if len(winners) == 1 else self.mode
@@ -505,10 +506,10 @@ def run_summaries(
 def mean_ci(values, z: float = Z_95) -> tuple[float, float | None]:
     """Sample mean and normal-approximation half-width (None below 2 values)."""
     n = len(values)
-    m = sum(values) / n
+    m = add_up(values) / n
     if n < 2:
         return m, None
-    var = sum((v - m) ** 2 for v in values) / (n - 1)
+    var = add_up((v - m) ** 2 for v in values) / (n - 1)
     return m, z * math.sqrt(var / n)
 
 
@@ -778,7 +779,7 @@ def estimate_csps(
         if any((i, j) not in by_pair for j, _ in weights):
             by_game[i] = game_se[i] = None
             continue
-        total_w = sum(w for _, w in weights)
+        total_w = add_up(w for _, w in weights)
         parts = [(w / total_w, flat(by_pair[i, j].mass), flat(cell_se[i, j])) for j, w in weights]
         by_game[i], game_se[i] = split(
             [

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from random import Random
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidArgumentError, check_type
 
@@ -211,6 +211,17 @@ class FeedbackRecord:
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
+
+
+def add_up(values: Iterable[float]) -> float:
+    """The sum of values added left to right from 0.0. Builtin sum() of
+    floats did this up to Python 3.11 and compensates its rounding from 3.12
+    on, so every float sum of stratlab goes through here: the reports are
+    then the same to the bit on every Python."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
 
 
 def sample_index(

@@ -24,6 +24,7 @@ from .games import (
     GameMatrix,
     MixedStrategy,
     Prior,
+    add_up,
     pure,
     sample_index,
 )
@@ -204,7 +205,7 @@ class _HedgeCore(Learner):
     def _softmax(lw: Sequence[float]) -> list[float]:
         m = max(lw)
         es = [math.exp(v - m) for v in lw]
-        s = sum(es)
+        s = add_up(es)
         return [e / s for e in es]
 
 
@@ -387,7 +388,7 @@ def _emit_step(n: int, bandit: bool):
     The code is straight-line on local variables and does the float
     operations of the learners' loop forms in their order, so it is
     bit-identical to them: max is a `>` chain, as builtin max is, and every
-    sum is a left-to-right `+` chain, as a loop adding from 0.0 is. Every entry of the
+    sum is a left-to-right `+` chain, as games.add_up is. Every entry of the
     elimination is finite and non-negative, so adding 0.0 * x leaves it
     unchanged and it needs no zero test. The elimination and the n
     back-substitutions sit in one `while True:` block that each exit leaves

@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
+from .games import add_up
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -151,4 +152,4 @@ def lp_solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=()) -> LpSolution:
     for k, j in enumerate(free):
         x_std[j] -= x_std[n + k]
     x = tuple(v + 0.0 for v in x_std[:n])  # + 0.0 turns a pivot's -0.0 into 0.0
-    return LpSolution(OPTIMAL, x, sum(cj * xj for cj, xj in zip(c, x)))
+    return LpSolution(OPTIMAL, x, add_up(cj * xj for cj, xj in zip(c, x)))

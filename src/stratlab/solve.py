@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import AssumptionViolatedError, InvalidArgumentError
-from .games import GameMatrix, MixedStrategy, Prior
+from .games import GameMatrix, MixedStrategy, Prior, add_up
 from .lp import OPTIMAL, lp_solve
 
 
@@ -38,7 +38,7 @@ def _orient(g: GameMatrix, leader: int):
 def _as_strategy(x) -> MixedStrategy:
     """An LP solution's leader weights clamped to [0, 1] and renormalised."""
     x = [min(max(v, 0.0), 1.0) for v in x]
-    s = sum(x)
+    s = add_up(x)
     return tuple(v / s for v in x)
 
 
@@ -74,7 +74,7 @@ def stackelberg_value(g: GameMatrix, leader: int) -> StackelbergSolution:
 
 def stackval_prior(prior: Prior, player: int) -> float:
     """Prior-expected optimistic Stackelberg value for `player` as leader."""
-    return sum(w * stackelberg_value(g, player).value for g, w in prior.entries)
+    return add_up(w * stackelberg_value(g, player).value for g, w in prior.entries)
 
 
 def commitment_margin(g: GameMatrix, leader: int, target_reply: int) -> tuple[MixedStrategy, float]:
@@ -127,7 +127,7 @@ def perturbed_commitment(
         )
     x_star = sol.leader_strategy
     mix = tuple((1.0 - delta) * a + delta * b for a, b in zip(x_star, x_bar))
-    s = sum(mix)
+    s = add_up(mix)
     mix = tuple(v / s for v in mix)
     margin = delta * c if math.isfinite(c) else math.inf
     return mix, margin

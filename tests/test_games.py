@@ -11,6 +11,7 @@ from stratlab.games import (
     CSP,
     Prior,
     SignalModel,
+    add_up,
     builtin_game,
     builtin_prior,
     game_from_dict,
@@ -139,6 +140,14 @@ class AlmostOne:
 
     def random(self):
         return 1.0 - 2.0**-53
+
+
+def test_add_up_adds_left_to_right_on_every_python():
+    # 1e16 + 1.0 rounds back to 1e16; a compensated sum (builtin sum() from
+    # Python 3.12 on) would keep the 1.0.
+    assert add_up([1e16, 1.0, -1e16]) == 0.0
+    assert add_up(v for v in (0.1, 0.2, 0.3)) == (0.1 + 0.2) + 0.3
+    assert add_up([]) == 0.0 and isinstance(add_up([]), float)
 
 
 @pytest.mark.parametrize("seed", range(12))
