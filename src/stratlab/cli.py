@@ -19,7 +19,7 @@ from dataclasses import fields
 from .audit import BELIEF_KINDS, audit_pne, belief_trace, revelation_analysis, verify_claims
 from .engine import ExperimentConfig, estimate, estimate_csps, write_csv
 from .errors import AssumptionViolatedError, InvalidArgumentError
-from .games import add_up, load_game, load_prior
+from .games import add_up, load_game, load_prior, read_json
 from .solve import stackelberg_value
 
 
@@ -56,8 +56,7 @@ def apply_override(raw: dict, assignment: str) -> None:
 
 
 def load_config(path: str, args) -> ExperimentConfig:
-    with open(path) as f:
-        raw = json.load(f)
+    raw = read_json(path)
     if not isinstance(raw, dict):
         raise InvalidArgumentError(f"config {path!r} is not a JSON object")
     for assignment in args.set or ():
@@ -256,10 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # OSError and UnicodeDecodeError: an input path that is missing, a
-    # directory or unreadable, or a file that is not UTF-8.
-    errors = (InvalidArgumentError, AssumptionViolatedError, OSError, UnicodeDecodeError,
-              json.JSONDecodeError)
+    # OSError: an input path that is missing, a directory or unreadable.
+    errors = (InvalidArgumentError, AssumptionViolatedError, OSError)
     try:
         return args.fn(args)
     except errors as e:

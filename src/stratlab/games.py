@@ -408,17 +408,25 @@ def prior_from_dict(d: dict) -> Prior:
     return Prior(tuple(entries))
 
 
+def read_json(path: str):
+    """The JSON value in the UTF-8 file at path. A file that is not UTF-8 or
+    not JSON is an error that names the path, as an OSError does."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise InvalidArgumentError(f"cannot read {path!r}: {e}") from e
+
+
 def load_game(ref_or_path: str) -> GameMatrix:
     """Load a game from a builtin ref or a JSON file path."""
     if ref_or_path.partition(":")[0] in _BUILTIN_GAMES:
         return builtin_game(ref_or_path)
-    with open(ref_or_path) as f:
-        return game_from_dict(json.load(f))
+    return game_from_dict(read_json(ref_or_path))
 
 
 def load_prior(ref_or_path: str) -> Prior:
     """Load a prior from a builtin ref ("fig1:gamma=1", "example41") or a JSON file."""
     if ref_or_path.partition(":")[0] in _BUILTIN_PRIORS:
         return builtin_prior(ref_or_path)
-    with open(ref_or_path) as f:
-        return prior_from_dict(json.load(f))
+    return prior_from_dict(read_json(ref_or_path))

@@ -459,6 +459,26 @@ def test_unreadable_input_path_is_error(capsys, tmp_path, unreadable, argv):
     assert code == 1 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [('{"name": "caf\u00e9"}'.encode("latin-1"), "'utf-8' codec can't decode byte 0xe9"),
+     (b'{"trials": ', "Expecting value: line 1 column 12 (char 11)")],
+    ids=["latin-1", "truncated"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--config"], ["stackval", "--player", "1", "--game"],
+     ["stackval", "--player", "1", "--prior"], ["reveal", "--player", "1", "--prior"]],
+    ids=["simulate-config", "stackval-game", "stackval-prior", "reveal-prior"],
+)
+def test_undecodable_input_error_names_the_file(capsys, tmp_path, content, reason, argv):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {str(path)!r}: {reason}"), err
+
+
 def test_failed_assumption_is_error(capsys, tmp_path):
     # Every follower payoff is 0, so no target reply has a strict margin and
     # the leader's perturbed commitment does not exist.
