@@ -543,6 +543,17 @@ def test_full_two_action_step_matches_generic_step(fig1_prior):
     play(lrn, ref, [(w, 1.0 - w) for w in (script.random() for _ in range(5000))])
 
 
+def test_a_second_act_in_a_round_plays_the_same_strategy(fig1_prior):
+    # act applies the update that observe stored once, however often it runs.
+    lrn, ref = pair("no_swap_regret_full", 2, fig1_prior)
+    for w in (0.2, 0.9, 0.5):
+        own = lrn.act()
+        assert lrn.act() == own == ref.act()
+        fb = FeedbackRecord(own, (w, 1.0 - w), 0.0)
+        lrn.observe(fb)
+        ref.observe(fb)
+
+
 @settings(max_examples=150)
 @given(st.data())
 def test_swap_regret_learners_play_as_the_reference(data):
