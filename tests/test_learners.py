@@ -860,8 +860,8 @@ def test_emitted_draw_falls_back_to_the_last_positive_entry(n):
 @pytest.mark.parametrize("n", [1, 2, 5, 32])
 def test_each_step_is_written_with_one_exit_and_one_draw(n):
     # Writing the update, the return and the draw once keeps the code, and
-    # so the compile time, at O(n^3): a draw at each of the n exits of the
-    # solve took over 1.9 s to compile at n = 32.
+    # so the compile time, at O(n^3): a return of the n^2 log-weights at
+    # each exit and each draw test would make it O(n^4).
     full, bandit = learners._step_source(n, False), learners._step_source(n, True)
     assert full.count("return") == bandit.count("return") == 1
     assert bandit.count("u < acc") == n and "u < acc" not in full
