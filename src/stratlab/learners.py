@@ -295,8 +295,43 @@ class BanditExp3(_BanditPlay):
         self.t += 1
 
 
-def _step_source(n: int, bandit: bool) -> str:
-    """The source of the round step that _emit_step compiles; see there."""
+@functools.cache
+def _emit_step(n: int, bandit: bool):
+    """One round of a swap-regret learner with n actions, compiled on first
+    use: it applies last round's update to the flat log-weights lw (row-major,
+    only read), solves for the stationary distribution p of the softmax rows,
+    and for the bandit draws from the exploration mixture.
+
+    step(lw, p, g, r) -> (lw, p) for full information adds g * p_e * r to
+    each row e of lw, with p last round's distribution and r its normalised
+    rewards. step(lw, p, g, b, x, u, gamma) -> (lw, p, a, pa) for the bandit
+    adds g * p_e * x to entry b of each row e, x being the estimate for the
+    drawn action b, then draws a from (1 - gamma) * p + gamma / n with the
+    uniform draw u, exactly as games.sample_index does, and returns a's
+    mixture probability pa. A row whose scale g * p_e is 0 is not touched,
+    so g = 0.0 means no update.
+
+    The solve is exact, with no iteration and no tolerance:
+    Grassmann-Taksar-Heyman elimination (Operations Research 1985), which
+    only adds, multiplies and divides non-negative numbers and never reads
+    the diagonal. Eliminating state k censors the chain to states 0..k-1;
+    s_k is k's mass towards them. Dividing k's row by s_k (rather than the
+    column entering k, as GTH is usually written) and rescaling the partial
+    p at each step of the back-substitution keep every intermediate in
+    [0, 1], so a subnormal s_k cannot overflow. Underflow can also make s_k
+    exactly 0: then k is absorbing in the chain censored to 0..k, so p is 0
+    below k and follows by back-substitution from p_k = 1. At n = 2 this is
+    (q10, q01) / (q01 + q10), and (0, 1) when q10 == 0.
+
+    The code is straight-line on local variables and does the float
+    operations of the learners' loop forms in their order, so it is
+    bit-identical to them: max is a `>` chain, as builtin max is, and every
+    sum is a left-to-right `+` chain, as games.add_up is. Every entry of the
+    elimination is finite and non-negative, so adding 0.0 * x leaves it
+    unchanged and it needs no zero test. The elimination and the n
+    back-substitutions sit in one `while True:` block that each exit leaves
+    by `break`, so the update and the draw are written once; the code, and
+    so the compile time, grows as n^3."""
     lw = [[f"l{i}_{j}" for j in range(n)] for i in range(n)]
     a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
     flat = ", ".join(x for row in lw for x in row)
@@ -354,47 +389,7 @@ def _step_source(n: int, bandit: bool) -> str:
         body.append("    break")
         out += ", a, pa"
     args = "lw, p, g, b, x, u, gamma" if bandit else "lw, p, g, r"
-    return f"def step({args}):\n" + "".join(f"    {line}\n" for line in body + [f"return {out}"])
-
-
-@functools.cache
-def _emit_step(n: int, bandit: bool):
-    """One round of a swap-regret learner with n actions, compiled on first
-    use: it applies last round's update to the flat log-weights lw (row-major,
-    only read), solves for the stationary distribution p of the softmax rows,
-    and for the bandit draws from the exploration mixture.
-
-    step(lw, p, g, r) -> (lw, p) for full information adds g * p_e * r to
-    each row e of lw, with p last round's distribution and r its normalised
-    rewards. step(lw, p, g, b, x, u, gamma) -> (lw, p, a, pa) for the bandit
-    adds g * p_e * x to entry b of each row e, x being the estimate for the
-    drawn action b, then draws a from (1 - gamma) * p + gamma / n with the
-    uniform draw u, exactly as games.sample_index does, and returns a's
-    mixture probability pa. A row whose scale g * p_e is 0 is not touched,
-    so g = 0.0 means no update.
-
-    The solve is exact, with no iteration and no tolerance:
-    Grassmann-Taksar-Heyman elimination (Operations Research 1985), which
-    only adds, multiplies and divides non-negative numbers and never reads
-    the diagonal. Eliminating state k censors the chain to states 0..k-1;
-    s_k is k's mass towards them. Dividing k's row by s_k (rather than the
-    column entering k, as GTH is usually written) and rescaling the partial
-    p at each step of the back-substitution keep every intermediate in
-    [0, 1], so a subnormal s_k cannot overflow. Underflow can also make s_k
-    exactly 0: then k is absorbing in the chain censored to 0..k, so p is 0
-    below k and follows by back-substitution from p_k = 1. At n = 2 this is
-    (q10, q01) / (q01 + q10), and (0, 1) when q10 == 0.
-
-    The code is straight-line on local variables and does the float
-    operations of the learners' loop forms in their order, so it is
-    bit-identical to them: max is a `>` chain, as builtin max is, and every
-    sum is a left-to-right `+` chain, as games.add_up is. Every entry of the
-    elimination is finite and non-negative, so adding 0.0 * x leaves it
-    unchanged and it needs no zero test. The elimination and the n
-    back-substitutions sit in one `while True:` block that each exit leaves
-    by `break`, so the update and the draw are written once; the code, and
-    so the compile time, grows as n^3."""
-    src = _step_source(n, bandit)
+    src = f"def step({args}):\n" + "".join(f"    {line}\n" for line in body + [f"return {out}"])
     namespace = {"exp": math.exp}
     kind = "bandit" if bandit else "full-information"
     exec(compile(src, f"<{kind} swap-regret step, n = {n}>", "exec"), namespace)

@@ -1,9 +1,10 @@
 """The golden hashes of scripts/golden.py match scripts/golden.txt.
 
 Both the in-process path (threads 1) and the worker pool (threads 2) must
-give them, on every supported Python. A change that moves a reported number fails here: it rewrites
-golden.txt (python3 scripts/golden.py > scripts/golden.txt) and lists the
-moved hashes in CHANGES.md.
+give them, on every supported Python. A change that moves a reported
+number fails here: it rewrites golden.txt
+(python3 scripts/golden.py > scripts/golden.txt) and lists the moved
+hashes in CHANGES.md.
 """
 
 import importlib.util

@@ -1,3 +1,4 @@
+import dis
 import math
 import random
 
@@ -622,13 +623,22 @@ def test_learners_of_one_action_count_share_one_compiled_solve(monkeypatch):
             lrn, ref = pair(kind, role, prior, seed=3)
             play(lrn, ref, [(1.0 / 9,) * 9] * 2)
         counts.append(len(compiled))
-    # One kernel per action count and kind at most, compiled once per process.
-    assert counts[0] == counts[1] == 1 and counts[2] == counts[3] <= 2
+    # One step per action count and kind, compiled once per process.
+    assert counts == [1, 1, 2, 2]
 
 
-def test_pool_workers_inherit_the_compiled_solve(monkeypatch, fig1_prior):
+def test_pool_workers_inherit_the_compiled_solve(monkeypatch):
+    # No other test builds a swap-regret learner with 10 actions, so checking
+    # the config compiles its step here, before the pool forks.
+    compiled = []
+
+    def counting(*args):
+        compiled.append(args[1])
+        return compile(*args)
+
+    monkeypatch.setattr(learners, "compile", counting, raising=False)
     cfg = ExperimentConfig(
-        prior=fig1_prior,
+        prior=prior_from_games([cyclic_zero_sum(10)]),
         signal_model=SignalModel(1.0, 0.5),
         spec1=LearnerSpec("stackelberg_leader"),
         spec2=LearnerSpec("no_swap_regret_bandit"),
@@ -636,8 +646,7 @@ def test_pool_workers_inherit_the_compiled_solve(monkeypatch, fig1_prior):
         trials=3,  # a seeded learner: 3 distinct trials, so the pool forks
         master_seed=17,
     )
-    # Checking the config built a throwaway bandit, whose kernel this
-    # process has compiled by now.
+    assert len(compiled) == 1
 
     def refuse(*args):
         raise AssertionError("a kernel was compiled again")
@@ -862,9 +871,16 @@ def test_each_step_is_written_with_one_exit_and_one_draw(n):
     # Writing the update, the return and the draw once keeps the code, and
     # so the compile time, at O(n^3): a return of the n^2 log-weights at
     # each exit and each draw test would make it O(n^4).
-    full, bandit = learners._step_source(n, False), learners._step_source(n, True)
-    assert full.count("return") == bandit.count("return") == 1
-    assert bandit.count("u < acc") == n and "u < acc" not in full
+    def ops(kind):
+        return [(i.opname, i.argrepr) for i in dis.get_instructions(learners._emit_step(n, kind))]
+
+    full, bandit = ops(False), ops(True)
+    for code in (full, bandit):
+        assert sum(op.startswith("RETURN_") for op, _ in code) == 1
+    # The draw's `u < acc` tests are the step's only `<` comparisons.
+    less = [sum(op == "COMPARE_OP" and arg.strip("bool()") == "<" for op, arg in code)
+            for code in (full, bandit)]
+    assert less == [0, n]
 
 
 def test_bandit_exp3_finds_best_arm(fig1_g1, fig1_prior):
