@@ -8,10 +8,10 @@ estimate_csps on every config in configs/; audit_pne and verify_claims on
 leader_vs_learner_audit and reveal_follow; belief_trace for every belief kind
 that applies to the example41_* configs.
 
-The first line names the Python major.minor version that printed it. The
-hashes are the same on every supported version: stratlab adds floats left to
-right (games.add_up), never with builtin sum(), which compensates its
-rounding from Python 3.12 on.
+The first line is the header HEADER, which names the columns; it names no
+Python version, since the hashes are the same on every supported version:
+stratlab adds floats left to right (games.add_up), never with builtin sum(),
+which compensates its rounding from Python 3.12 on.
 scripts/golden.txt keeps this output for the current code, and
 tests/test_golden.py checks it; a change that moves numbers rewrites it.
 
@@ -33,6 +33,7 @@ from stratlab.audit import audit_pne, belief_trace, verify_claims  # noqa: E402
 from stratlab.cli import load_config  # noqa: E402
 from stratlab.engine import estimate, estimate_csps  # noqa: E402
 
+HEADER = "# report sha256(json.dumps(to_dict(), sort_keys=True))"
 HORIZON = 2000
 TRIALS = 32
 AUDITED = ("leader_vs_learner_audit", "reveal_follow")
@@ -73,11 +74,6 @@ def reports(threads: int):
         yield f"belief_trace/{name}/{kind}", belief_trace(cfg, kind, 0.05, threads=threads).to_dict()
 
 
-def python_version() -> str:
-    """The header line: '# python <major>.<minor>'."""
-    return f"# python {sys.version_info.major}.{sys.version_info.minor}"
-
-
 def digest(payload: dict) -> str:
     """sha256 of the report's JSON text with sorted keys."""
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
@@ -87,7 +83,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--threads", type=int, default=1, help="trial worker processes")
     args = ap.parse_args()
-    print(python_version(), flush=True)
+    print(HEADER, flush=True)
     for name, payload in reports(args.threads):
         print(name, digest(payload), flush=True)
 

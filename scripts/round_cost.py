@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Cost of one simulated round: µs per trial-round of a checkout's engine.
 
-For every config in configs/ it times the baseline pair, and on configs whose
-player 2 is `no_swap_regret_bandit` also each deviation of player 1 from
-audit.default_library that resolves to the stackelberg_leader class (the
-commitment itself and its signal-forcing mimics) against that bandit. Each
+For every config in configs/ (or each one named by --config) it times the
+baseline pair, and on configs whose player 2 is `no_swap_regret_bandit` also
+each deviation of player 1 from audit.default_library that resolves to the
+stackelberg_leader class (the commitment itself and its signal-forcing
+mimics) against that bandit. Each
 pair runs its first --trials trials through the engine's trial function at
 --horizon rounds, in this process; a row reports the fastest of --repeats
 timings divided by trials x horizon. The process-wide perturbed-commitment
@@ -28,6 +29,7 @@ otherwise the row is `unresolved`, as a change within the host's noise is.
 Example:
     python3 scripts/round_cost.py --horizon 4000 --repeats 5
     python3 scripts/round_cost.py --against ../parent --horizon 5000 --repeats 9
+    python3 scripts/round_cost.py --config swap_decay --config reveal_follow
 """
 
 import argparse
@@ -131,15 +133,21 @@ def main(argv=None) -> int:
     ap.add_argument("--horizon", type=int, default=4000)
     ap.add_argument("--trials", type=int, default=2)
     ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--config", action="append", metavar="NAME",
+                    help="time only the pairs of this config in configs/ (repeatable)")
     args = ap.parse_args(argv)
     if min(args.horizon, args.trials, args.repeats) < 1:
         ap.error("--horizon, --trials and --repeats must be >= 1")
+    unknown = sorted(set(args.config or ()) - {p.stem for p in (ROOT / "configs").glob("*.json")})
+    if unknown:
+        ap.error(f"no config named {', '.join(unknown)} in configs/")
     sides = [args.src.resolve()]
     if args.against is not None:
         other = args.against.resolve()
         sides.append(other / "src" if (other / "src" / "stratlab").is_dir() else other)
     modules = [load(src, name) for src, name in zip(sides, ("stratlab", "stratlab_against"))]
-    tables = [{(c, n): cfg for c, n, cfg in pairs(*m, args.horizon, args.trials)} for m in modules]
+    tables = [{(c, n): cfg for c, n, cfg in pairs(*m, args.horizon, args.trials)
+               if args.config is None or c in args.config} for m in modules]
     us = 1e6 / (args.trials * args.horizon)
     size = f"{args.trials} trial(s) x {args.horizon} rounds"
     if args.against is None:

@@ -11,6 +11,7 @@ reported number.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import multiprocessing
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
@@ -126,6 +127,9 @@ class ExperimentConfig:
             if forced is not None and not 0 <= forced < self.prior.support_size:
                 raise InvalidArgumentError(f"{name} forces signal {forced}, out of range")
             learner_init(spec, player, self.prior, 0, Random(0))
+        # Compiled here, as the learners' steps are, so that forked pool
+        # workers inherit it.
+        _emit_account(self.prior.n1, self.prior.n2)
         if not self.checkpoints:
             object.__setattr__(self, "checkpoints", default_checkpoints(self.horizon))
         else:
@@ -273,13 +277,49 @@ class _BeliefFold:
                     self.consistent[k] = False
 
 
+@functools.cache
+def _emit_account(n1: int, n2: int):
+    """The accounting of one fresh round of an n1 x n2 game, compiled on
+    first use.
+
+    bind(mass, u1, u2) -> account binds a trial's mass rows and the realized
+    game's payoffs; account(x, y) -> (uu1, uu2) adds x_a * y_b to mass[a][b]
+    for every cell where both are nonzero and returns both players' expected
+    utilities. The code is straight-line on local variables. It visits the
+    cells a-major and does the float operations of nested loops over x and y
+    in their order, so it is bit-identical to them (tests/test_engine.py
+    keeps those loops as its oracle): each sum starts at 0.0 and adds
+    u_ab * w cell by cell. Replayed rounds do not come here (_simulate)."""
+    def unpack(names) -> str:  # a tuple target, "(a, b, )"
+        return "(" + "".join(f"{name}, " for name in names) + ")"
+
+    body = [f"{unpack(f'x{a}' for a in range(n1))} = x",
+            f"{unpack(f'y{b}' for b in range(n2))} = y", "uu1 = uu2 = 0.0"]
+    for a in range(n1):
+        body.append(f"if x{a}:")
+        for b in range(n2):
+            body += [f"    if y{b}:", f"        w = x{a} * y{b}", f"        m{a}[{b}] += w",
+                     f"        uu1 += p{a}_{b} * w", f"        uu2 += q{a}_{b} * w"]
+    src = "".join([
+        "def bind(mass, u1, u2):\n",
+        f"    {unpack(f'm{a}' for a in range(n1))} = mass\n",
+        *(f"    {unpack(unpack(f'{v}{a}_{b}' for b in range(n2)) for a in range(n1))} = {u}\n"
+          for v, u in (("p", "u1"), ("q", "u2"))),
+        "    def account(x, y):\n",
+        *(f"        {line}\n" for line in body + ["return uu1, uu2"]),
+        "    return account\n",
+    ])
+    namespace: dict = {}
+    exec(compile(src, f"<fresh-round accounting, {n1} x {n2}>", "exec"), namespace)
+    return namespace["bind"]
+
+
 def _simulate(
     cfg: ExperimentConfig, trial_index: int, probe: BeliefProbe | None = None
 ) -> TrialSummary:
     prior = cfg.prior
     realized, s1, s2 = environment_draw(cfg, trial_index)
     g = prior.games[realized]
-    u1m, u2m = g.u1, g.u2
     n1, n2 = g.n1, g.n2
     seed = cfg.master_seed
 
@@ -300,6 +340,7 @@ def _simulate(
     full_info = cfg.feedback_mode == "full"
     horizon = cfg.horizon
     mass = [[0.0] * n2 for _ in range(n1)]
+    account = _emit_account(n1, n2)(mass, g.u1, g.u2)
     cum_u1 = cum_u2 = 0.0
     cps = iter(cfg.checkpoints)
     next_cp = next(cps)  # 0 once every checkpoint has passed
@@ -349,18 +390,7 @@ def _simulate(
                     tail2[tail_b] += 1
         else:
             last_x, last_y, cells = x, y, None
-            uu1 = uu2 = 0.0
-            for a, xa in enumerate(x):
-                if xa:
-                    row1 = u1m[a]
-                    row2 = u2m[a]
-                    mrow = mass[a]
-                    for b, yb in enumerate(y):
-                        if yb:
-                            w = xa * yb
-                            mrow[b] += w
-                            uu1 += row1[b] * w
-                            uu2 += row2[b] * w
+            uu1, uu2 = account(x, y)
             if t > tail_start:
                 for a, xa in enumerate(x):
                     if xa >= thresh:

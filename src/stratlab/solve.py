@@ -26,13 +26,28 @@ class StackelbergSolution:
     per_follower_action_values: tuple[float, ...]  # -inf marks infeasible replies
 
 
+def _scaled(payoffs):
+    """(payoffs * 2**-e, e), with e chosen so that the largest magnitude lies
+    in [0.5, 1) (e = 0 when every payoff is 0).
+
+    The LPs compare against absolute tolerances, which are only meaningful
+    at one scale, so each player's payoffs are brought to it. Scaling by a
+    power of two is exact in binary floating point (the radix scaling of
+    LAPACK's dgeequb), and the Stackelberg commitment is invariant under a
+    positive scaling of either player's payoffs; values and margins scale
+    back exactly by 2**e."""
+    e = math.frexp(max(abs(v) for row in payoffs for v in row))[1]
+    return tuple(tuple(math.ldexp(v, -e) for v in row) for row in payoffs), e
+
+
 def _orient(g: GameMatrix, leader: int):
-    """(lead, fol): lead[a][f] is the leader's payoff when she plays pure a and
-    the follower replies f; fol[f][a] is the follower's payoff at that profile.
+    """((lead, e_lead), (fol, e_fol)): lead[a][f] * 2**e_lead is the leader's
+    payoff when she plays pure a and the follower replies f; fol[f][a] *
+    2**e_fol is the follower's payoff at that profile (see _scaled).
     """
     if leader not in (1, 2):
         raise InvalidArgumentError(f"leader must be 1 or 2, got {leader}")
-    return g.own_payoffs(leader), g.own_payoffs(3 - leader)
+    return _scaled(g.own_payoffs(leader)), _scaled(g.own_payoffs(3 - leader))
 
 
 def _as_strategy(x) -> MixedStrategy:
@@ -44,7 +59,7 @@ def _as_strategy(x) -> MixedStrategy:
 
 def stackelberg_value(g: GameMatrix, leader: int) -> StackelbergSolution:
     """Optimistic Stackelberg value and commitment for `leader`."""
-    lead, fol = _orient(g, leader)
+    (lead, e_lead), (fol, _) = _orient(g, leader)
     n_lead, n_fol = len(lead), len(fol)
     per_vals: list[float] = []
     xs = []
@@ -65,11 +80,12 @@ def stackelberg_value(g: GameMatrix, leader: int) -> StackelbergSolution:
     top = max(per_vals)
     if top == -math.inf:  # unreachable: some reply is a best response to any commitment
         raise AssumptionViolatedError("no feasible follower reply found")
-    # Replies within a relative 1e-9 of the best tie, and the lowest index
-    # wins, so that rounding (say, after scaling the leader's payoffs) cannot
-    # flip the reply.
-    f = next(f for f, v in enumerate(per_vals) if v >= top - 1e-9 * max(1.0, abs(top)))
-    return StackelbergSolution(per_vals[f], _as_strategy(xs[f]), f, tuple(per_vals))
+    # Replies within 1e-9 of the best tie, on the leader's scaled payoffs, so
+    # relative to her largest payoff, and the lowest index wins, so that
+    # rounding cannot flip the reply.
+    f = next(f for f, v in enumerate(per_vals) if v >= top - 1e-9)
+    values = tuple(math.ldexp(v, e_lead) for v in per_vals)
+    return StackelbergSolution(values[f], _as_strategy(xs[f]), f, values)
 
 
 def stackval_prior(prior: Prior, player: int) -> float:
@@ -85,7 +101,14 @@ def commitment_margin(g: GameMatrix, leader: int, target_reply: int) -> tuple[Mi
     unique best response (Farkas direction of the no-weak-dominance assumption).
     With a single follower action the margin is unconstrained (+inf).
     """
-    _, fol = _orient(g, leader)
+    _, (fol, e) = _orient(g, leader)
+    x_bar, c = _margin(fol, target_reply)
+    return x_bar, math.ldexp(c, e)
+
+
+def _margin(fol, target_reply: int) -> tuple[MixedStrategy, float]:
+    """commitment_margin on oriented, scaled follower payoffs (see _orient):
+    the margin is in their scaled units."""
     n_lead, n_fol = len(fol[0]), len(fol)
     if not 0 <= target_reply < n_fol:
         raise InvalidArgumentError(f"follower action {target_reply} out of range")
@@ -119,7 +142,9 @@ def perturbed_commitment(
     if not 0.0 < delta <= 1.0:
         raise InvalidArgumentError(f"delta must be in (0,1], got {delta!r}")
     sol = stackelberg_value(g, leader)
-    x_bar, c = commitment_margin(g, leader, sol.follower_action)
+    _, (fol, e) = _orient(g, leader)
+    x_bar, c = _margin(fol, sol.follower_action)
+    # Tested on the scaled margin, so relative to the follower's largest payoff.
     if c <= 1e-12:
         raise AssumptionViolatedError(
             f"target reply {sol.follower_action} admits no strict margin "
@@ -129,5 +154,4 @@ def perturbed_commitment(
     mix = tuple((1.0 - delta) * a + delta * b for a, b in zip(x_star, x_bar))
     s = add_up(mix)
     mix = tuple(v / s for v in mix)
-    margin = delta * c if math.isfinite(c) else math.inf
-    return mix, margin
+    return mix, math.ldexp(delta * c, e)

@@ -1,12 +1,14 @@
 import json
 import math
 import multiprocessing
+import random
 import re
 from dataclasses import astuple, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from conftest import THREADS
 from stratlab import engine, learners
@@ -28,7 +30,7 @@ from stratlab.engine import (
 )
 from stratlab.cli import load_config, main
 from stratlab.errors import InvalidArgumentError
-from stratlab.games import SignalModel, builtin_prior, prior_from_games
+from stratlab.games import SignalModel, builtin_prior, game_matrix, prior_from_games
 from stratlab.learners import LearnerSpec, regrets_from_mass
 
 
@@ -613,6 +615,97 @@ def test_pure_realization_replay_matches_the_realized_path(monkeypatch, fig1_pri
     tail = pairs[cfg.horizon - cfg.tail_window:]
     assert s.tail_counts1 == tuple(sum(a == i for a, _ in tail) for i in range(g.n1))
     assert s.tail_counts2 == tuple(sum(b == i for _, b in tail) for i in range(g.n2))
+
+
+def account_loops(mass, u1, u2, x, y):
+    """The fresh-round accounting as loops: the oracle of the compiled kernel."""
+    uu1 = uu2 = 0.0
+    for a, xa in enumerate(x):
+        if xa:
+            row1 = u1[a]
+            row2 = u2[a]
+            mrow = mass[a]
+            for b, yb in enumerate(y):
+                if yb:
+                    w = xa * yb
+                    mrow[b] += w
+                    uu1 += row1[b] * w
+                    uu2 += row2[b] * w
+    return uu1, uu2
+
+
+# Zeros, subnormals and the smallest normal besides ordinary values.
+TINY = st.sampled_from([0.0, 5e-324, 2.0 ** -1060, 2.0 ** -1022])
+WEIGHTS = st.one_of(TINY, st.floats(0.0, 1.0))
+PAYOFFS = st.one_of(TINY, TINY.map(lambda v: -v), st.floats(-1e6, 1e6), st.integers(-9, 9).map(float))
+
+
+@given(st.data())
+def test_account_is_the_loop_accounting_bit_for_bit(data):
+    n1, n2 = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+
+    def matrix(values):
+        return tuple(tuple(data.draw(values) for _ in range(n2)) for _ in range(n1))
+
+    u1, u2 = matrix(PAYOFFS), matrix(PAYOFFS)
+    start = matrix(st.one_of(TINY, st.floats(0.0, 1e3)))
+    mass, oracle = [list(row) for row in start], [list(row) for row in start]
+    account = engine._emit_account(n1, n2)(mass, u1, u2)
+    for _ in range(data.draw(st.integers(1, 3))):  # successive rounds on one mass
+        x = tuple(data.draw(WEIGHTS) for _ in range(n1))
+        y = tuple(data.draw(WEIGHTS) for _ in range(n2))
+        assert hexed(account(x, y)) == hexed(account_loops(oracle, u1, u2, x, y))
+        assert hexed(mass) == hexed(oracle)
+
+
+def counting_compiles(monkeypatch) -> list:
+    """Patch engine.compile to record the name of every kernel it compiles."""
+    compiled = []
+
+    def counting(*args):
+        compiled.append(args[1])
+        return compile(*args)
+
+    monkeypatch.setattr(engine, "compile", counting, raising=False)
+    return compiled
+
+
+def shape_game(n1, n2, seed):
+    rng = random.Random(seed)
+    u1, u2 = ([[rng.uniform(-5, 5) for _ in range(n2)] for _ in range(n1)] for _ in range(2))
+    return game_matrix("g", u1, u2)
+
+
+def test_one_account_compile_per_game_shape(monkeypatch):
+    # No other test builds a config of a 7 x 8 or an 8 x 7 game.
+    compiled = counting_compiles(monkeypatch)
+    cfgs = [constant_pair_cfg(prior_from_games([shape_game(n1, n2, seed)]), horizon=20, trials=2)
+            for n1, n2, seed in ((7, 8, 1), (7, 8, 2), (8, 7, 3))]
+    for cfg in cfgs:
+        run_summaries(cfg)
+    assert compiled == ["<fresh-round accounting, 7 x 8>", "<fresh-round accounting, 8 x 7>"]
+
+
+def test_pool_workers_inherit_the_compiled_account(monkeypatch):
+    # No other test builds a config of an 11 x 3 game, so checking the
+    # config compiles its kernel here, before the pool forks.
+    compiled = counting_compiles(monkeypatch)
+    cfg = ExperimentConfig(
+        prior=prior_from_games([shape_game(11, 3, 4), shape_game(11, 3, 5)]),
+        signal_model=SignalModel(1.0, 0.5),
+        spec1=LearnerSpec("constant_action", {"action": 4}),
+        spec2=LearnerSpec("no_swap_regret_bandit"),
+        horizon=50,
+        trials=3,  # a seeded learner: 3 distinct trials, so the pool forks
+        master_seed=17,
+    )
+    assert compiled == ["<fresh-round accounting, 11 x 3>"]
+
+    def refuse(*args):
+        raise AssertionError("a kernel was compiled again")
+
+    monkeypatch.setattr(engine, "compile", refuse, raising=False)
+    assert run_summaries(cfg, threads=2) == run_summaries(cfg)
 
 
 @pytest.mark.parametrize("kind", sorted(learners._CLASSES))

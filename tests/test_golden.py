@@ -25,7 +25,8 @@ def load_golden():
 @pytest.mark.parametrize("threads", [1, 2])
 def test_golden_hashes_match_the_committed_file(threads):
     golden = load_golden()
-    _, *lines = (SCRIPTS / "golden.txt").read_text().splitlines()  # the header names a Python
+    header, *lines = (SCRIPTS / "golden.txt").read_text().splitlines()
+    assert header == golden.HEADER
     expected = dict(line.split() for line in lines)
     got = {name: golden.digest(payload) for name, payload in golden.reports(threads)}
     assert sorted(got) == sorted(expected)

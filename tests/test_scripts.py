@@ -74,15 +74,27 @@ def test_round_cost_resolves_a_row_only_beyond_the_noise(this, against, expected
 def test_round_cost_repeat_share():
     # Share of rounds whose two strategies are the last round's objects: the
     # scripted pair of reveal_follow settles from round 2 and repeats in
-    # every round from round 3 on.
+    # every round from round 3 on. --config times only the configs it names.
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "round_cost.py"), "--horizon", "40", "--trials", "1",
-         "--repeats", "1"],
+         "--repeats", "1", "--config", "swap_decay", "--config", "reveal_follow"],
         capture_output=True,
         text=True,
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     repeat = {tuple(line.split()[:2]): line.split()[-1] for line in proc.stdout.splitlines()[2:]}
-    assert repeat["reveal_follow", "baseline"] == f"{38 / 40:.1%}"
-    assert repeat["swap_decay", "baseline"] == "0.0%"
+    assert repeat == {("reveal_follow", "baseline"): f"{38 / 40:.1%}",
+                      ("swap_decay", "baseline"): "0.0%"}
+
+
+def test_round_cost_rejects_an_unknown_config():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "round_cost.py"), "--config", "swap_decay",
+         "--config", "no_such_config"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2
+    assert "no config named no_such_config" in proc.stderr

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -89,6 +90,48 @@ def test_leader_scale_invariance(seed, lam):
     assert scaled.value == pytest.approx(lam * base.value, abs=1e-6 * max(1.0, lam))
     assert scaled.follower_action == base.follower_action
     assert scaled.leader_strategy == pytest.approx(base.leader_strategy, abs=1e-6)
+
+
+def scaled_game(u1, u2, scale):
+    return game_matrix("scaled", [[scale * v for v in r] for r in u1], [[scale * v for v in r] for r in u2])
+
+
+def solved(g, leader):
+    """(stackelberg_value, perturbed_commitment at delta 0.1 or None)."""
+    try:
+        commitment = perturbed_commitment(g, leader, 0.1)
+    except AssumptionViolatedError:
+        commitment = None
+    return stackelberg_value(g, leader), commitment
+
+
+def test_large_payoffs_keep_a_feasible_follower_reply():
+    # Times 1e8 with player 2 leading, the LPs on unscaled payoffs found no
+    # feasible reply at all.
+    u1, u2 = [[-4, 4, -6], [7, 3, 8]], [[1, 8, 3], [-4, 3, 8]]
+    base = stackelberg_value(game_matrix("g", u1, u2), 2)
+    big = stackelberg_value(scaled_game(u1, u2, 1e8), 2)
+    assert big.value == pytest.approx(1e8 * base.value, rel=1e-12)
+    assert big.follower_action == base.follower_action
+    assert big.leader_strategy == base.leader_strategy
+
+
+@pytest.mark.parametrize("scale", [10.0 ** k for k in range(-12, 13, 2)])
+def test_solves_agree_at_every_payoff_scale(scale):
+    rng = random.Random(7)
+    for _ in range(100):
+        n1, n2 = rng.randint(2, 4), rng.randint(2, 4)
+        u1, u2 = ([[rng.randint(-9, 9) for _ in range(n2)] for _ in range(n1)] for _ in range(2))
+        for leader in (1, 2):
+            base, base_commitment = solved(game_matrix("g", u1, u2), leader)
+            sol, commitment = solved(scaled_game(u1, u2, scale), leader)
+            assert sol.value == pytest.approx(scale * base.value, rel=1e-9)
+            assert sol.follower_action == base.follower_action
+            assert sol.leader_strategy == pytest.approx(base.leader_strategy, abs=1e-9)
+            assert (commitment is None) == (base_commitment is None)
+            if commitment is not None:
+                assert commitment[0] == pytest.approx(base_commitment[0], abs=1e-9)
+                assert commitment[1] == pytest.approx(scale * base_commitment[1], rel=1e-9)
 
 
 @given(st.integers(0, 2**32))
