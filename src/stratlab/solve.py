@@ -5,7 +5,8 @@ The optimistic Stackelberg value is computed with the standard per-follower-
 action formulation: for each pure follower reply, maximize the leader's
 payoff over her simplex subject to that reply being a follower best response,
 then take the best feasible reply. Ties therefore resolve in the leader's
-favor automatically.
+favor automatically. Each player's payoffs enter the LPs scaled by a power
+of two (_scaled), so the LP tolerances hold at any payoff scale.
 """
 
 from __future__ import annotations
@@ -37,17 +38,17 @@ def _scaled(payoffs):
     positive scaling of either player's payoffs; values and margins scale
     back exactly by 2**e."""
     e = math.frexp(max(abs(v) for row in payoffs for v in row))[1]
-    return tuple(tuple(math.ldexp(v, -e) for v in row) for row in payoffs), e
+    return [[math.ldexp(v, -e) for v in row] for row in payoffs], e
 
 
 def _orient(g: GameMatrix, leader: int):
-    """((lead, e_lead), (fol, e_fol)): lead[a][f] * 2**e_lead is the leader's
+    """(lead, e_lead, fol, e_fol): lead[a][f] * 2**e_lead is the leader's
     payoff when she plays pure a and the follower replies f; fol[f][a] *
     2**e_fol is the follower's payoff at that profile (see _scaled).
     """
     if leader not in (1, 2):
         raise InvalidArgumentError(f"leader must be 1 or 2, got {leader}")
-    return _scaled(g.own_payoffs(leader)), _scaled(g.own_payoffs(3 - leader))
+    return (*_scaled(g.own_payoffs(leader)), *_scaled(g.own_payoffs(3 - leader)))
 
 
 def _as_strategy(x) -> MixedStrategy:
@@ -59,7 +60,12 @@ def _as_strategy(x) -> MixedStrategy:
 
 def stackelberg_value(g: GameMatrix, leader: int) -> StackelbergSolution:
     """Optimistic Stackelberg value and commitment for `leader`."""
-    (lead, e_lead), (fol, _) = _orient(g, leader)
+    lead, e_lead, fol, _ = _orient(g, leader)
+    return _stackelberg(lead, e_lead, fol)
+
+
+def _stackelberg(lead, e_lead: int, fol) -> StackelbergSolution:
+    """stackelberg_value on oriented, scaled payoffs (see _orient)."""
     n_lead, n_fol = len(lead), len(fol)
     per_vals: list[float] = []
     xs = []
@@ -101,9 +107,9 @@ def commitment_margin(g: GameMatrix, leader: int, target_reply: int) -> tuple[Mi
     unique best response (Farkas direction of the no-weak-dominance assumption).
     With a single follower action the margin is unconstrained (+inf).
     """
-    _, (fol, e) = _orient(g, leader)
+    _, _, fol, e_fol = _orient(g, leader)
     x_bar, c = _margin(fol, target_reply)
-    return x_bar, math.ldexp(c, e)
+    return x_bar, math.ldexp(c, e_fol)
 
 
 def _margin(fol, target_reply: int) -> tuple[MixedStrategy, float]:
@@ -141,8 +147,8 @@ def perturbed_commitment(
     """
     if not 0.0 < delta <= 1.0:
         raise InvalidArgumentError(f"delta must be in (0,1], got {delta!r}")
-    sol = stackelberg_value(g, leader)
-    _, (fol, e) = _orient(g, leader)
+    lead, e_lead, fol, e_fol = _orient(g, leader)
+    sol = _stackelberg(lead, e_lead, fol)
     x_bar, c = _margin(fol, sol.follower_action)
     # Tested on the scaled margin, so relative to the follower's largest payoff.
     if c <= 1e-12:
@@ -154,4 +160,4 @@ def perturbed_commitment(
     mix = tuple((1.0 - delta) * a + delta * b for a, b in zip(x_star, x_bar))
     s = add_up(mix)
     mix = tuple(v / s for v in mix)
-    return mix, math.ldexp(delta * c, e)
+    return mix, math.ldexp(delta * c, e_fol)
