@@ -361,7 +361,7 @@ def test_no_swap_regret_bandit_reproducible(fig1_g1, fig1_prior):
 
 
 # ---------------------------------------------------------------------------
-# The swap-regret learners, tested by what they play
+# The hedge-family learners, tested by what they play
 # ---------------------------------------------------------------------------
 
 
@@ -451,14 +451,17 @@ class Reference:
     """A hedge or swap-regret learner of `kind` written as loops over lists:
     the oracle that the learners' play must match bit for bit.
 
-    Swap-regret kinds play gth of the softmax rows of their log-weights (the
-    Blum-Mansour reduction); the bandit draws from its exploration mixture
-    with sample_index and adds the drawn action's importance-weighted
-    estimate to its column. Full-information kinds add eta times the
-    normalised rewards, every round from payoffs_against."""
+    Hedge kinds play the softmax of their log-weights, swap-regret kinds gth
+    of the softmax rows of theirs (the Blum-Mansour reduction). Bandit kinds
+    draw from the exploration mixture, built as a list, with sample_index,
+    and add the drawn action's importance-weighted estimate to its entry (to
+    its column, p-weighted, for the swap-regret kind). Full-information kinds
+    add eta times the normalised rewards, every round from payoffs_against."""
 
     def __init__(self, kind, role, prior, signal=0, seed=0, eta=None, exploration=None):
         self.kind = kind
+        self.swap = kind.startswith("no_swap_regret")
+        self.bandit = kind in ("bandit_exp3", "no_swap_regret_bandit")
         self.rows = prior.games[signal].own_payoffs(role)
         n = self.n = len(self.rows)
         lo, hi = prior.payoff_range(role)
@@ -466,41 +469,45 @@ class Reference:
         self.eta, self.exploration = eta, exploration
         self.rng = random.Random(seed)
         self.t = 1
-        hedge = kind == "multiplicative_weights"
-        self.lw = [0.0] * n if hedge else [[0.0] * n for _ in range(n)]
+        self.lw = [[0.0] * n for _ in range(n)] if self.swap else [0.0] * n
 
     def act(self):
         n = self.n
-        if self.kind == "multiplicative_weights":
-            return tuple(softmax(self.lw))
-        self.p = gth(softmax_rows(self.lw))
-        if self.kind == "no_swap_regret_full":
+        self.p = gth(softmax_rows(self.lw)) if self.swap else softmax(self.lw)
+        if not self.bandit:
             return tuple(self.p)
         gamma = self.exploration
         if gamma is None:
             gamma = min(1.0, math.sqrt(n * math.log(n) / self.t))
         self.gamma = gamma
         keep, spread = 1.0 - gamma, gamma / n
-        self.a = sample_index(self.p, self.rng, keep, spread)
+        self.a = sample_index([keep * v + spread for v in self.p], self.rng)
         self.drawn = keep * self.p[self.a] + spread
         return pure(n, self.a)
 
     def observe(self, fb):
         n, lw = self.n, self.lw
-        if self.kind == "no_swap_regret_bandit":
+        if self.bandit:
             est = (fb.own_utility - self.lo) * self.scale / self.drawn
             step = self.eta if self.eta is not None else self.gamma / n
-            bandit_update(lw, self.p, step, self.a, est)
+            if self.swap:
+                bandit_update(lw, self.p, step, self.a, est)
+            else:
+                lw[self.a] += step * est
         else:
             values = payoffs_against(self.rows, fb.opponent_strategy)
             rewards = [(v - self.lo) * self.scale for v in values]
             eta = self.eta if self.eta is not None else math.sqrt(math.log(n) / self.t)
-            if self.kind == "multiplicative_weights":
+            if self.swap:
+                full_update(lw, self.p, eta, rewards)
+            else:
                 for a, r in enumerate(rewards):
                     lw[a] += eta * r
-            else:
-                full_update(lw, self.p, eta, rewards)
         self.t += 1
+
+
+HEDGE_KINDS = ["multiplicative_weights", "bandit_exp3", "no_swap_regret_full",
+               "no_swap_regret_bandit"]
 
 
 def pair(kind, role, prior, signal=0, seed=0, **params):
@@ -515,7 +522,7 @@ def play(lrn, ref, opponents):
     feedback: each round's strategies must agree by float.hex, the random
     streams must end in one state, and the bandit must return one object per
     action. Returns lrn's strategies."""
-    bandit = ref.kind == "no_swap_regret_bandit"
+    bandit = ref.bandit
     seq, onehots = [], {}
     for t, opp in enumerate(opponents, 1):
         own, want = lrn.act(), ref.act()
@@ -558,7 +565,8 @@ def test_a_second_act_in_a_round_plays_the_same_strategy(fig1_prior):
 @settings(max_examples=150)
 @given(st.data())
 def test_swap_regret_learners_play_as_the_reference(data):
-    kind = data.draw(st.sampled_from(["no_swap_regret_full", "no_swap_regret_bandit"]))
+    # All four hedge-family kinds, the swap-regret ones and plain hedge.
+    kind = data.draw(st.sampled_from(HEDGE_KINDS))
     n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
     u1 = [data.draw(st.lists(st.floats(-5.0, 5.0), min_size=m, max_size=m)) for _ in range(n)]
     g = game_matrix("rnd", u1, [[0.0] * m for _ in range(n)])
@@ -567,7 +575,7 @@ def test_swap_regret_learners_play_as_the_reference(data):
     eta = data.draw(st.sampled_from([None, 0.05, 1.0, 1e3, 1e5]))
     if eta is not None:
         params["eta"] = eta
-    if kind == "no_swap_regret_bandit":
+    if kind in ("bandit_exp3", "no_swap_regret_bandit"):
         explore = data.draw(st.sampled_from([None, 0.0, 0.2, 1.0]))
         if explore is not None:
             params["exploration"] = explore
