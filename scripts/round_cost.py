@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Cost of one simulated round: µs per trial-round of a checkout's engine.
 
-For every config in configs/ (or each one named by --config) it times the
-baseline pair, and on configs whose player 2 is `no_swap_regret_bandit` also
+For every config in configs/ (or each one named by --config: a config of
+configs/ by name, or a path to a config JSON) it times the baseline pair, and on configs whose player 2 is `no_swap_regret_bandit` also
 each deviation of player 1 from audit.default_library that resolves to the
 stackelberg_leader class (the commitment itself and its signal-forcing
 mimics) against that bandit. Each
@@ -30,6 +30,7 @@ Example:
     python3 scripts/round_cost.py --horizon 4000 --repeats 5
     python3 scripts/round_cost.py --against ../parent --horizon 5000 --repeats 9
     python3 scripts/round_cost.py --config swap_decay --config reveal_follow
+    python3 scripts/round_cost.py --config my_pair.json --against ../parent
 """
 
 import argparse
@@ -45,10 +46,20 @@ from bench_record import spread
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def pairs(audit, cli, engine, learners, horizon: int, trials: int):
+def config_paths(names) -> tuple[list[Path], list[str]]:
+    """(paths of the configs to time, names that are neither a config of
+    configs/ nor a file): every shipped config when names is None."""
+    shipped = {p.stem: p for p in sorted((ROOT / "configs").glob("*.json"))}
+    if names is None:
+        return list(shipped.values()), []
+    paths = [shipped.get(name) or Path(name) for name in dict.fromkeys(names)]
+    return [p for p in paths if p.is_file()], [str(p) for p in paths if not p.is_file()]
+
+
+def pairs(audit, cli, engine, learners, paths: list, horizon: int, trials: int):
     """(config name, pair name, config) of every pair timed, in a fixed order."""
     sizes = argparse.Namespace(set=None, seed=None, trials=trials, horizon=horizon)
-    for path in sorted((ROOT / "configs").glob("*.json")):
+    for path in paths:
         cfg = cli.load_config(str(path), sizes)
         yield path.stem, "baseline", cfg
         if cfg.spec2.kind != "no_swap_regret_bandit":
@@ -134,20 +145,21 @@ def main(argv=None) -> int:
     ap.add_argument("--trials", type=int, default=2)
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--config", action="append", metavar="NAME",
-                    help="time only the pairs of this config in configs/ (repeatable)")
+                    help="time only the pairs of this config of configs/, or of this "
+                         "config JSON file (repeatable)")
     args = ap.parse_args(argv)
     if min(args.horizon, args.trials, args.repeats) < 1:
         ap.error("--horizon, --trials and --repeats must be >= 1")
-    unknown = sorted(set(args.config or ()) - {p.stem for p in (ROOT / "configs").glob("*.json")})
+    paths, unknown = config_paths(args.config)
     if unknown:
-        ap.error(f"no config named {', '.join(unknown)} in configs/")
+        ap.error(f"no config named {', '.join(unknown)} in configs/, and no such file")
     sides = [args.src.resolve()]
     if args.against is not None:
         other = args.against.resolve()
         sides.append(other / "src" if (other / "src" / "stratlab").is_dir() else other)
     modules = [load(src, name) for src, name in zip(sides, ("stratlab", "stratlab_against"))]
-    tables = [{(c, n): cfg for c, n, cfg in pairs(*m, args.horizon, args.trials)
-               if args.config is None or c in args.config} for m in modules]
+    tables = [{(c, n): cfg for c, n, cfg in pairs(*m, paths, args.horizon, args.trials)}
+              for m in modules]
     us = 1e6 / (args.trials * args.horizon)
     size = f"{args.trials} trial(s) x {args.horizon} rounds"
     if args.against is None:

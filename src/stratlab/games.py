@@ -121,6 +121,10 @@ class Prior:
             total += w
         if abs(total - 1.0) > PROB_TOL:
             raise InvalidArgumentError(f"prior weights sum to {total!r}, not 1")
+        # A weight within PROB_TOL below 0 is stored as 0.0, which every
+        # reader takes for a game outside the support.
+        entries = tuple((g, 0.0 if w < 0.0 else w) for g, w in self.entries)
+        object.__setattr__(self, "entries", entries)
 
     @property
     def games(self) -> tuple[GameMatrix, ...]:
@@ -224,23 +228,17 @@ def add_up(values: Iterable[float]) -> float:
     return total
 
 
-def sample_index(
-    probs: Sequence[float], rng: Random, scale: float = 1.0, shift: float = 0.0
-) -> int:
-    """Draw an index with probability scale * probs[i] + shift, from one
-    rng.random().
+def sample_index(probs: Sequence[float], rng: Random) -> int:
+    """Draw an index with probability probs[i], from one rng.random().
 
     Scans the cumulative sum of the positive entries. When rounding leaves
     the draw past the end of the sum, returns the last index with positive
-    probability, so an index of weight zero is never drawn. scale and shift
-    let a caller draw from an affine mixture without building it; at their
-    defaults each entry is probs[i] itself.
+    probability, so an index of weight zero is never drawn.
     """
     r = rng.random()
     acc = 0.0
     last = 0
     for i, p in enumerate(probs):
-        p = scale * p + shift
         if p > 0.0:
             acc += p
             last = i

@@ -6,8 +6,10 @@ Learners only ever see the game through their pre-play signal and through
 feedback; nothing here touches the realized game directly, which is what makes
 signal-forcing deviations (mimic_deviation) well defined.
 
-Bandit-feedback learners emit sampled one-hot strategies: importance-weighted
-estimates need the observed utility to belong to the sampled action.
+The hedge-family kinds (hedge, EXP3 and the two no-swap-regret reductions) play
+each round in one compiled step (_emit_step). Bandit-feedback learners emit
+sampled one-hot strategies: importance-weighted estimates need the observed
+utility to belong to the sampled action.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from .games import (
     GameMatrix,
     MixedStrategy,
     Prior,
-    add_up,
     pure,
-    sample_index,
 )
 from .solve import perturbed_commitment, stackelberg_value
 
@@ -170,146 +170,23 @@ class ConstantAction(Learner):
         return self._strategy
 
 
-class _HedgeCore(Learner):
-    """Shared machinery: log-weights, softmax, payoff normalization, the
-    full-information rewards (from _rows), and the round counter t that each
-    observe advances last."""
-
-    param_defaults = {"eta": None}
-    _opp = None  # the opponent strategy that _reward_vec was computed against
-
-    def __init__(self, params, role, prior, signal, rng):
-        super().__init__(params, role, prior, signal, rng)
-        lo, hi = prior.payoff_range(role)
-        self._u_lo = lo
-        self._u_scale = 1.0 / (hi - lo) if hi > lo else 1.0
-        eta = self.params["eta"]
-        if eta is not None and not eta > 0:
-            raise InvalidArgumentError(f"eta must be positive, got {eta!r}")
-        self._eta_fixed = eta
-        self._log_n = math.log(self.n_own)
-        self.t = 1
-
-    def _normalize(self, u: float) -> float:
-        return (u - self._u_lo) * self._u_scale
-
-    def _rewards(self, opp: MixedStrategy) -> list[float]:
-        """Normalized own payoff of each action against opp, recomputed only
-        when opp differs (!=) from the last strategy seen."""
-        if opp != self._opp:
-            self._opp = opp
-            self._reward_vec = [self._normalize(r) for r in payoffs_against(self._rows, opp)]
-        return self._reward_vec
-
-    @staticmethod
-    def _softmax(lw: Sequence[float]) -> list[float]:
-        m = max(lw)
-        es = [math.exp(v - m) for v in lw]
-        s = add_up(es)
-        return [e / s for e in es]
-
-
-class MultiplicativeWeights(_HedgeCore):
-    """Hedge over own actions; full information. Reward vectors are computed
-    from the signaled game's own-payoff matrix against the observed opponent
-    strategy."""
-
-    requires_full_info = True
-
-    def __init__(self, params, role, prior, signal, rng):
-        super().__init__(params, role, prior, signal, rng)
-        self._lw = [0.0] * self.n_own
-
-    def act(self):
-        return tuple(self._softmax(self._lw))
-
-    def observe(self, fb):
-        eta = self._eta_fixed if self._eta_fixed is not None else math.sqrt(self._log_n / self.t)
-        lw = self._lw
-        for a, r in enumerate(self._rewards(fb.opponent_strategy)):
-            lw[a] += eta * r
-        self.t += 1
-
-
-class _BanditPlay(_HedgeCore):
-    """Bandit-feedback play: a one-hot draw from the exploration mixture
-    (1 - gamma) * base + gamma / n, gamma_t = min(1, sqrt(n ln n / t)) unless
-    fixed by the `exploration` param. sample_index scans the mixture without
-    building it; only the drawn action's probability is kept, for the
-    importance-weighted estimate of its reward."""
-
-    param_defaults = {"eta": None, "exploration": None}
-    reads_signal = False
-    draws_randomness = True
-
-    def __init__(self, params, role, prior, signal, rng):
-        super().__init__(params, role, prior, signal, rng)
-        explore = self.params["exploration"]
-        if explore is not None and not 0.0 <= explore <= 1.0:
-            raise InvalidArgumentError(f"exploration must be in [0,1], got {explore!r}")
-        self._explore_fixed = explore
-        self._played_a = 1.0 / self.n_own  # the drawn action's mixture probability
-        self._last_action = 0
-        self._onehots = [pure(self.n_own, a) for a in range(self.n_own)]
-
-    def _exploration(self) -> float:
-        """This round's gamma, kept for the step size of its estimate."""
-        gamma = self._explore_fixed
-        if gamma is None:
-            gamma = math.sqrt(self.n_own * self._log_n / self.t)
-            if gamma > 1.0:
-                gamma = 1.0
-        self._round_gamma = gamma  # read again by _estimate
-        return gamma
-
-    def _sample(self, base: Sequence[float]) -> MixedStrategy:
-        gamma = self._exploration()
-        keep = 1.0 - gamma
-        spread = gamma / self.n_own
-        a = sample_index(base, self.rng, keep, spread)
-        self._last_action = a
-        self._played_a = keep * base[a] + spread
-        return self._onehots[a]
-
-    def _estimate(self, fb) -> tuple[int, float, float]:
-        """(drawn action, importance-weighted reward estimate, step size)."""
-        a = self._last_action
-        est = (fb.own_utility - self._u_lo) * self._u_scale / self._played_a  # _normalize
-        step = self._eta_fixed if self._eta_fixed is not None else self._round_gamma / self.n_own
-        return a, est, step
-
-
-class BanditExp3(_BanditPlay):
-    """EXP3: sampled one-hot play with importance-weighted reward estimates."""
-
-    def __init__(self, params, role, prior, signal, rng):
-        super().__init__(params, role, prior, signal, rng)
-        self._lw = [0.0] * self.n_own
-
-    def act(self):
-        return self._sample(self._softmax(self._lw))
-
-    def observe(self, fb):
-        a, est, step = self._estimate(fb)
-        self._lw[a] += step * est
-        self.t += 1
-
-
 @functools.cache
-def _emit_step(n: int, bandit: bool):
-    """One round of a swap-regret learner with n actions, compiled on first
-    use: it applies last round's update to the flat log-weights lw (row-major,
-    only read), solves for the stationary distribution p of the softmax rows,
-    and for the bandit draws from the exploration mixture.
+def _emit_step(n: int, bandit: bool, swap: bool):
+    """One round of a hedge-family learner with n actions, compiled on first
+    use. Hedge (swap False) keeps one row of n log-weights and plays its
+    softmax; the Blum-Mansour reduction (swap True) keeps one row per own
+    action, row-major, and plays the stationary distribution of the softmax
+    rows.
 
-    step(lw, p, g, r) -> (lw, p) for full information adds g * p_e * r to
-    each row e of lw, with p last round's distribution and r its normalised
-    rewards. step(lw, p, g, b, x, u, gamma) -> (lw, p, a, pa) for the bandit
-    adds g * p_e * x to entry b of each row e, x being the estimate for the
-    drawn action b, then draws a from (1 - gamma) * p + gamma / n with the
-    uniform draw u, exactly as games.sample_index does, and returns a's
-    mixture probability pa. A row whose scale g * p_e is 0 is not touched,
-    so g = 0.0 means no update.
+    step(lw, p, g, r) -> (lw, p) for full information adds g * p_e * r (the
+    reduction) or g * r (hedge) to each row e of the log-weights lw (only
+    read), with p last round's strategy and r its normalised rewards.
+    step(lw, p, g, b, x, u, gamma) -> (lw, p, a, pa) for the bandit adds
+    g * p_e * x or g * x to entry b of each row instead, x being the
+    estimate for the drawn action b, then draws a from (1 - gamma) * p +
+    gamma / n with the uniform draw u, as games.sample_index draws from that
+    mixture, and returns a's mixture probability pa. A row whose scale is 0
+    is not touched, so g = 0.0 means no update.
 
     The solve is exact, with no iteration and no tolerance:
     Grassmann-Taksar-Heyman elimination (Operations Research 1985), which
@@ -323,16 +200,18 @@ def _emit_step(n: int, bandit: bool):
     below k and follows by back-substitution from p_k = 1. At n = 2 this is
     (q10, q01) / (q01 + q10), and (0, 1) when q10 == 0.
 
-    The code is straight-line on local variables and does the float
-    operations of the learners' loop forms in their order, so it is
-    bit-identical to them: max is a `>` chain, as builtin max is, and every
-    sum is a left-to-right `+` chain, as games.add_up is. Every entry of the
-    elimination is finite and non-negative, so adding 0.0 * x leaves it
-    unchanged and it needs no zero test. The elimination and the n
+    The code is straight-line on local variables, so every float operation
+    is written out in a fixed order: max is a `>` chain, as builtin max is,
+    and every sum is a left-to-right `+` chain, as games.add_up is. Every
+    entry of the elimination is finite and non-negative, so adding 0.0 * x
+    leaves it unchanged and it needs no zero test. The elimination and the n
     back-substitutions sit in one `while True:` block that each exit leaves
     by `break`, so the update and the draw are written once; the code, and
-    so the compile time, grows as n^3."""
-    lw = [[f"l{i}_{j}" for j in range(n)] for i in range(n)]
+    so the compile time, grows as n^3 (as n for hedge)."""
+    if swap:
+        lw = [[f"l{i}_{j}" for j in range(n)] for i in range(n)]
+    else:
+        lw = [[f"l{j}" for j in range(n)]]
     a = [[f"a{i}_{j}" for j in range(n)] for i in range(n)]
     flat = ", ".join(x for row in lw for x in row)
     ps = ", ".join(f"p{i}" for i in range(n))
@@ -348,38 +227,50 @@ def _emit_step(n: int, bandit: bool):
             lines.append(f"p{j} = v / t")
         return lines + [f"p{i} = 0.0" for i in range(first)] + ["break"]
 
-    # Last round's update: rows that p gave no weight are left alone.
-    body = [f"({flat},) = lw", "if g:", f"    ({ps},) = p"]
+    # Last round's update; the reduction skips the rows that p gave no weight.
+    body = [f"({flat},) = lw", "if g:"] + ([f"    ({ps},) = p"] if swap else [])
     if bandit:
         for col in range(n):
             body.append(f"    {'if' if col == 0 else 'elif'} b == {col}:")
-            for e in range(n):
-                body += [f"        s = g * p{e}", f"        if s: {lw[e][col]} += s * x"]
+            if swap:
+                for e in range(n):
+                    body += [f"        s = g * p{e}", f"        if s: {lw[e][col]} += s * x"]
+            else:
+                body.append(f"        {lw[0][col]} += g * x")
     else:
         body.append(f"    ({', '.join(f'r{j}' for j in range(n))},) = r")
-        for e in range(n):
-            body += [f"    s = g * p{e}", "    if s:"]
-            body += [f"        {x} += s * r{j}" for j, x in enumerate(lw[e])]
-    # The softmax rows, as _HedgeCore._softmax computes them.
+        if swap:
+            for e in range(n):
+                body += [f"    s = g * p{e}", "    if s:"]
+                body += [f"        {x} += s * r{j}" for j, x in enumerate(lw[e])]
+        else:
+            body += [f"    {x} += g * r{j}" for j, x in enumerate(lw[0])]
+    # The softmax of each row: exp(l - max l) over its left-to-right sum, for
+    # hedge straight into p; the reduction never reads the diagonal.
     for i, row in enumerate(lw):
         body += [f"m = {row[0]}"] + [f"if {x} > m: m = {x}" for x in row[1:]]
         body += [f"e{j} = exp({x} - m)" for j, x in enumerate(row)]
         body.append(f"s = {' + '.join(f'e{j}' for j in range(n))}")
-        body += [f"{a[i][j]} = e{j} / s" for j in range(n) if j != i]
-    # Elimination and back-substitution: every exit sets p0..p{n-1}.
-    solve = []
-    for k in range(n - 1, 0, -1):
-        solve += [f"s{k} = {' + '.join(a[k][:k])}", f"if not s{k}:"]
-        solve += ["    " + line for line in back_substitution(k)]
-        if k > 1:  # at k = 1 the rest of the step writes only the diagonal
-            solve += [f"{a[k][j]} /= s{k}" for j in range(k)]
-            solve += [f"{a[i][j]} += {a[i][k]} * {a[k][j]}"
-                      for i in range(k) for j in range(k) if i != j]
-    body += ["while True:"] + ["    " + line for line in solve + back_substitution(0)]
+        if swap:
+            body += [f"{a[i][j]} = e{j} / s" for j in range(n) if j != i]
+        else:
+            body += [f"p{j} = e{j} / s" for j in range(n)]
+    if swap:
+        # Elimination and back-substitution: every exit sets p0..p{n-1}.
+        solve = []
+        for k in range(n - 1, 0, -1):
+            solve += [f"s{k} = {' + '.join(a[k][:k])}", f"if not s{k}:"]
+            solve += ["    " + line for line in back_substitution(k)]
+            if k > 1:  # at k = 1 the rest of the step writes only the diagonal
+                solve += [f"{a[k][j]} /= s{k}" for j in range(k)]
+                solve += [f"{a[i][j]} += {a[i][k]} * {a[k][j]}"
+                          for i in range(k) for j in range(k) if i != j]
+        body += ["while True:"] + ["    " + line for line in solve + back_substitution(0)]
     out = f"({flat},), ({ps},)"
     if bandit:
-        # sample_index(p, u, keep, spread): the first index whose running sum
-        # of positive mixture weights passes u, else the last positive one.
+        # sample_index on (1 - gamma) * p + gamma / n, with u for its draw:
+        # the first index whose running sum of positive mixture weights
+        # passes u, else the last positive one.
         body += ["keep = 1.0 - gamma", f"spread = gamma / {n}", "acc = 0.0",
                  "a = 0", "pa = keep * p0 + spread", "while True:",
                  "    if pa > 0.0:", "        acc += pa", "        if u < acc: break"]
@@ -391,28 +282,49 @@ def _emit_step(n: int, bandit: bool):
     args = "lw, p, g, b, x, u, gamma" if bandit else "lw, p, g, r"
     src = f"def step({args}):\n" + "".join(f"    {line}\n" for line in body + [f"return {out}"])
     namespace = {"exp": math.exp}
-    kind = "bandit" if bandit else "full-information"
-    exec(compile(src, f"<{kind} swap-regret step, n = {n}>", "exec"), namespace)
+    kind = f"{'bandit' if bandit else 'full-information'} {'swap-regret' if swap else 'hedge'}"
+    exec(compile(src, f"<{kind} step, n = {n}>", "exec"), namespace)
     return namespace["step"]
 
 
-class _SwapRegretCore(_HedgeCore):
-    """Expert reduction: one hedge instance per own action; play the stationary
-    distribution of the experts' recommendation matrix, the softmax rows of
-    the log-weights. observe stores last round's update and act runs it in
-    the compiled round step `_step` (see _emit_step)."""
+class _HedgeCore(Learner):
+    """The hedge family: log-weights `_lw` over own actions, one row for
+    hedge, or one row per own action for the Blum-Mansour reduction when the
+    class sets `swap`. Payoffs are normalised to [0, 1] by the prior's payoff
+    range. observe stores last round's update (its scale `_g`) and act runs
+    it in the compiled round step `_step` (see _emit_step), which returns the
+    log-weights and the strategy `_p`; the round counter t advances last in
+    observe."""
+
+    param_defaults = {"eta": None}
+    swap = False
 
     def __init__(self, params, role, prior, signal, rng):
         super().__init__(params, role, prior, signal, rng)
+        lo, hi = prior.payoff_range(role)
+        self._u_lo = lo
+        self._u_scale = 1.0 / (hi - lo) if hi > lo else 1.0
+        eta = self.params["eta"]
+        if eta is not None and not eta > 0:
+            raise InvalidArgumentError(f"eta must be positive, got {eta!r}")
+        self._eta_fixed = eta
         n = self.n_own
-        self._lw = (0.0,) * (n * n)  # row e holds expert e's log-weights
+        self._log_n = math.log(n)
+        self.t = 1
+        self._lw = (0.0,) * (n * n if self.swap else n)
         self._p = (1.0 / n,) * n
         self._g = 0.0  # the scale of the update act applies next
-        self._step = _emit_step(n, isinstance(self, _BanditPlay))
+        self._step = _emit_step(n, self.draws_randomness, self.swap)  # the bandits draw
 
 
-class NoSwapRegretFull(_SwapRegretCore):
+class _FullInfoPlay(_HedgeCore):
+    """Full-information play: the rewards are the normalised own payoffs of
+    each action against the observed opponent strategy, recomputed only when
+    it differs (!=) from the last one seen, and the step size is eta, else
+    sqrt(ln n / t)."""
+
     requires_full_info = True
+    _opp = None  # the opponent strategy that _r was computed against
 
     def __init__(self, params, role, prior, signal, rng):
         super().__init__(params, role, prior, signal, rng)
@@ -424,32 +336,79 @@ class NoSwapRegretFull(_SwapRegretCore):
         return self._p
 
     def observe(self, fb):
-        self._r = self._rewards(fb.opponent_strategy)
+        opp = fb.opponent_strategy
+        if opp != self._opp:
+            self._opp = opp
+            self._r = [(v - self._u_lo) * self._u_scale for v in payoffs_against(self._rows, opp)]
         self._g = self._eta_fixed if self._eta_fixed is not None else math.sqrt(self._log_n / self.t)
         self.t += 1
 
 
-class NoSwapRegretBandit(_BanditPlay, _SwapRegretCore):
-    """Same reduction under bandit feedback: the stationary distribution is
-    the base of the exploration mixture (see _BanditPlay), drawn from in the
-    round step with this round's one rng.random()."""
+class _BanditPlay(_HedgeCore):
+    """Bandit-feedback play: a one-hot draw, with one rng.random() in the
+    round step, from the exploration mixture (1 - gamma) * p + gamma / n,
+    gamma_t = min(1, sqrt(n ln n / t)) unless fixed by the `exploration`
+    param. Only the drawn action's mixture probability is kept, for the
+    importance-weighted estimate of its reward; the step size is eta, else
+    gamma / n."""
+
+    param_defaults = {"eta": None, "exploration": None}
+    reads_signal = False
+    draws_randomness = True
 
     def __init__(self, params, role, prior, signal, rng):
         super().__init__(params, role, prior, signal, rng)
-        self._x = 0.0
+        explore = self.params["exploration"]
+        if explore is not None and not 0.0 <= explore <= 1.0:
+            raise InvalidArgumentError(f"exploration must be in [0,1], got {explore!r}")
+        self._explore_fixed = explore
+        self._played_a = 1.0 / self.n_own  # the drawn action's mixture probability
+        self._last_action = 0
+        self._onehots = [pure(self.n_own, a) for a in range(self.n_own)]
+        self._x = 0.0  # the estimate for _last_action that act applies next
 
     def act(self):
+        gamma = self._explore_fixed
+        if gamma is None:
+            gamma = math.sqrt(self.n_own * self._log_n / self.t)
+            if gamma > 1.0:
+                gamma = 1.0
+        self._round_gamma = gamma  # read again by observe
         self._lw, self._p, a, self._played_a = self._step(
-            self._lw, self._p, self._g, self._last_action, self._x,
-            self.rng.random(), self._exploration(),
+            self._lw, self._p, self._g, self._last_action, self._x, self.rng.random(), gamma
         )
         self._g = 0.0
         self._last_action = a
         return self._onehots[a]
 
     def observe(self, fb):
-        _, self._x, self._g = self._estimate(fb)
+        self._x = (fb.own_utility - self._u_lo) * self._u_scale / self._played_a
+        self._g = self._eta_fixed if self._eta_fixed is not None else self._round_gamma / self.n_own
         self.t += 1
+
+
+class MultiplicativeWeights(_FullInfoPlay):
+    """Hedge over own actions; full information."""
+
+
+class BanditExp3(_BanditPlay):
+    """EXP3 (Auer et al., SIAM J. Computing 2002): hedge under bandit
+    feedback, on sampled one-hot play and importance-weighted estimates."""
+
+
+class NoSwapRegretFull(_FullInfoPlay):
+    """No swap regret by the Blum-Mansour reduction (JMLR 2007): one hedge
+    instance per own action, playing the stationary distribution of the
+    experts' recommendations; full information."""
+
+    swap = True
+
+
+class NoSwapRegretBandit(_BanditPlay):
+    """The same reduction under bandit feedback: the stationary distribution
+    is the base of the exploration mixture."""
+
+    swap = True
 
 
 # perturbed_commitment by (game, role, delta), a pure function of them, for

@@ -99,25 +99,17 @@ def stackval_prior(prior: Prior, player: int) -> float:
     return add_up(w * stackelberg_value(g, player).value for g, w in prior.entries)
 
 
-def commitment_margin(g: GameMatrix, leader: int, target_reply: int) -> tuple[MixedStrategy, float]:
-    """Leader mixture maximizing the follower's preference gap for target_reply.
+def _margin(fol, target_reply: int) -> tuple[MixedStrategy, float]:
+    """Leader mixture x_bar maximizing the follower's preference gap for
+    target_reply, on oriented, scaled follower payoffs (see _orient).
 
     Returns (x_bar, c) with U_f(x_bar, target) >= U_f(x_bar, other) + c for all
-    other replies, c maximized. c > 0 iff target_reply can be made the strict
-    unique best response (Farkas direction of the no-weak-dominance assumption).
-    With a single follower action the margin is unconstrained (+inf).
+    other replies, c maximized and in the scaled units. c > 0 iff
+    target_reply can be made the strict unique best response (Farkas
+    direction of the no-weak-dominance assumption). With a single follower
+    action the margin is unconstrained (+inf).
     """
-    _, _, fol, e_fol = _orient(g, leader)
-    x_bar, c = _margin(fol, target_reply)
-    return x_bar, math.ldexp(c, e_fol)
-
-
-def _margin(fol, target_reply: int) -> tuple[MixedStrategy, float]:
-    """commitment_margin on oriented, scaled follower payoffs (see _orient):
-    the margin is in their scaled units."""
     n_lead, n_fol = len(fol[0]), len(fol)
-    if not 0 <= target_reply < n_fol:
-        raise InvalidArgumentError(f"follower action {target_reply} out of range")
     if n_fol == 1:
         return tuple([1.0 / n_lead] * n_lead), math.inf
     rows = []

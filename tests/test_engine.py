@@ -212,6 +212,17 @@ def test_uniform_prior_constant_pair(fig1_prior):
     assert abs(rep.mean_u1 - 8.5) <= 7.5  # raw mean moves with the realized split
 
 
+def test_a_weight_just_below_zero_is_a_zero_weight(example41_prior):
+    # Prior accepts a weight within PROB_TOL below 0; it must leave the game
+    # out of the stratified estimate as a weight of 0 does, not null it.
+    games = example41_prior.games
+    zero, below = (prior_from_games(games, [1.0, w]) for w in (0.0, -1e-10))
+    assert below.weights == (1.0, 0.0)
+    reports = [estimate(constant_pair_cfg(prior, trials=8)).to_dict() for prior in (zero, below)]
+    assert reports[0] == reports[1]
+    assert reports[0]["u1"]["prior_weighted"] is not None
+
+
 def test_reveal_follow_closed_form(fig1_prior):
     cfg = ExperimentConfig(
         prior=fig1_prior,

@@ -615,8 +615,8 @@ def test_play_reaches_a_subnormal_exit_mass():
 
 
 def test_learners_of_one_action_count_share_one_compiled_solve(monkeypatch):
-    # No other test builds a swap-regret learner with 9 actions, so the
-    # first one compiles its kernel here.
+    # No other test builds a hedge-family learner with 9 actions, so the
+    # first one of each kind compiles its step here.
     compiled = []
 
     def counting(*args):
@@ -626,18 +626,20 @@ def test_learners_of_one_action_count_share_one_compiled_solve(monkeypatch):
     monkeypatch.setattr(learners, "compile", counting, raising=False)
     prior = prior_from_games([cyclic_zero_sum(9)])
     counts = []
-    for kind in ["no_swap_regret_full"] * 2 + ["no_swap_regret_bandit"] * 2:
-        for role in (1, 2):
-            lrn, ref = pair(kind, role, prior, seed=3)
-            play(lrn, ref, [(1.0 / 9,) * 9] * 2)
-        counts.append(len(compiled))
-    # One step per action count and kind, compiled once per process.
-    assert counts == [1, 1, 2, 2]
+    for kind in HEDGE_KINDS:
+        for _ in range(2):
+            for role in (1, 2):
+                lrn, ref = pair(kind, role, prior, seed=3)
+                play(lrn, ref, [(1.0 / 9,) * 9] * 2)
+            counts.append(len(compiled))
+    # One step per (action count, feedback, swap), compiled once per process.
+    assert counts == [1, 1, 2, 2, 3, 3, 4, 4]
+    assert len(set(compiled)) == 4
 
 
 def test_pool_workers_inherit_the_compiled_solve(monkeypatch):
-    # No other test builds a swap-regret learner with 10 actions, so checking
-    # the config compiles its step here, before the pool forks.
+    # No other test builds a hedge-family learner with 10 actions, so
+    # checking the config compiles both steps here, before the pool forks.
     compiled = []
 
     def counting(*args):
@@ -648,13 +650,13 @@ def test_pool_workers_inherit_the_compiled_solve(monkeypatch):
     cfg = ExperimentConfig(
         prior=prior_from_games([cyclic_zero_sum(10)]),
         signal_model=SignalModel(1.0, 0.5),
-        spec1=LearnerSpec("stackelberg_leader"),
+        spec1=LearnerSpec("bandit_exp3"),
         spec2=LearnerSpec("no_swap_regret_bandit"),
         horizon=50,
-        trials=3,  # a seeded learner: 3 distinct trials, so the pool forks
+        trials=3,  # seeded learners: 3 distinct trials, so the pool forks
         master_seed=17,
     )
-    assert len(compiled) == 1
+    assert len(compiled) == 2
 
     def refuse(*args):
         raise AssertionError("a kernel was compiled again")
@@ -720,16 +722,16 @@ def rows_of(lw, n):
 
 
 def full_step(lws, p, g, r):
-    """learners._emit_step(n, False) on the rows lws: (rows, p)."""
+    """learners._emit_step(n, False, True) on the rows lws: (rows, p)."""
     n = len(lws)
-    lw, p = learners._emit_step(n, False)(tuple(sum(lws, [])), p, g, r)
+    lw, p = learners._emit_step(n, False, True)(tuple(sum(lws, [])), p, g, r)
     return rows_of(lw, n), p
 
 
 def bandit_step(lws, p, g, b, x, u, gamma):
-    """learners._emit_step(n, True) on the rows lws: (rows, p, a, pa)."""
+    """learners._emit_step(n, True, True) on the rows lws: (rows, p, a, pa)."""
     n = len(lws)
-    lw, p, a, pa = learners._emit_step(n, True)(tuple(sum(lws, [])), p, g, b, x, u, gamma)
+    lw, p, a, pa = learners._emit_step(n, True, True)(tuple(sum(lws, [])), p, g, b, x, u, gamma)
     return rows_of(lw, n), p, a, pa
 
 
@@ -744,7 +746,7 @@ def loop_bandit_step(lws, p, g, b, x, u, gamma):
     bandit_update(rows, p, g, b, x)
     pi = gth(softmax_rows(rows))
     keep, spread = 1.0 - gamma, gamma / len(lws)
-    a = sample_index(pi, Draw(u), keep, spread)
+    a = sample_index([keep * v + spread for v in pi], Draw(u))
     return rows, tuple(pi), a, keep * pi[a] + spread
 
 
@@ -852,7 +854,7 @@ def test_emitted_draw_is_sample_index(data):
     u, gamma = data.draw(DRAWS), data.draw(UNIT)
     _, p, a, pa = bandit_step(lws, (1.0 / n,) * n, 0.0, 0, 0.0, u, gamma)
     keep, spread = 1.0 - gamma, gamma / n
-    want = sample_index(p, Draw(u), keep, spread)
+    want = sample_index([keep * v + spread for v in p], Draw(u))
     assert (a, pa.hex()) == (want, (keep * p[want] + spread).hex())
 
 
@@ -878,17 +880,18 @@ def test_emitted_draw_falls_back_to_the_last_positive_entry(n):
 def test_each_step_is_written_with_one_exit_and_one_draw(n):
     # Writing the update, the return and the draw once keeps the code, and
     # so the compile time, at O(n^3): a return of the n^2 log-weights at
-    # each exit and each draw test would make it O(n^4).
-    def ops(kind):
-        return [(i.opname, i.argrepr) for i in dis.get_instructions(learners._emit_step(n, kind))]
+    # each exit and each draw test would make it O(n^4). Hedge steps too.
+    def ops(kind, swap):
+        return [(i.opname, i.argrepr) for i in dis.get_instructions(learners._emit_step(n, kind, swap))]
 
-    full, bandit = ops(False), ops(True)
-    for code in (full, bandit):
-        assert sum(op.startswith("RETURN_") for op, _ in code) == 1
-    # The draw's `u < acc` tests are the step's only `<` comparisons.
-    less = [sum(op == "COMPARE_OP" and arg.strip("bool()") == "<" for op, arg in code)
-            for code in (full, bandit)]
-    assert less == [0, n]
+    for swap in (False, True):
+        full, bandit = ops(False, swap), ops(True, swap)
+        for code in (full, bandit):
+            assert sum(op.startswith("RETURN_") for op, _ in code) == 1
+        # The draw's `u < acc` tests are the step's only `<` comparisons.
+        less = [sum(op == "COMPARE_OP" and arg.strip("bool()") == "<" for op, arg in code)
+                for code in (full, bandit)]
+        assert less == [0, n]
 
 
 def test_bandit_exp3_finds_best_arm(fig1_g1, fig1_prior):

@@ -1,5 +1,6 @@
 """The study scripts in scripts/ run to completion at small sizes."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -97,4 +98,26 @@ def test_round_cost_rejects_an_unknown_config():
         timeout=300,
     )
     assert proc.returncode == 2
-    assert "no config named no_such_config" in proc.stderr
+    assert "no config named no_such_config in configs/, and no such file" in proc.stderr
+
+
+def test_round_cost_times_a_config_file(tmp_path):
+    # A path names a config outside configs/: here a hedge pair, which no
+    # shipped config plays, timed against this checkout imported again.
+    cfg = json.loads((SCRIPTS.parent / "configs" / "swap_decay.json").read_text())
+    cfg["spec1"] = {"kind": "multiplicative_weights", "params": {}}
+    cfg["spec2"] = {"kind": "bandit_exp3", "params": {}}
+    path = tmp_path / "hedge_pair.json"
+    path.write_text(json.dumps(cfg))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "round_cost.py"), "--config", str(path),
+         "--against", str(SCRIPTS.parent), "--horizon", "20", "--trials", "1", "--repeats", "2"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines() if not line.startswith("#")]
+    assert [row[:2] for row in rows[1:]] == [["hedge_pair", "baseline"]]
+    # multiplicative_weights builds a new tuple every round: no round repeats.
+    assert rows[1][8] == "0.0%"

@@ -9,7 +9,6 @@ from grid_oracle import grid_stackelberg, maximin_two_actions, random_leader_fol
 from stratlab.errors import AssumptionViolatedError, InvalidArgumentError
 from stratlab.games import game_matrix
 from stratlab.solve import (
-    commitment_margin,
     perturbed_commitment,
     stackelberg_value,
     stackval_prior,
@@ -148,9 +147,11 @@ def test_value_at_least_maximin(seed):
 # ---------------------------------------------------------------------------
 
 
-def test_commitment_margin_with_one_follower_action():
+def test_perturbed_commitment_with_one_follower_action():
+    # The margin is unconstrained; at delta = 1 the mixture is the margin
+    # LP's, which is uniform here.
     g = game_matrix("one_reply", [[1.0], [2.0], [0.0]], [[0.0], [0.0], [0.0]])
-    assert commitment_margin(g, 1, 0) == ((1 / 3, 1 / 3, 1 / 3), math.inf)
+    assert perturbed_commitment(g, 1, 1.0) == ((1 / 3, 1 / 3, 1 / 3), math.inf)
 
 
 def test_perturbed_commitment_examples(fig1_g1, fig1_g2):
@@ -164,10 +165,15 @@ def test_perturbed_commitment_examples(fig1_g1, fig1_g2):
 
 
 def test_perturbed_commitment_delta_one_returns_margin_mixture(fig1_g1):
-    x_bar, c = commitment_margin(fig1_g1, 1, stackelberg_value(fig1_g1, 1).follower_action)
+    # At delta = 1 the mixture is the margin LP's: the follower prefers the
+    # Stackelberg reply to every other reply by at least the margin.
+    target = stackelberg_value(fig1_g1, 1).follower_action
     strat, margin = perturbed_commitment(fig1_g1, 1, 1.0)
-    assert strat == pytest.approx(x_bar)
-    assert margin == pytest.approx(c)
+    vals = [sum(x * row[b] for x, row in zip(strat, fig1_g1.u2)) for b in range(fig1_g1.n2)]
+    assert margin > 0
+    for b, v in enumerate(vals):
+        if b != target:
+            assert vals[target] >= v + margin - 1e-9
 
 
 def test_perturbed_commitment_bad_delta(fig1_g1):
