@@ -69,6 +69,12 @@ def pairs(audit, cli, engine, learners, paths: list, horizon: int, trials: int):
                 yield path.stem, name, engine.with_spec(cfg, 1, spec)
 
 
+def source(path: Path) -> Path:
+    """The src/ directory of the checkout at path, or path itself when it is
+    not a checkout (then it is taken to be a src/ directory)."""
+    return path / "src" if (path / "src" / "stratlab").is_dir() else path
+
+
 def load(src: Path, name: str) -> list:
     """[audit, cli, engine, learners] of the stratlab package under src/,
     imported as the package `name` (its modules import each other relatively)."""
@@ -155,8 +161,7 @@ def main(argv=None) -> int:
         ap.error(f"no config named {', '.join(unknown)} in configs/, and no such file")
     sides = [args.src.resolve()]
     if args.against is not None:
-        other = args.against.resolve()
-        sides.append(other / "src" if (other / "src" / "stratlab").is_dir() else other)
+        sides.append(source(args.against.resolve()))
     modules = [load(src, name) for src, name in zip(sides, ("stratlab", "stratlab_against"))]
     tables = [{(c, n): cfg for c, n, cfg in pairs(*m, paths, args.horizon, args.trials)}
               for m in modules]

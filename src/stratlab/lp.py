@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_type
 from .games import add_up
 
 OPTIMAL = "optimal"
@@ -63,7 +63,8 @@ def _bland_run(tab: list[list[float]], basis: list[int], ncols: int) -> str:
 
 
 def lp_solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=()) -> LpSolution:
-    """maximize c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  x_j >= 0 for j not in free.
+    """maximize c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  x_j >= 0 for j not in free
+    (distinct integer indices).
 
     Returns status, an optimal basic solution, and its objective.
     """
@@ -77,8 +78,10 @@ def lp_solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=()) -> LpSolution:
         if not math.isfinite(v):
             raise InvalidArgumentError(f"non-finite LP coefficient {v!r}")
     for j in free:
-        if not 0 <= j < n:
+        if not 0 <= check_type(j, "free variable index", "integer") < n:
             raise InvalidArgumentError(f"free variable index {j!r} outside 0..{n - 1}")
+    if len(set(free)) != len(free):
+        raise InvalidArgumentError(f"free variable indices {list(free)} repeat an index")
 
     # A free variable is split into u - v: its negated column follows the structurals.
     c = [float(v) for v in c]

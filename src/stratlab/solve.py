@@ -4,9 +4,12 @@ small dense LPs.
 The optimistic Stackelberg value is computed with the standard per-follower-
 action formulation: for each pure follower reply, maximize the leader's
 payoff over her simplex subject to that reply being a follower best response,
-then take the best feasible reply. Ties therefore resolve in the leader's
-favor automatically. Each player's payoffs enter the LPs scaled by a power
-of two (_scaled), so the LP tolerances hold at any payoff scale.
+then take the best feasible reply (the multiple-LPs method of Conitzer and
+Sandholm 2006). Ties therefore resolve in the leader's favor automatically.
+A perturbed commitment needs only the winning reply, so it solves only the
+reply LPs whose value can reach the best one found (_stackelberg_reply).
+Each player's payoffs enter the LPs scaled by a power of two (_scaled), so
+the LP tolerances hold at any payoff scale.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import AssumptionViolatedError, InvalidArgumentError
+from .errors import AssumptionViolatedError, InvalidArgumentError, check_type
 from .games import GameMatrix, MixedStrategy, Prior, add_up
 from .lp import OPTIMAL, lp_solve
 
@@ -46,7 +49,7 @@ def _orient(g: GameMatrix, leader: int):
     payoff when she plays pure a and the follower replies f; fol[f][a] *
     2**e_fol is the follower's payoff at that profile (see _scaled).
     """
-    if leader not in (1, 2):
+    if check_type(leader, "leader", "integer") not in (1, 2):
         raise InvalidArgumentError(f"leader must be 1 or 2, got {leader}")
     return (*_scaled(g.own_payoffs(leader)), *_scaled(g.own_payoffs(3 - leader)))
 
@@ -58,40 +61,71 @@ def _as_strategy(x) -> MixedStrategy:
     return tuple(v / s for v in x)
 
 
-def stackelberg_value(g: GameMatrix, leader: int) -> StackelbergSolution:
-    """Optimistic Stackelberg value and commitment for `leader`."""
-    lead, e_lead, fol, _ = _orient(g, leader)
-    return _stackelberg(lead, e_lead, fol)
+def _reply_lp(lead, fol, f: int) -> tuple[float, tuple[float, ...] | None]:
+    """(value, x) of the LP that maximizes the leader's scaled payoff over
+    her simplex subject to reply f being a follower best response; the value
+    is -inf when f is a best response to no commitment."""
+    n_lead = len(lead)
+    rows = [[fol[f2][a] - fol[f][a] for a in range(n_lead)] for f2 in range(len(fol)) if f2 != f]
+    sol = lp_solve(
+        c=[row[f] for row in lead],
+        a_ub=rows,
+        b_ub=[0.0] * len(rows),
+        a_eq=[[1.0] * n_lead],
+        b_eq=[1.0],
+    )
+    return (sol.value if sol.status == OPTIMAL else -math.inf), sol.x
 
 
-def _stackelberg(lead, e_lead: int, fol) -> StackelbergSolution:
-    """stackelberg_value on oriented, scaled payoffs (see _orient)."""
-    n_lead, n_fol = len(lead), len(fol)
-    per_vals: list[float] = []
-    xs = []
-    for f in range(n_fol):
-        rows = []
-        for f2 in range(n_fol):
-            if f2 != f:
-                rows.append([fol[f2][a] - fol[f][a] for a in range(n_lead)])
-        sol = lp_solve(
-            c=[row[f] for row in lead],
-            a_ub=rows,
-            b_ub=[0.0] * len(rows),
-            a_eq=[[1.0] * n_lead],
-            b_eq=[1.0],
-        )
-        per_vals.append(sol.value if sol.status == OPTIMAL else -math.inf)
-        xs.append(sol.x)
+def _chosen_reply(per_vals) -> int:
+    """The reply the leader induces, given each reply's LP value (-inf for an
+    infeasible or unsolved one). Replies within 1e-9 of the best tie, on the
+    leader's scaled payoffs, so relative to her largest payoff, and the
+    lowest index wins, so that rounding cannot flip the reply."""
     top = max(per_vals)
     if top == -math.inf:  # unreachable: some reply is a best response to any commitment
         raise AssumptionViolatedError("no feasible follower reply found")
-    # Replies within 1e-9 of the best tie, on the leader's scaled payoffs, so
-    # relative to her largest payoff, and the lowest index wins, so that
-    # rounding cannot flip the reply.
-    f = next(f for f, v in enumerate(per_vals) if v >= top - 1e-9)
+    return next(f for f, v in enumerate(per_vals) if v >= top - 1e-9)
+
+
+def stackelberg_value(g: GameMatrix, leader: int) -> StackelbergSolution:
+    """Optimistic Stackelberg value and commitment for `leader`."""
+    lead, e_lead, fol, _ = _orient(g, leader)
+    per_vals, xs = zip(*(_reply_lp(lead, fol, f) for f in range(len(fol))))
+    f = _chosen_reply(per_vals)
     values = tuple(math.ldexp(v, e_lead) for v in per_vals)
     return StackelbergSolution(values[f], _as_strategy(xs[f]), f, values)
+
+
+# A reply LP's value exceeds its bound max_a lead[a][f] by at most the
+# rounding of the simplex plus its phase-1 tolerance of 1e-7 on the simplex
+# constraint, each times a scaled payoff below 1.
+_BOUND_SLACK = 1e-6
+
+
+def _stackelberg_reply(lead, fol) -> tuple[int, MixedStrategy]:
+    """(reply, leader strategy) of stackelberg_value on oriented, scaled
+    payoffs (see _orient), solving only the reply LPs that can win (branch
+    and bound).
+
+    Replies are visited in decreasing order of the bound max_a lead[a][f] on
+    their value, the lower index first on equal bounds, and the search stops
+    at the first reply whose bound plus _BOUND_SLACK lies more than the tie
+    window below the best value found. Every reply left unsolved has a value
+    below the tie window of _chosen_reply, so the choice is stackelberg_value's,
+    and the chosen reply's LP is the same LP, so its strategy is too.
+    """
+    bounds = [max(row[f] for row in lead) for f in range(len(fol))]
+    per_vals = [-math.inf] * len(fol)
+    xs = [None] * len(fol)
+    best = -math.inf
+    for f in sorted(range(len(fol)), key=bounds.__getitem__, reverse=True):
+        if bounds[f] + _BOUND_SLACK < best - 1e-9:
+            break
+        per_vals[f], xs[f] = _reply_lp(lead, fol, f)
+        best = max(best, per_vals[f])
+    f = _chosen_reply(per_vals)
+    return f, _as_strategy(xs[f])
 
 
 def stackval_prior(prior: Prior, player: int) -> float:
@@ -137,18 +171,17 @@ def perturbed_commitment(
     """(1-delta) Stackelberg commitment + delta margin mixture, with the
     achieved preference margin delta*c making the target reply strictly unique.
     """
-    if not 0.0 < delta <= 1.0:
+    if not 0.0 < check_type(delta, "delta") <= 1.0:
         raise InvalidArgumentError(f"delta must be in (0,1], got {delta!r}")
-    lead, e_lead, fol, e_fol = _orient(g, leader)
-    sol = _stackelberg(lead, e_lead, fol)
-    x_bar, c = _margin(fol, sol.follower_action)
+    lead, _, fol, e_fol = _orient(g, leader)
+    target, x_star = _stackelberg_reply(lead, fol)
+    x_bar, c = _margin(fol, target)
     # Tested on the scaled margin, so relative to the follower's largest payoff.
     if c <= 1e-12:
         raise AssumptionViolatedError(
-            f"target reply {sol.follower_action} admits no strict margin "
+            f"target reply {target} admits no strict margin "
             "(weakly dominated, so the commitment construction does not apply)"
         )
-    x_star = sol.leader_strategy
     mix = tuple((1.0 - delta) * a + delta * b for a, b in zip(x_star, x_bar))
     s = add_up(mix)
     mix = tuple(v / s for v in mix)

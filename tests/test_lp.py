@@ -78,6 +78,21 @@ def test_free_index_out_of_range(free):
         lp_solve(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0], free=free)
 
 
+@pytest.mark.parametrize(
+    "free, message",
+    [
+        ([0, 0], r"free variable indices \[0, 0\] repeat an index"),
+        ((1, 0, 1), r"free variable indices \[1, 0, 1\] repeat an index"),
+        ([True], "free variable index must be an integer, got True"),
+        ([1.0], "free variable index must be an integer, got 1.0"),
+    ],
+)
+def test_free_index_repeated_or_not_an_integer(free, message):
+    # Each would split a column twice or pick a variable by a bool's value.
+    with pytest.raises(InvalidArgumentError, match=message):
+        lp_solve(c=[1.0, 1.0], a_ub=[[1.0, 1.0]], b_ub=[1.0], free=free)
+
+
 def _enumerate_vertices(c, a_ub, b_ub):
     """Independent mini-oracle: evaluate every basic feasible point of
     {A x <= b, x >= 0} by brute-force constraint intersection; None if there

@@ -16,6 +16,7 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
         ["sweep_precision.py", "--steps", "2", "--horizon", "50", "--trials", "2"],
         ["leader_convergence.py", "--horizon", "200", "--trials", "2"],
         ["round_cost.py", "--horizon", "50", "--trials", "1", "--repeats", "1"],
+        ["solve_cost.py", "--games", "2", "--repeats", "1"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -121,3 +122,29 @@ def test_round_cost_times_a_config_file(tmp_path):
     assert [row[:2] for row in rows[1:]] == [["hedge_pair", "baseline"]]
     # multiplicative_weights builds a new tuple every round: no round repeats.
     assert rows[1][8] == "0.0%"
+
+
+def test_solve_cost_against_another_checkout():
+    # This checkout against itself: both sides solve the same LPs.
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "solve_cost.py"), "--against", str(SCRIPTS.parent),
+         "--games", "3", "--repeats", "2"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[4:]]
+    assert [row[:2] for row in rows] == [[fn, n] for n in ("2", "4", "8")
+                                         for fn in ("stackelberg_value", "perturbed_commitment")]
+    for fn, n, games, this, against, iqr, ratio, wins, verdict, this_lp, against_lp in rows:
+        assert int(games) <= 3 and float(this) > 0 and float(against) > 0 and float(iqr) >= 0
+        assert float(ratio) == pytest.approx(float(this) / float(against), rel=1e-2)
+        assert wins.endswith("/2") and verdict in ("faster", "slower", "unresolved")
+        assert this_lp == against_lp
+        # stackelberg_value solves one LP per reply; perturbed_commitment at
+        # most that plus its margin LP.
+        if fn == "stackelberg_value":
+            assert float(this_lp) == int(n)
+        else:
+            assert 1 <= float(this_lp) <= int(n) + 1

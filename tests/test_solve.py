@@ -6,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grid_oracle import grid_stackelberg, maximin_two_actions, random_leader_follower_game
+from stratlab import solve
 from stratlab.errors import AssumptionViolatedError, InvalidArgumentError
-from stratlab.games import game_matrix
+from stratlab.games import add_up, game_matrix
 from stratlab.solve import (
+    _margin,
+    _orient,
     perturbed_commitment,
     stackelberg_value,
     stackval_prior,
@@ -183,6 +186,37 @@ def test_perturbed_commitment_bad_delta(fig1_g1):
         perturbed_commitment(fig1_g1, 1, 1.5)
 
 
+@pytest.mark.parametrize(
+    "leader, message",
+    [
+        (True, "leader must be an integer, got True"),
+        (2.0, "leader must be an integer, got 2.0"),
+        ("1", "leader must be an integer, got '1'"),
+        (0, "leader must be 1 or 2, got 0"),
+        (3, "leader must be 1 or 2, got 3"),
+    ],
+)
+def test_bad_leader_rejected(fig1_g1, leader, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        stackelberg_value(fig1_g1, leader)
+    with pytest.raises(InvalidArgumentError, match=message):
+        perturbed_commitment(fig1_g1, leader, 0.1)
+
+
+@pytest.mark.parametrize(
+    "delta, message",
+    [
+        (True, "delta must be a number, got True"),
+        ("0.1", "delta must be a number, got '0.1'"),
+        (None, "delta must be a number, got None"),
+        (math.nan, r"delta must be in \(0,1\], got nan"),
+    ],
+)
+def test_bad_delta_rejected(fig1_g1, delta, message):
+    with pytest.raises(InvalidArgumentError, match=message):
+        perturbed_commitment(fig1_g1, 1, delta)
+
+
 def test_perturbed_commitment_dominated_target_rejected():
     # Follower's only best reply is weakly dominated-by-tie: two identical columns.
     g = game_matrix("tie", [[1.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [1.0, 1.0]])
@@ -204,3 +238,66 @@ def test_perturbed_margin_forces_unique_reply(seed):
     target = stackelberg_value(g, 1).follower_action
     vals = [sum(x * u2[a][b] for a, x in enumerate(strat)) for b in range(3)]
     assert {b for b, v in enumerate(vals) if v >= max(vals) - margin / 2} == {target}
+
+
+# ---------------------------------------------------------------------------
+# The pruned reply search of perturbed_commitment
+# ---------------------------------------------------------------------------
+
+
+def commitment_oracle(g, leader, delta):
+    """perturbed_commitment built from stackelberg_value, which solves the LP
+    of every follower reply, and the margin LP of the reply it selects."""
+    sol = stackelberg_value(g, leader)
+    _, _, fol, e_fol = _orient(g, leader)
+    x_bar, c = _margin(fol, sol.follower_action)
+    if c <= 1e-12:
+        raise AssumptionViolatedError("target reply admits no strict margin")
+    mix = tuple((1.0 - delta) * a + delta * b for a, b in zip(sol.leader_strategy, x_bar))
+    s = add_up(mix)
+    return tuple(v / s for v in mix), math.ldexp(delta * c, e_fol)
+
+
+@st.composite
+def small_games(draw):
+    """Games with 1-6 actions per player and integer payoffs in a small
+    range, so that replies often tie."""
+    n1, n2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.sampled_from([1, 2, 3, 9, 99]))
+    cell = st.integers(-k, k)
+    rows = st.lists(st.lists(cell, min_size=n2, max_size=n2), min_size=n1, max_size=n1)
+    return game_matrix("g", draw(rows), draw(rows))
+
+
+@given(small_games(), st.sampled_from([1, 2]), st.sampled_from([0.1, 1.0]))
+@settings(max_examples=400, deadline=None)
+def test_pruned_commitment_is_the_full_search_bit_for_bit(g, leader, delta):
+    def outcome(build):
+        try:
+            mix, margin = build(g, leader, delta)
+        except AssumptionViolatedError:
+            return "raises"
+        return [v.hex() for v in mix], margin.hex()
+
+    assert outcome(perturbed_commitment) == outcome(commitment_oracle)
+
+
+def test_perturbed_commitment_solves_fewer_lps_than_replies(monkeypatch):
+    # Without pruning a perturbed commitment solves n reply LPs and one margin
+    # LP; on these games the pruned search averages about 4 LPs in all.
+    calls = []
+    lp_solve = solve.lp_solve
+    monkeypatch.setattr(solve, "lp_solve", lambda *a, **k: calls.append(1) or lp_solve(*a, **k))
+    rng = random.Random(8)
+    n, made = 8, 0
+    for _ in range(16):
+        u1, u2 = ([[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)] for _ in range(2))
+        g = game_matrix("g", u1, u2)
+        for leader in (1, 2):
+            del calls[:]
+            stackelberg_value(g, leader)
+            assert len(calls) == n  # every per-reply value is reported
+            del calls[:]
+            perturbed_commitment(g, leader, 0.1)
+            made += len(calls)
+    assert made / 32 < n + 1
