@@ -9,12 +9,15 @@ class AssumptionViolatedError(RuntimeError):
     """A structural assumption (e.g. no weakly dominated target action) fails."""
 
 
+_TYPES = {"integer": int, "number": (int, float), "boolean": bool, "string": str,
+          "list": (list, tuple)}
+
+
 def check_type(value, what: str, kind: str = "number"):
     """Return value if it is of kind "integer", "number", "boolean", "string"
     or "list", where a bool is never a number; else raise InvalidArgumentError
     naming what."""
-    types = {"integer": int, "number": (int, float), "boolean": bool, "string": str,
-             "list": (list, tuple)}[kind]
+    types = _TYPES[kind]
     if isinstance(value, types) and (kind == "boolean") == isinstance(value, bool):
         return value
     article = "an" if kind == "integer" else "a"

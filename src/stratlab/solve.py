@@ -91,7 +91,11 @@ def _chosen_reply(per_vals) -> int:
 def stackelberg_value(g: GameMatrix, leader: int) -> StackelbergSolution:
     """Optimistic Stackelberg value and commitment for `leader`."""
     lead, e_lead, fol, _ = _orient(g, leader)
-    per_vals, xs = zip(*(_reply_lp(lead, fol, f) for f in range(len(fol))))
+    per_vals, xs = [], []
+    for f in range(len(fol)):
+        v, x = _reply_lp(lead, fol, f)
+        per_vals.append(v)
+        xs.append(x)
     f = _chosen_reply(per_vals)
     values = tuple(math.ldexp(v, e_lead) for v in per_vals)
     return StackelbergSolution(values[f], _as_strategy(xs[f]), f, values)
