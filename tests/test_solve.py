@@ -270,7 +270,7 @@ def small_games(draw):
 
 
 @given(small_games(), st.sampled_from([1, 2]), st.sampled_from([0.1, 1.0]))
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 def test_pruned_commitment_is_the_full_search_bit_for_bit(g, leader, delta):
     def outcome(build):
         try:
