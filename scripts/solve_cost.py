@@ -2,13 +2,14 @@
 """Cost of the Stackelberg solves: µs and LP solves per call of
 `stackelberg_value` and `perturbed_commitment`.
 
-For each n in {2, 4, 8} it draws --games n x n games from --seed, with
-integer payoffs in [-99, 99] as in the benchmark's `solver` workload, and
-keeps those whose perturbed commitment exists for both leaders. Each
+For each n in {2, 4, 8} it draws --games n x n games from a fixed seed,
+with integer payoffs in [-99, 99] as in the benchmark's `solver` workload,
+and keeps those whose perturbed commitment exists for both leaders. Each
 function is called on every kept game for both leaders (perturbed_commitment
 at delta = 0.1), and a row reports the fastest of --repeats timings of that
 pass divided by its calls, and the LP solves per call, counted in a separate
-untimed pass through the name `solve.lp_solve`.
+untimed pass by the benchmark's tracer (bench/tracer.py), which wraps
+`solve.lp_solve` as the `lp.lp_solve` of its traced runs.
 
 With --against PATH (another checkout, or its src/ directory) that checkout's
 stratlab is imported too, as the package `stratlab_against`, and every pass
@@ -27,6 +28,7 @@ Example:
 
 import argparse
 import importlib
+import importlib.util
 import random
 import statistics
 import sys
@@ -36,15 +38,16 @@ from time import perf_counter
 from round_cost import ROOT, compare, load, source
 
 SIZES = (2, 4, 8)
+SEED = 1
 CALLS = {
     "stackelberg_value": lambda solve, g, leader: solve.stackelberg_value(g, leader),
     "perturbed_commitment": lambda solve, g, leader: solve.perturbed_commitment(g, leader, 0.1),
 }
 
 
-def payoffs(seed: int, n: int, count: int) -> list:
-    """count pairs (u1, u2) of n x n integer payoff matrices drawn from seed."""
-    rng = random.Random(f"{seed}:{n}")
+def payoffs(n: int, count: int) -> list:
+    """count pairs (u1, u2) of n x n integer payoff matrices drawn from SEED."""
+    rng = random.Random(f"{SEED}:{n}")
     return [tuple([[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)] for _ in range(2))
             for _ in range(count)]
 
@@ -72,18 +75,16 @@ def timing(solve, fn: str, matrices: list) -> float:
 
 def lp_solves(solve, fn: str, matrices: list) -> int:
     """LP solves of one untimed pass of timing(solve, fn, matrices)."""
-    lp_solve, calls = solve.lp_solve, []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return lp_solve(*args, **kwargs)
-
-    solve.lp_solve = counted
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    tr = tracer.Tracer()
+    tr.patch(solve, "lp_solve", "lp.lp_solve")
     try:
         timing(solve, fn, matrices)
     finally:
-        solve.lp_solve = lp_solve
-    return len(calls)
+        tr.uninstall()
+    return tr.count("lp.lp_solve")
 
 
 def main(argv=None) -> int:
@@ -92,7 +93,6 @@ def main(argv=None) -> int:
                     help="another checkout (or its src/) to time in turns with this one")
     ap.add_argument("--games", type=int, default=16, help="games drawn per n")
     ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     if min(args.games, args.repeats) < 1:
         ap.error("--games and --repeats must be >= 1")
@@ -103,13 +103,13 @@ def main(argv=None) -> int:
         sides.append([importlib.import_module(f"{name}.{m}") for m in ("solve", "games", "errors")])
     rows = []  # (fn, n, kept games, per side: (solve, games of that side))
     for n in SIZES:
-        kept = [p for p in payoffs(args.seed, n, args.games)
+        kept = [p for p in payoffs(n, args.games)
                 if all(has_commitment(side, *p) for side in sides)]
         for fn in CALLS:
             rows.append((fn, n, len(kept), [
                 (solve, [games.game_matrix("g", *p) for p in kept]) for solve, games, _ in sides]))
     if args.against is None:
-        print(f"# {srcs[0]}: min of {args.repeats} timings, both leaders, seed {args.seed}")
+        print(f"# {srcs[0]}: min of {args.repeats} timings, both leaders")
         print(f"{'function':<22} {'n':>2} {'games':>5} {'us/call':>9} {'lp/call':>8}")
         for fn, n, kept, [(solve, matrices)] in rows:
             calls = 2 * kept or 1
@@ -118,7 +118,7 @@ def main(argv=None) -> int:
                   f"{lp_solves(solve, fn, matrices) / calls:8.2f}")
         return 0
     print(f"# this: {srcs[0]}\n# against: {srcs[1]}\n"
-          f"# medians of {args.repeats} paired timings, both leaders, seed {args.seed}")
+          f"# medians of {args.repeats} paired timings, both leaders")
     print(f"{'function':<22} {'n':>2} {'games':>5} {'this us':>9} {'against':>9} {'IQR':>7} "
           f"{'ratio':>6} {'wins':>7} {'verdict':>10} {'this lp':>8} {'against':>8}")
     for fn, n, kept, per_side in rows:

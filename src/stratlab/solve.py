@@ -61,20 +61,32 @@ def _as_strategy(x) -> MixedStrategy:
     return tuple(v / s for v in x)
 
 
+# A reply LP's value can exceed its bound max_a lead[a][f] by the rounding
+# of the simplex plus its phase-1 tolerance of 1e-7 on the simplex
+# constraint, each times a scaled payoff below 1; _reply_lp rejects more.
+_BOUND_SLACK = 1e-6
+
+
 def _reply_lp(lead, fol, f: int) -> tuple[float, tuple[float, ...] | None]:
     """(value, x) of the LP that maximizes the leader's scaled payoff over
     her simplex subject to reply f being a follower best response; the value
-    is -inf when f is a best response to no commitment."""
+    is -inf when f is a best response to no commitment.
+
+    A value above the bound max_a lead[a][f] plus _BOUND_SLACK comes from a
+    point off the simplex, a failed solve, and raises AssumptionViolatedError.
+    """
     n_lead = len(lead)
+    c = [row[f] for row in lead]
     rows = [[fol[f2][a] - fol[f][a] for a in range(n_lead)] for f2 in range(len(fol)) if f2 != f]
-    sol = lp_solve(
-        c=[row[f] for row in lead],
-        a_ub=rows,
-        b_ub=[0.0] * len(rows),
-        a_eq=[[1.0] * n_lead],
-        b_eq=[1.0],
-    )
-    return (sol.value if sol.status == OPTIMAL else -math.inf), sol.x
+    sol = lp_solve(c=c, a_ub=rows, b_ub=[0.0] * len(rows), a_eq=[[1.0] * n_lead], b_eq=[1.0])
+    if sol.status != OPTIMAL:
+        return -math.inf, None
+    if sol.value > max(c) + _BOUND_SLACK:
+        raise AssumptionViolatedError(
+            f"the LP of follower reply {f} failed: its value {sol.value!r} exceeds the "
+            f"leader's largest payoff against that reply, {max(c)!r} (scaled)"
+        )
+    return sol.value, sol.x
 
 
 def _chosen_reply(per_vals) -> int:
@@ -101,12 +113,6 @@ def stackelberg_value(g: GameMatrix, leader: int) -> StackelbergSolution:
     return StackelbergSolution(values[f], _as_strategy(xs[f]), f, values)
 
 
-# A reply LP's value exceeds its bound max_a lead[a][f] by at most the
-# rounding of the simplex plus its phase-1 tolerance of 1e-7 on the simplex
-# constraint, each times a scaled payoff below 1.
-_BOUND_SLACK = 1e-6
-
-
 def _stackelberg_reply(lead, fol) -> tuple[int, MixedStrategy]:
     """(reply, leader strategy) of stackelberg_value on oriented, scaled
     payoffs (see _orient), solving only the reply LPs that can win (branch
@@ -115,9 +121,11 @@ def _stackelberg_reply(lead, fol) -> tuple[int, MixedStrategy]:
     Replies are visited in decreasing order of the bound max_a lead[a][f] on
     their value, the lower index first on equal bounds, and the search stops
     at the first reply whose bound plus _BOUND_SLACK lies more than the tie
-    window below the best value found. Every reply left unsolved has a value
-    below the tie window of _chosen_reply, so the choice is stackelberg_value's,
-    and the chosen reply's LP is the same LP, so its strategy is too.
+    window below the best value found. _reply_lp rejects a value above its
+    bound plus _BOUND_SLACK, so every reply left unsolved has a value below
+    the tie window of _chosen_reply: whenever stackelberg_value returns, the
+    choice is its choice, and the chosen reply's LP is the same LP, so its
+    strategy is too.
     """
     bounds = [max(row[f] for row in lead) for f in range(len(fol))]
     per_vals = [-math.inf] * len(fol)

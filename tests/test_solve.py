@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,22 +284,49 @@ def test_pruned_commitment_is_the_full_search_bit_for_bit(g, leader, delta):
     assert outcome(perturbed_commitment) == outcome(commitment_oracle)
 
 
-def test_perturbed_commitment_solves_fewer_lps_than_replies(monkeypatch):
+def lp_solves(call) -> int:
+    """LP solves made by call(), counted by the benchmark's tracer, which
+    wraps solve.lp_solve as the lp.lp_solve of its traced runs."""
+    spec = importlib.util.spec_from_file_location(
+        "tracer", Path(__file__).resolve().parent.parent / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    tr = tracer.Tracer()
+    tr.patch(solve, "lp_solve", "lp.lp_solve")
+    try:
+        call()
+    finally:
+        tr.uninstall()
+    return tr.count("lp.lp_solve")
+
+
+def test_perturbed_commitment_solves_fewer_lps_than_replies():
     # Without pruning a perturbed commitment solves n reply LPs and one margin
-    # LP; on these games the pruned search averages about 4 LPs in all.
-    calls = []
-    lp_solve = solve.lp_solve
-    monkeypatch.setattr(solve, "lp_solve", lambda *a, **k: calls.append(1) or lp_solve(*a, **k))
+    # LP, 9 in all; on these games the pruned search averages 3.97.
     rng = random.Random(8)
     n, made = 8, 0
     for _ in range(16):
         u1, u2 = ([[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)] for _ in range(2))
         g = game_matrix("g", u1, u2)
         for leader in (1, 2):
-            del calls[:]
-            stackelberg_value(g, leader)
-            assert len(calls) == n  # every per-reply value is reported
-            del calls[:]
-            perturbed_commitment(g, leader, 0.1)
-            made += len(calls)
-    assert made / 32 < n + 1
+            # Every per-reply value is reported.
+            assert lp_solves(lambda: stackelberg_value(g, leader)) == n
+            made += lp_solves(lambda: perturbed_commitment(g, leader, 0.1))
+    assert made / 32 < 5
+
+
+def test_a_reply_lp_above_its_bound_raises():
+    # Payoffs spanning nine orders of magnitude: reply 0's LP returns x =
+    # (0, 0, 0, 0, 38.9), off the simplex, at 194.68, while player 2's
+    # largest payoff is 8. perturbed_commitment's search never solves that
+    # LP (its bound lies below the best value found) and returns.
+    u1 = [[0, -3, -0.006, 2, 3.5e6], [-6.3e6, 0.008, -2.5, -0.001, 2.8e6],
+          [-4.2e6, 0.003, -0.007, 4.5, -4.2e6], [6.3e6, -6.3e6, 3.5, -0.009, 0.003],
+          [0.003, -2.5, 0.001, 2, -0.001]]
+    u2 = [[-5, 6, 1.5, 2.4, 5], [-2, -1, -2, -1.5, 0], [2.1, 2.1, 2, 5, 8],
+          [2, 1.2, -4, 8, -2.7], [-8, -4, -2.1, 4, 0]]
+    g = game_matrix("g", u1, u2)
+    with pytest.raises(AssumptionViolatedError, match="LP of follower reply 0 failed"):
+        stackelberg_value(g, 2)
+    mix, margin = perturbed_commitment(g, 2, 0.1)
+    assert margin > 0 and sum(mix) == pytest.approx(1.0)
