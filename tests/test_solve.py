@@ -1,6 +1,6 @@
-import importlib.util
 import math
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -284,35 +284,21 @@ def test_pruned_commitment_is_the_full_search_bit_for_bit(g, leader, delta):
     assert outcome(perturbed_commitment) == outcome(commitment_oracle)
 
 
-def lp_solves(call) -> int:
-    """LP solves made by call(), counted by the benchmark's tracer, which
-    wraps solve.lp_solve as the lp.lp_solve of its traced runs."""
-    spec = importlib.util.spec_from_file_location(
-        "tracer", Path(__file__).resolve().parent.parent / "bench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    tr = tracer.Tracer()
-    tr.patch(solve, "lp_solve", "lp.lp_solve")
-    try:
-        call()
-    finally:
-        tr.uninstall()
-    return tr.count("lp.lp_solve")
-
-
 def test_perturbed_commitment_solves_fewer_lps_than_replies():
-    # Without pruning a perturbed commitment solves n reply LPs and one margin
-    # LP, 9 in all; on these games the pruned search averages 3.97.
-    rng = random.Random(8)
-    n, made = 8, 0
-    for _ in range(16):
-        u1, u2 = ([[rng.randint(-99, 99) for _ in range(n)] for _ in range(n)] for _ in range(2))
-        g = game_matrix("g", u1, u2)
-        for leader in (1, 2):
-            # Every per-reply value is reported.
-            assert lp_solves(lambda: stackelberg_value(g, leader)) == n
-            made += lp_solves(lambda: perturbed_commitment(g, leader, 0.1))
-    assert made / 32 < 5
+    # Counted as scripts/solve_cost.py counts them, on its 16 seeded 8x8
+    # games for both leaders: through bench/tracer.py's wrapper of
+    # solve.lp_solve. stackelberg_value solves every reply's LP. Without
+    # pruning a perturbed commitment solves those and one margin LP, 9 in
+    # all; the pruned search averages 4.03.
+    scripts = str(Path(__file__).resolve().parent.parent / "scripts")
+    sys.path.insert(0, scripts)
+    try:
+        import solve_cost
+    finally:
+        sys.path.remove(scripts)
+    games = [game_matrix("g", *p) for p in solve_cost.payoffs(8, 16)]
+    assert solve_cost.lp_solves(solve, "stackelberg_value", games) == 32 * 8
+    assert solve_cost.lp_solves(solve, "perturbed_commitment", games) / 32 < 5
 
 
 def test_a_reply_lp_above_its_bound_raises():
