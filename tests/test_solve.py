@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -316,3 +317,42 @@ def test_a_reply_lp_above_its_bound_raises():
         stackelberg_value(g, 2)
     mix, margin = perturbed_commitment(g, 2, 0.1)
     assert margin > 0 and sum(mix) == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit pin of both solver entry points
+# ---------------------------------------------------------------------------
+
+
+def solver_digest(games: int = 600) -> str:
+    """sha256 over the float.hex of stackelberg_value's and (at delta 0.1)
+    perturbed_commitment's outputs, or the exception type where one raises,
+    on `games` seeded integer games with 1-8 actions for both leaders."""
+    rng = random.Random(25)
+    h = hashlib.sha256()
+    for _ in range(games):
+        n1, n2, k = rng.randint(1, 8), rng.randint(1, 8), rng.choice([1, 2, 3, 9, 99])
+        u1, u2 = ([[rng.randint(-k, k) for _ in range(n2)] for _ in range(n1)] for _ in range(2))
+        g = game_matrix("g", u1, u2)
+        for leader in (1, 2):
+            for fn in (stackelberg_value, lambda g, leader: perturbed_commitment(g, leader, 0.1)):
+                try:
+                    out = fn(g, leader)
+                except (AssumptionViolatedError, InvalidArgumentError) as e:
+                    h.update(type(e).__name__.encode())
+                    continue
+                if isinstance(out, tuple):
+                    mix, margin = out
+                    words = [v.hex() for v in (*mix, margin)]
+                else:
+                    words = [v.hex() for v in (out.value, *out.leader_strategy,
+                                               *out.per_follower_action_values)]
+                    words.append(str(out.follower_action))
+                h.update(" ".join(words).encode() + b";")
+    return h.hexdigest()
+
+
+def test_solver_outputs_are_pinned_bit_for_bit():
+    # Any change to a solver's floats, its chosen reply or what raises moves
+    # this digest; a change that means to move it says why in CHANGES.md.
+    assert solver_digest() == "f1eb1f2915207da8f5fd9aafea3a0f97c6c876e049d1403bc0ec861d68d727c8"
