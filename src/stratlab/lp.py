@@ -1,31 +1,19 @@
-"""Small dense linear-program solver: two-phase simplex with Bland's rule.
+"""The commitment LP over the leader's simplex: two-phase simplex with
+Bland's rule.
 
-Problems here are tiny (commitment LPs over action simplices, ~10 variables),
-so a dense tableau of Python lists with an anti-cycling pivot rule is exact
-enough and dependency-free. Maximization convention throughout.
+Problems here are tiny (~10 variables), so a dense tableau of Python lists
+with an anti-cycling pivot rule is exact enough and dependency-free.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import InvalidArgumentError, check_type
+from .errors import AssumptionViolatedError, InvalidArgumentError
 from .games import add_up
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-7
-
-
-@dataclass(frozen=True)
-class LpSolution:
-    status: str
-    x: tuple[float, ...] | None
-    value: float | None
 
 
 def _pivot(tab: list[list[float]], basis: list[int], row: int, col: int) -> None:
@@ -38,14 +26,15 @@ def _pivot(tab: list[list[float]], basis: list[int], row: int, col: int) -> None
     basis[row] = col
 
 
-def _bland_run(tab: list[list[float]], basis: list[int], ncols: int) -> str:
-    """Run simplex iterations on the tableau (last row = reduced costs, maximize)."""
+def _bland_run(tab: list[list[float]], basis: list[int], ncols: int) -> None:
+    """Run simplex iterations on the tableau (last row = reduced costs,
+    maximize) to an optimum; raise AssumptionViolatedError if unbounded."""
     m = len(tab) - 1
     for _ in range(100_000):
         obj = tab[-1]
         col = next((j for j in range(ncols) if obj[j] > _PIVOT_TOL), -1)
         if col < 0:
-            return OPTIMAL
+            return
         row, best_ratio, best_basis = -1, math.inf, -1
         for i in range(m):
             a = tab[i][col]
@@ -57,102 +46,79 @@ def _bland_run(tab: list[list[float]], basis: list[int], ncols: int) -> str:
                 ):
                     row, best_ratio, best_basis = i, ratio, basis[i]
         if row < 0:
-            return UNBOUNDED
+            raise AssumptionViolatedError("the LP objective is unbounded")
         _pivot(tab, basis, row, col)
     raise RuntimeError("simplex failed to terminate (anti-cycling rule exhausted)")
 
 
-def lp_solve(c, a_ub=(), b_ub=(), a_eq=(), b_eq=(), free=()) -> LpSolution:
-    """maximize c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  x_j >= 0 for j not in free
-    (distinct integer indices).
+def lp_solve(c, rows, free: bool = False):
+    """maximize c.z  s.t.  rows z <= 0,  where z = x, or z = (x, t) when free;
+    x >= 0 with sum(x) = 1, and t is unbounded in sign.
 
-    Returns status, an optimal basic solution, and its objective.
+    Returns (z, c.z) at an optimal basic solution, or None when the LP is
+    infeasible. Raises AssumptionViolatedError when the objective is
+    unbounded.
     """
     n = len(c)
-    if len(a_ub) != len(b_ub) or len(a_eq) != len(b_eq):
-        raise InvalidArgumentError("constraint matrix/rhs row counts differ")
-    for row in (*a_ub, *a_eq):
-        if len(row) != n:
-            raise InvalidArgumentError("constraint row length mismatches objective")
-    for v in (*c, *b_ub, *b_eq, *(x for row in (*a_ub, *a_eq) for x in row)):
+    nx = n - 1 if free else n
+    if nx < 1 or any(len(row) != n for row in rows):
+        raise InvalidArgumentError("LP rows must match the objective, which needs an x entry")
+    for v in (*c, *(v for row in rows for v in row)):
         if not math.isfinite(v):
             raise InvalidArgumentError(f"non-finite LP coefficient {v!r}")
-    for j in free:
-        if not 0 <= check_type(j, "free variable index", "integer") < n:
-            raise InvalidArgumentError(f"free variable index {j!r} outside 0..{n - 1}")
-    if len(set(free)) != len(free):
-        raise InvalidArgumentError(f"free variable indices {list(free)} repeat an index")
 
-    # A free variable is split into u - v: its negated column follows the structurals.
+    # Columns: [x | t | -t | slack | artificial], rhs last: t is split into
+    # two nonnegative columns. Each row of `rows` starts in the basis on its
+    # slack, the simplex row sum(x) = 1 on the artificial.
     c = [float(v) for v in c]
-    c_std = c + [-c[j] for j in free]
-    n_std = len(c_std)
-    m_ub, m = len(a_ub), len(a_ub) + len(a_eq)
-    nslack = m_ub
-    ncols2 = n_std + nslack
-
-    # Columns: [structural | free-split | slack | artificial], rhs last. Rows
-    # with a negative rhs are negated; a row whose slack column survived that
-    # starts in the basis on it, every other row on an artificial variable.
-    neg = [b < 0 for b in (*b_ub, *b_eq)]
-    art_rows = [i for i in range(m) if i >= m_ub or neg[i]]
-    nart = len(art_rows)
-    ncols = ncols2 + nart
-    basis = [n_std + i for i in range(m)]
-    for k, i in enumerate(art_rows):
-        basis[i] = ncols2 + k
+    c_std = c + [-c[-1]] if free else c
+    n_std, k = len(c_std), len(rows)
+    ncols2 = n_std + k
+    basis = [n_std + i for i in range(k)] + [ncols2]
     tab = []
-    for i, (row, b) in enumerate(zip((*a_ub, *a_eq), (*b_ub, *b_eq))):
+    for i, row in enumerate(rows):
         r = [float(v) for v in row]
-        r += [-r[j] for j in free]
-        r += [1.0 if k == i else 0.0 for k in range(nslack)]
-        r.append(float(b))
-        if neg[i]:
-            r = [-v for v in r]
-        r[-1:-1] = [1.0 if j == basis[i] else 0.0 for j in range(ncols2, ncols)]
-        tab.append(r)
+        if free:
+            r.append(-r[-1])
+        tab.append(r + [1.0 if j == i else 0.0 for j in range(k)] + [0.0, 0.0])
+    # The split writes -0.0 under -t, as negating the simplex row's t entry does.
+    tab.append([1.0] * nx + ([0.0, -0.0] if free else []) + [0.0] * k + [1.0, 1.0])
 
-    if nart:
-        # Phase 1: maximize -(sum of artificials).
-        obj = [0.0] * ncols2 + [-1.0] * nart + [0.0]
-        for i in range(m):
-            if basis[i] >= ncols2:
-                obj = [o + t for o, t in zip(obj, tab[i])]
-        tab.append(obj)
-        status = _bland_run(tab, basis, ncols)
-        # The objective row's rhs cell carries the negated phase-1 value, so a
-        # positive residual means the artificials could not be driven to zero.
-        if status != OPTIMAL or tab[-1][-1] > _FEAS_TOL:
-            return LpSolution(INFEASIBLE, None, None)
-        # Drive remaining artificials out of the basis.
-        for i in range(m):
-            if basis[i] >= ncols2:
-                piv = next((j for j in range(ncols2) if abs(tab[i][j]) > _PIVOT_TOL), None)
-                if piv is None:
-                    tab[i] = [0.0] * (ncols + 1)  # redundant row
-                    basis[i] = -1
-                else:
-                    _pivot(tab, basis, i, piv)
-        tab.pop()
+    # Phase 1: maximize -artificial; its reduced costs are the simplex row's.
+    tab.append([1.0] * nx + [0.0] * (ncols2 - nx + 1) + [1.0])
+    _bland_run(tab, basis, ncols2 + 1)
+    # The objective row's rhs cell carries the negated phase-1 value, so a
+    # positive residual means the artificial could not be driven to zero.
+    if tab[-1][-1] > _FEAS_TOL:
+        return None
+    # Drive a remaining artificial out of the basis.
+    for i in range(k + 1):
+        if basis[i] >= ncols2:
+            piv = next((j for j in range(ncols2) if abs(tab[i][j]) > _PIVOT_TOL), None)
+            if piv is None:
+                tab[i] = [0.0] * (ncols2 + 2)  # redundant row
+                basis[i] = -1
+            else:
+                _pivot(tab, basis, i, piv)
+    tab.pop()
 
     # Phase 2 objective over structural+slack columns only; the artificial
-    # columns are dropped so they cannot re-enter.
+    # column is dropped so it cannot re-enter.
     for r in tab:
-        del r[ncols2:ncols]
-    obj = c_std + [0.0] * (nslack + 1)
-    for i in range(m):
+        del r[ncols2]
+    obj = c_std + [0.0] * (k + 1)
+    for i in range(k + 1):
         b = basis[i]
         if 0 <= b < n_std and c_std[b] != 0.0:
             obj = [o - c_std[b] * t for o, t in zip(obj, tab[i])]
     tab.append(obj)
-    if _bland_run(tab, basis, ncols2) == UNBOUNDED:
-        return LpSolution(UNBOUNDED, None, None)
+    _bland_run(tab, basis, ncols2)
 
-    x_std = [0.0] * n_std
-    for i in range(m):
+    z = [0.0] * n_std
+    for i in range(k + 1):
         if 0 <= basis[i] < n_std:
-            x_std[basis[i]] = tab[i][-1]
-    for k, j in enumerate(free):
-        x_std[j] -= x_std[n + k]
-    x = tuple(v + 0.0 for v in x_std[:n])  # + 0.0 turns a pivot's -0.0 into 0.0
-    return LpSolution(OPTIMAL, x, add_up(cj * xj for cj, xj in zip(c, x)))
+            z[basis[i]] = tab[i][-1]
+    if free:
+        z[-2] -= z[-1]
+    z = tuple(v + 0.0 for v in z[:n])  # + 0.0 turns a pivot's -0.0 into 0.0
+    return z, add_up(cj * zj for cj, zj in zip(c, z))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import AssumptionViolatedError, InvalidArgumentError, check_type
 from .games import GameMatrix, MixedStrategy, Prior, add_up
-from .lp import OPTIMAL, lp_solve
+from .lp import lp_solve
 
 
 @dataclass(frozen=True)
@@ -67,26 +67,32 @@ def _as_strategy(x) -> MixedStrategy:
 _BOUND_SLACK = 1e-6
 
 
+def _preference_rows(fol, f: int) -> list[list[float]]:
+    """Rows r, one per other reply f2, with r.x = U_f(x, f2) - U_f(x, f) on
+    the follower's payoffs fol: reply f is a best response to x iff every
+    r.x <= 0."""
+    return [[v2 - v for v2, v in zip(fol[f2], fol[f])] for f2 in range(len(fol)) if f2 != f]
+
+
 def _reply_lp(lead, fol, f: int) -> tuple[float, tuple[float, ...] | None]:
     """(value, x) of the LP that maximizes the leader's scaled payoff over
     her simplex subject to reply f being a follower best response; the value
     is -inf when f is a best response to no commitment.
 
     A value above the bound max_a lead[a][f] plus _BOUND_SLACK comes from a
-    point off the simplex, a failed solve, and raises AssumptionViolatedError.
+    failed solve and raises AssumptionViolatedError.
     """
-    n_lead = len(lead)
     c = [row[f] for row in lead]
-    rows = [[fol[f2][a] - fol[f][a] for a in range(n_lead)] for f2 in range(len(fol)) if f2 != f]
-    sol = lp_solve(c=c, a_ub=rows, b_ub=[0.0] * len(rows), a_eq=[[1.0] * n_lead], b_eq=[1.0])
-    if sol.status != OPTIMAL:
+    sol = lp_solve(c, _preference_rows(fol, f))
+    if sol is None:
         return -math.inf, None
-    if sol.value > max(c) + _BOUND_SLACK:
+    x, value = sol
+    if value > max(c) + _BOUND_SLACK:
         raise AssumptionViolatedError(
-            f"the LP of follower reply {f} failed: its value {sol.value!r} exceeds the "
+            f"the LP of follower reply {f} failed: its value {value!r} exceeds the "
             f"leader's largest payoff against that reply, {max(c)!r} (scaled)"
         )
-    return sol.value, sol.x
+    return value, x
 
 
 def _chosen_reply(per_vals) -> int:
@@ -158,23 +164,12 @@ def _margin(fol, target_reply: int) -> tuple[MixedStrategy, float]:
     n_lead, n_fol = len(fol[0]), len(fol)
     if n_fol == 1:
         return tuple([1.0 / n_lead] * n_lead), math.inf
-    rows = []
-    for f2 in range(n_fol):
-        if f2 != target_reply:
-            rows.append(
-                [fol[f2][a] - fol[target_reply][a] for a in range(n_lead)] + [1.0]
-            )
-    sol = lp_solve(
-        c=[0.0] * n_lead + [1.0],
-        a_ub=rows,
-        b_ub=[0.0] * len(rows),
-        a_eq=[[1.0] * n_lead + [0.0]],
-        b_eq=[1.0],
-        free=[n_lead],
-    )
-    if sol.status != OPTIMAL:
+    rows = [r + [1.0] for r in _preference_rows(fol, target_reply)]
+    sol = lp_solve([0.0] * n_lead + [1.0], rows, free=True)
+    if sol is None:
         raise AssumptionViolatedError("margin LP unsolvable")
-    return _as_strategy(sol.x[:n_lead]), sol.value
+    z, c = sol
+    return _as_strategy(z[:n_lead]), c
 
 
 def perturbed_commitment(
