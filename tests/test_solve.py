@@ -302,21 +302,51 @@ def test_perturbed_commitment_solves_fewer_lps_than_replies():
     assert solve_cost.lp_solves(solve, "perturbed_commitment", games) / 32 < 5
 
 
-def test_a_reply_lp_above_its_bound_raises():
-    # Payoffs spanning nine orders of magnitude: reply 0's LP returns x =
-    # (0, 0, 0, 0, 38.9), off the simplex, at 194.68, while player 2's
-    # largest payoff is 8. perturbed_commitment's search never solves that
-    # LP (its bound lies below the best value found) and returns.
+def test_a_reply_lp_above_its_bound_raises(monkeypatch, fig1_g1):
+    # The check the pruned search rests on, fed a stub LP whose point lies
+    # on the simplex and whose value exceeds the reply's bound by `excess`.
+    def stub_excess(excess):
+        def stub(c, rows, free=False):
+            return (1.0,) + (0.0,) * (len(c) - 1), max(c) + excess
+        return stub
+
+    monkeypatch.setattr(solve, "lp_solve", stub_excess(2e-6))
+    with pytest.raises(AssumptionViolatedError, match="LP of follower reply 0 failed"):
+        stackelberg_value(fig1_g1, 1)
+    monkeypatch.setattr(solve, "lp_solve", stub_excess(0.5e-6))  # within _BOUND_SLACK
+    assert stackelberg_value(fig1_g1, 1).follower_action == 0
+
+
+def test_an_off_simplex_reply_lp_raises():
+    # Payoffs spanning nine orders of magnitude: reply 0's LP ends at x =
+    # (0, 0, 0, 0, 38.9), off the simplex, which gave the value 194.68 while
+    # player 2's largest payoff is 8. perturbed_commitment's search never
+    # solves that LP (its bound lies below the best value found).
     u1 = [[0, -3, -0.006, 2, 3.5e6], [-6.3e6, 0.008, -2.5, -0.001, 2.8e6],
           [-4.2e6, 0.003, -0.007, 4.5, -4.2e6], [6.3e6, -6.3e6, 3.5, -0.009, 0.003],
           [0.003, -2.5, 0.001, 2, -0.001]]
     u2 = [[-5, 6, 1.5, 2.4, 5], [-2, -1, -2, -1.5, 0], [2.1, 2.1, 2, 5, 8],
           [2, 1.2, -4, 8, -2.7], [-8, -4, -2.1, 4, 0]]
     g = game_matrix("g", u1, u2)
-    with pytest.raises(AssumptionViolatedError, match="LP of follower reply 0 failed"):
+    lead, _, fol, _ = _orient(g, 2)
+    with pytest.raises(AssumptionViolatedError, match=r"\(0\.0, 0\.0, 0\.0, 0\.0, 38\.9\d*\) lies off"):
+        solve._reply_lp(lead, fol, 0)
+    with pytest.raises(AssumptionViolatedError, match="lies off the simplex"):
         stackelberg_value(g, 2)
     mix, margin = perturbed_commitment(g, 2, 0.1)
     assert margin > 0 and sum(mix) == pytest.approx(1.0)
+
+
+def test_an_off_simplex_margin_lp_raises():
+    # Player 1's payoffs span 1e-3 to 2e6. The margin LP of the Stackelberg
+    # reply 3 ends at x = (1.0001, -0.0001); clamped to (1, 0), it gave the
+    # margin 1.0, above the largest margin 0.1 * 9.999 of any commitment.
+    u1 = [[-0.001, -20.0], [-2e6, -2.0], [0.001, 0.0], [10.0, 0.0]]
+    u2 = [[0, 2], [2, -2], [2, 0], [1, -2]]
+    g = game_matrix("g", u1, u2)
+    assert stackelberg_value(g, 2).follower_action == 3
+    with pytest.raises(AssumptionViolatedError, match=r"\(1\.0001\d*, -0\.0001\d*\) lies off"):
+        perturbed_commitment(g, 2, 0.1)
 
 
 # ---------------------------------------------------------------------------
