@@ -53,6 +53,8 @@ def apply_override(raw: dict, assignment: str) -> None:
         node[last] = json.loads(value)
     except json.JSONDecodeError:
         node[last] = value
+    except ValueError as e:  # an integer literal too long for int()
+        raise InvalidArgumentError(f"override {path!r}: {e}") from e
 
 
 def load_config(path: str, args) -> ExperimentConfig:

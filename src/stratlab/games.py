@@ -407,12 +407,13 @@ def prior_from_dict(d: dict) -> Prior:
 
 
 def read_json(path: str):
-    """The JSON value in the UTF-8 file at path. A file that is not UTF-8 or
-    not JSON is an error that names the path, as an OSError does."""
+    """The JSON value in the UTF-8 file at path. A file that is not UTF-8,
+    not JSON or holds an integer literal too long for int() is an error that
+    names the path, as an OSError does."""
     try:
         with open(path, encoding="utf-8") as f:
             return json.load(f)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:  # also UnicodeDecodeError and JSONDecodeError
         raise InvalidArgumentError(f"cannot read {path!r}: {e}") from e
 
 

@@ -217,6 +217,51 @@ def test_prior_and_game_numbers_are_checked(capsys, tmp_path, where, value, what
     assert code == 1 and err.startswith(f"error: {what} must be a number, got {value!r}")
 
 
+BIG = str(10 ** 400)  # an integer with no float value
+LONG = "1" * 4301  # an integer literal longer than int() reads
+
+
+def simulate_with(config, assignment):
+    return ["simulate", "--config", str(CONFIGS / config), "--trials", "1", "--horizon", "5",
+            "--set", assignment]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["stackval", "--player", "1", "--game", "game.json"],
+         "game u1 entry must be within the float range"),
+        (["stackval", "--player", "1", "--prior", "prior.json"],
+         "prior weight must be within the float range"),
+        (simulate_with("reveal_follow.json", f"signal_model.p1={BIG}"),
+         "config key 'signal_model.p1' must be within the float range"),
+        (simulate_with("reveal_follow.json", f"tail_threshold={BIG}"),
+         "config key 'tail_threshold' must be within the float range"),
+        (simulate_with("swap_decay.json", f"spec1.params.eta={BIG}"),
+         "param 'eta' of learner kind 'no_swap_regret_full' must be within the float range"),
+        (simulate_with("leader_vs_learner_audit.json", f"spec1.params.initial_epoch={BIG}"),
+         "param 'initial_epoch' of learner kind 'stackelberg_leader' must be within the float"),
+        (["stackval", "--player", "1", "--game", "long_game.json"],
+         "cannot read 'long_game.json': Exceeds the limit (4300 digits)"),
+        (simulate_with("reveal_follow.json", f"tail_threshold={LONG}"),
+         "override 'tail_threshold': Exceeds the limit (4300 digits)"),
+    ],
+    ids=["game-entry", "prior-weight", "signal-p1", "tail-threshold", "eta", "initial-epoch",
+         "long-literal-in-file", "long-literal-in-override"],
+)
+def test_numbers_python_cannot_hold_are_input_errors(capsys, tmp_path, monkeypatch, argv, message):
+    # Each ended in an OverflowError or ValueError traceback.
+    monkeypatch.chdir(tmp_path)
+    game = '{"name": "g", "u1": [[%s, 0], [0, 1]], "u2": [[1, 0], [0, 1]]}'
+    (tmp_path / "game.json").write_text(game % BIG)
+    (tmp_path / "long_game.json").write_text(game % LONG)
+    (tmp_path / "prior.json").write_text(
+        '{"games": [{"weight": %s, "game": "fig1_g1:gamma=1"}]}' % BIG)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
 def test_cli_runs_without_numpy():
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
