@@ -73,12 +73,17 @@ def timing(solve, fn: str, matrices: list) -> float:
     return perf_counter() - t0
 
 
-def lp_solves(solve, fn: str, matrices: list) -> int:
-    """LP solves of one untimed pass of timing(solve, fn, matrices)."""
+def load_tracer():
+    """The benchmark's bench/tracer.py as a module (bench/ is no package)."""
     spec = importlib.util.spec_from_file_location("tracer", ROOT / "bench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    tr = tracer.Tracer()
+    return tracer
+
+
+def lp_solves(solve, fn: str, matrices: list) -> int:
+    """LP solves of one untimed pass of timing(solve, fn, matrices)."""
+    tr = load_tracer().Tracer()
     tr.patch(solve, "lp_solve", "lp.lp_solve")
     try:
         timing(solve, fn, matrices)
