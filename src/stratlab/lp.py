@@ -1,9 +1,6 @@
-"""The commitment LP over the leader's simplex: two-phase simplex with
-Bland's rule.
-
-Problems here are tiny (~10 variables), so a dense tableau of Python lists
-with an anti-cycling pivot rule is exact enough and dependency-free.
-"""
+"""The commitment LP over the leader's simplex: a two-phase simplex with
+Bland's anti-cycling rule on a dense tableau of Python lists, which is exact
+enough for these tiny (~10-variable) problems and dependency-free."""
 
 from __future__ import annotations
 
@@ -59,18 +56,15 @@ def lp_solve(c, rows, free: bool = False):
     x >= 0 with sum(x) = 1, and t is unbounded in sign.
 
     Returns (z, c.z) at an optimal basic solution, or None when the LP is
-    infeasible. Raises AssumptionViolatedError when the objective is
-    unbounded or the point found lies off the simplex by more than
-    _FEAS_TOL: either is a failed solve, since the LPs of solve.py are
-    bounded.
-    """
+    infeasible. An unbounded objective, or a point off the simplex by more
+    than _FEAS_TOL, is a failed solve (the LPs of solve.py are bounded) and
+    raises AssumptionViolatedError."""
     n = len(c)
     nx = n - 1 if free else n
     if nx < 1 or any(len(row) != n for row in rows):
         raise InvalidArgumentError("LP rows must match the objective, which needs an x entry")
-    for v in (*c, *(v for row in rows for v in row)):
-        if not math.isfinite(v):
-            raise InvalidArgumentError(f"non-finite LP coefficient {v!r}")
+    if not all(map(math.isfinite, (*c, *(v for row in rows for v in row)))):
+        raise InvalidArgumentError("non-finite LP coefficient")
 
     # Columns: [x | t | -t | slack | artificial], rhs last: t is split into
     # two nonnegative columns. Each row of `rows` starts in the basis on its

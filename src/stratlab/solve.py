@@ -168,8 +168,7 @@ def _margin(fol, target_reply: int) -> tuple[MixedStrategy, float]:
     sol = lp_solve([0.0] * n_lead + [1.0], rows, free=True)
     if sol is None:
         raise AssumptionViolatedError("margin LP unsolvable")
-    z, c = sol
-    return _as_strategy(z[:n_lead]), c
+    return _as_strategy(sol[0][:n_lead]), sol[1]
 
 
 def perturbed_commitment(
