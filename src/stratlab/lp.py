@@ -11,7 +11,7 @@ from .games import add_up
 
 _PIVOT_TOL = 1e-9
 # Phase 1's feasibility tolerance, and how far (|sum(x) - 1|, or -x_a) a
-# returned point may lie off the simplex: on ~450,000 feasible commitment LPs
+# returned point may lie off the simplex: on ~455,000 feasible commitment LPs
 # of integer or uniform real payoffs the largest residual was 1.5e-10.
 _FEAS_TOL = 1e-7
 

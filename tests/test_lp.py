@@ -16,10 +16,11 @@ def test_trivial_bounded():
 
 
 def test_degenerate_optimum():
-    # Every point of the simplex is optimal, and the one row is tight at x = (1, 0).
+    # c is constant on the simplex, and x1 <= 0 meets x1 >= 0: the only
+    # feasible point (1, 0) is a degenerate vertex.
     z, value = lp_solve([1.0, 1.0], [[0.0, 1.0]])
     assert value == pytest.approx(1.0, abs=1e-12)
-    assert sum(z) == pytest.approx(1.0, abs=1e-12)
+    assert z == pytest.approx((1.0, 0.0), abs=1e-12)
 
 
 def test_follower_action_commitment_lp(fig1_g1):
