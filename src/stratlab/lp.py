@@ -26,9 +26,9 @@ def _pivot(tab: list[list[float]], basis: list[int], row: int, col: int) -> None
     basis[row] = col
 
 
-def _bland_run(tab: list[list[float]], basis: list[int], ncols: int) -> None:
-    """Run simplex iterations on the tableau (last row = reduced costs,
-    maximize) to an optimum; raise AssumptionViolatedError if unbounded."""
+def _bland_run(tab: list[list[float]], basis: list[int], ncols: int, no_row: str) -> None:
+    """Pivot by Bland's rule (last row = reduced costs, maximize) to an optimum;
+    raise AssumptionViolatedError(no_row) if an entering column has no pivot row."""
     m = len(tab) - 1
     for _ in range(100_000):
         obj = tab[-1]
@@ -46,7 +46,7 @@ def _bland_run(tab: list[list[float]], basis: list[int], ncols: int) -> None:
                 ):
                     row, best_ratio, best_basis = i, ratio, basis[i]
         if row < 0:
-            raise AssumptionViolatedError("the LP objective is unbounded")
+            raise AssumptionViolatedError(no_row)
         _pivot(tab, basis, row, col)
     raise RuntimeError("simplex failed to terminate (anti-cycling rule exhausted)")
 
@@ -55,10 +55,9 @@ def lp_solve(c, rows, free: bool = False):
     """maximize c.z  s.t.  rows z <= 0,  where z = x, or z = (x, t) when free;
     x >= 0 with sum(x) = 1, and t is unbounded in sign.
 
-    Returns (z, c.z) at an optimal basic solution, or None when the LP is
-    infeasible. An unbounded objective, or a point off the simplex by more
-    than _FEAS_TOL, is a failed solve (the LPs of solve.py are bounded) and
-    raises AssumptionViolatedError."""
+    Returns (z, c.z) at an optimal basic solution, or None if the LP is infeasible.
+    A failed solve (no pivot row in either phase, since the LPs of solve.py are
+    bounded, or a point off the simplex by > _FEAS_TOL) raises AssumptionViolatedError."""
     n = len(c)
     nx = n - 1 if free else n
     if nx < 1 or any(len(row) != n for row in rows):
@@ -83,9 +82,10 @@ def lp_solve(c, rows, free: bool = False):
     # The split writes -0.0 under -t, as negating the simplex row's t entry does.
     tab.append([1.0] * nx + ([0.0, -0.0] if free else []) + [0.0] * k + [1.0, 1.0])
 
-    # Phase 1: maximize -artificial; its reduced costs are the simplex row's.
+    # Phase 1: maximize -artificial, which is at most 0 (so a missing pivot row
+    # is a failed solve); its reduced costs are the simplex row's.
     tab.append([1.0] * nx + [0.0] * (ncols2 - nx + 1) + [1.0])
-    _bland_run(tab, basis, ncols2 + 1)
+    _bland_run(tab, basis, ncols2 + 1, "the LP solve failed: phase 1 found no pivot row")
     # The objective row's rhs cell carries the negated phase-1 value, so a
     # positive residual means the artificial could not be driven to zero.
     if tab[-1][-1] > _FEAS_TOL:
@@ -111,7 +111,7 @@ def lp_solve(c, rows, free: bool = False):
         if 0 <= b < n_std and c_std[b] != 0.0:
             obj = [o - c_std[b] * t for o, t in zip(obj, tab[i])]
     tab.append(obj)
-    _bland_run(tab, basis, ncols2)
+    _bland_run(tab, basis, ncols2, "the LP objective is unbounded")
 
     z = [0.0] * n_std
     for i in range(k + 1):

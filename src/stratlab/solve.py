@@ -61,9 +61,7 @@ def _as_strategy(x) -> MixedStrategy:
     return tuple(v / s for v in x)
 
 
-# A reply LP's value can exceed its bound max_a lead[a][f] by the rounding
-# of the simplex plus its phase-1 tolerance of 1e-7 on the simplex
-# constraint, each times a scaled payoff below 1; _reply_lp rejects more.
+# How far a reply LP's value may exceed its bound (see _stackelberg_reply).
 _BOUND_SLACK = 1e-6
 
 
@@ -127,11 +125,13 @@ def _stackelberg_reply(lead, fol) -> tuple[int, MixedStrategy]:
     Replies are visited in decreasing order of the bound max_a lead[a][f] on
     their value, the lower index first on equal bounds, and the search stops
     at the first reply whose bound plus _BOUND_SLACK lies more than the tie
-    window below the best value found. _reply_lp rejects a value above its
-    bound plus _BOUND_SLACK, so every reply left unsolved has a value below
-    the tie window of _chosen_reply: whenever stackelberg_value returns, the
-    choice is its choice, and the chosen reply's LP is the same LP, so its
-    strategy is too.
+    window below the best value found. No value _reply_lp returns exceeds its
+    bound by more than _BOUND_SLACK: lp_solve's simplex check keeps it within
+    (2n - 1) * 1e-7 of the bound on n leader actions (below the slack up to
+    n = 5), and _reply_lp rejects the rest. So every reply left unsolved has
+    a value below the tie window of _chosen_reply: whenever stackelberg_value
+    returns, the choice is its choice, and the chosen reply's LP is the same
+    LP, so its strategy is too.
     """
     bounds = [max(row[f] for row in lead) for f in range(len(fol))]
     per_vals = [-math.inf] * len(fol)
