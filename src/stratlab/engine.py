@@ -118,7 +118,7 @@ class ExperimentConfig:
         if self.feedback_mode not in ("full", "bandit"):
             raise InvalidArgumentError(f"bad feedback_mode {self.feedback_mode!r}")
         # The one place where a spec's legality is decided, mimics resolved;
-        # a throwaway learner checks the kind's own params and role.
+        # a throwaway learner checks the kind's own params, role and horizon.
         for player, spec in enumerate((self.spec1, self.spec2), 1):
             name = f"spec{player}"
             cls, _, forced = canonical_spec(spec)
@@ -126,7 +126,7 @@ class ExperimentConfig:
                 raise InvalidArgumentError(f"{name} ({spec.kind}) requires full-information feedback")
             if forced is not None and not 0 <= forced < self.prior.support_size:
                 raise InvalidArgumentError(f"{name} forces signal {forced}, out of range")
-            learner_init(spec, player, self.prior, 0, Random(0))
+            learner_init(spec, player, self.prior, 0, Random(0)).check_horizon(self.horizon)
         # Compiled here, as the learners' steps are, so that forked pool
         # workers inherit it.
         _emit_account(self.prior.n1, self.prior.n2)
@@ -769,12 +769,9 @@ class CspReport:
         }
 
 
-def estimate_csps(
-    cfg: ExperimentConfig, threads: int = 1, summaries: list[TrialSummary] | None = None
-) -> CspReport:
-    """Bucketed CSP estimates; buckets never fabricated when empty."""
-    if summaries is None:
-        summaries = run_summaries(cfg, threads)
+def estimate_csps(cfg: ExperimentConfig, summaries: list[TrialSummary]) -> CspReport:
+    """Bucketed CSP estimates from cfg's trial summaries; buckets never
+    fabricated when empty."""
     prior = cfg.prior
     n1, n2 = prior.n1, prior.n2
 

@@ -130,6 +130,9 @@ class Learner:
     def observe(self, fb: FeedbackRecord) -> None:
         pass
 
+    def check_horizon(self, horizon: int) -> None:
+        """Raise InvalidArgumentError if the params cannot play `horizon` rounds."""
+
 
 def learner_init(
     spec: LearnerSpec, role: int, prior: Prior, signal: int, rng: Random
@@ -315,6 +318,19 @@ class _HedgeCore(Learner):
         self._p = (1.0 / n,) * n
         self._g = 0.0  # the scale of the update act applies next
         self._step = _emit_step(n, self.draws_randomness, self.swap)  # the bandits draw
+
+    def check_horizon(self, horizon):
+        # A round adds at most eta times a reward to a log-weight: 1 under full
+        # information, and for a bandit's estimate n / gamma, gamma being the
+        # exploration rate at the horizon (gamma = 0 bounds no estimate).
+        eta, top = self._eta_fixed, 1.0
+        if self.draws_randomness:
+            gamma = self._explore_fixed
+            if gamma is None:
+                gamma = min(1.0, math.sqrt(self.n_own * self._log_n / horizon))
+            top = self.n_own / gamma if gamma else 0.0
+        if eta is not None and math.isinf(eta * top * horizon):
+            raise InvalidArgumentError(f"eta {eta!r} overflows the log-weights within {horizon} rounds")
 
 
 class _FullInfoPlay(_HedgeCore):

@@ -13,7 +13,7 @@ _PIVOT_TOL = 1e-9
 # Phase 1's feasibility tolerance, and how far (|sum(x) - 1|, or -x_a) a
 # returned point may lie off the simplex: on ~455,000 feasible commitment LPs
 # of integer or uniform real payoffs the largest residual was 1.5e-10.
-_FEAS_TOL = 1e-7
+FEAS_TOL = 1e-7
 
 
 def _pivot(tab: list[list[float]], basis: list[int], row: int, col: int) -> None:
@@ -57,7 +57,7 @@ def lp_solve(c, rows, free: bool = False):
 
     Returns (z, c.z) at an optimal basic solution, or None if the LP is infeasible.
     A failed solve (no pivot row in either phase, since the LPs of solve.py are
-    bounded, or a point off the simplex by > _FEAS_TOL) raises AssumptionViolatedError."""
+    bounded, or a point off the simplex by > FEAS_TOL) raises AssumptionViolatedError."""
     n = len(c)
     nx = n - 1 if free else n
     if nx < 1 or any(len(row) != n for row in rows):
@@ -88,7 +88,7 @@ def lp_solve(c, rows, free: bool = False):
     _bland_run(tab, basis, ncols2 + 1, "the LP solve failed: phase 1 found no pivot row")
     # The objective row's rhs cell carries the negated phase-1 value, so a
     # positive residual means the artificial could not be driven to zero.
-    if tab[-1][-1] > _FEAS_TOL:
+    if tab[-1][-1] > FEAS_TOL:
         return None
     # Drive a remaining artificial out of the basis.
     for i in range(k + 1):
@@ -121,6 +121,6 @@ def lp_solve(c, rows, free: bool = False):
         z[-2] -= z[-1]
     z = tuple(v + 0.0 for v in z[:n])  # + 0.0 turns a pivot's -0.0 into 0.0
     x = z[:nx]
-    if abs(add_up(x) - 1.0) > _FEAS_TOL or min(x) < -_FEAS_TOL:
+    if abs(add_up(x) - 1.0) > FEAS_TOL or min(x) < -FEAS_TOL:
         raise AssumptionViolatedError(f"the LP solve failed: its point {x!r} lies off the simplex")
     return z, add_up(cj * zj for cj, zj in zip(c, z))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import AssumptionViolatedError, InvalidArgumentError, check_type
 from .games import GameMatrix, MixedStrategy, Prior, add_up
-from .lp import lp_solve
+from .lp import FEAS_TOL, lp_solve
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,6 @@ def _as_strategy(x) -> MixedStrategy:
     return tuple(v / s for v in x)
 
 
-# How far a reply LP's value may exceed its bound (see _stackelberg_reply).
-_BOUND_SLACK = 1e-6
-
-
 def _preference_rows(fol, f: int) -> list[list[float]]:
     """Rows r, one per other reply f2, with r.x = U_f(x, f2) - U_f(x, f) on
     the follower's payoffs fol: reply f is a best response to x iff every
@@ -75,22 +71,9 @@ def _preference_rows(fol, f: int) -> list[list[float]]:
 def _reply_lp(lead, fol, f: int) -> tuple[float, tuple[float, ...] | None]:
     """(value, x) of the LP that maximizes the leader's scaled payoff over
     her simplex subject to reply f being a follower best response; the value
-    is -inf when f is a best response to no commitment.
-
-    A value above the bound max_a lead[a][f] plus _BOUND_SLACK comes from a
-    failed solve and raises AssumptionViolatedError.
-    """
-    c = [row[f] for row in lead]
-    sol = lp_solve(c, _preference_rows(fol, f))
-    if sol is None:
-        return -math.inf, None
-    x, value = sol
-    if value > max(c) + _BOUND_SLACK:
-        raise AssumptionViolatedError(
-            f"the LP of follower reply {f} failed: its value {value!r} exceeds the "
-            f"leader's largest payoff against that reply, {max(c)!r} (scaled)"
-        )
-    return value, x
+    is -inf when f is a best response to no commitment."""
+    sol = lp_solve([row[f] for row in lead], _preference_rows(fol, f))
+    return (-math.inf, None) if sol is None else (sol[1], sol[0])
 
 
 def _chosen_reply(per_vals) -> int:
@@ -107,11 +90,7 @@ def _chosen_reply(per_vals) -> int:
 def stackelberg_value(g: GameMatrix, leader: int) -> StackelbergSolution:
     """Optimistic Stackelberg value and commitment for `leader`."""
     lead, e_lead, fol, _ = _orient(g, leader)
-    per_vals, xs = [], []
-    for f in range(len(fol)):
-        v, x = _reply_lp(lead, fol, f)
-        per_vals.append(v)
-        xs.append(x)
+    per_vals, xs = zip(*(_reply_lp(lead, fol, f) for f in range(len(fol))))
     f = _chosen_reply(per_vals)
     values = tuple(math.ldexp(v, e_lead) for v in per_vals)
     return StackelbergSolution(values[f], _as_strategy(xs[f]), f, values)
@@ -124,21 +103,20 @@ def _stackelberg_reply(lead, fol) -> tuple[int, MixedStrategy]:
 
     Replies are visited in decreasing order of the bound max_a lead[a][f] on
     their value, the lower index first on equal bounds, and the search stops
-    at the first reply whose bound plus _BOUND_SLACK lies more than the tie
-    window below the best value found. No value _reply_lp returns exceeds its
-    bound by more than _BOUND_SLACK: lp_solve's simplex check keeps it within
-    (2n - 1) * 1e-7 of the bound on n leader actions (below the slack up to
-    n = 5), and _reply_lp rejects the rest. So every reply left unsolved has
-    a value below the tie window of _chosen_reply: whenever stackelberg_value
-    returns, the choice is its choice, and the chosen reply's LP is the same
-    LP, so its strategy is too.
+    at the first reply whose bound plus 2n * FEAS_TOL (n leader actions) lies
+    more than the tie window below the best value found. lp_solve returns no
+    point off the simplex by more than FEAS_TOL, and scaled payoffs lie below
+    1 in magnitude, so a value exceeds its bound by at most (2n - 1) *
+    FEAS_TOL plus a rounding that the last FEAS_TOL covers. So no skipped
+    reply enters the tie window of _chosen_reply: whenever stackelberg_value
+    returns, the choice is its choice, and its LP, so its strategy, too.
     """
     bounds = [max(row[f] for row in lead) for f in range(len(fol))]
     per_vals = [-math.inf] * len(fol)
     xs = [None] * len(fol)
     best = -math.inf
     for f in sorted(range(len(fol)), key=bounds.__getitem__, reverse=True):
-        if bounds[f] + _BOUND_SLACK < best - 1e-9:
+        if bounds[f] + 2 * len(lead) * FEAS_TOL < best - 1e-9:
             break
         per_vals[f], xs[f] = _reply_lp(lead, fol, f)
         best = max(best, per_vals[f])

@@ -262,6 +262,38 @@ def test_numbers_python_cannot_hold_are_input_errors(capsys, tmp_path, monkeypat
     assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
+def with_config(command, config, assignment, *rest):
+    return [command, "--config", str(CONFIGS / config), "--trials", "2", "--horizon", "5",
+            "--set", assignment, *rest]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (with_config("simulate", "swap_decay.json", "spec1.params.eta=1e308"),
+         "eta 1e+308 overflows the log-weights within 5 rounds"),
+        (with_config("audit", "swap_decay.json", "spec1.params.eta=1e308"),
+         "eta 1e+308 overflows the log-weights within 5 rounds"),
+        # A bandit's estimate reaches n / gamma: 2 / 0.527 at n = 2 and t = 5,
+        # so 1e307 overflows here and would not under full information.
+        (with_config("claims", "leader_vs_learner_audit.json", "spec2.params.eta=1e307",
+                     "--p-star", "0"),
+         "eta 1e+307 overflows the log-weights within 5 rounds"),
+        (with_config("learn", "example41_external.json", "spec1.params.eta=1e308",
+                     "--belief", "nearest_best_response", "--tau", "0.05"),
+         "eta 1e+308 overflows the log-weights within 5 rounds"),
+    ],
+    ids=["simulate", "audit", "claims-bandit", "learn"],
+)
+def test_an_eta_that_overflows_the_log_weights_is_an_input_error(capsys, argv, message):
+    # Each used to run its trials on NaN strategies: simulate then failed
+    # with "bad CSP mass nan", audit and claims exited 0 with null gains, and
+    # learn read its beliefs from NaN strategies.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
 def test_cli_runs_without_numpy():
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (

@@ -313,7 +313,7 @@ def test_csp_point_mass_per_bucket(fig1_prior):
     cfg = constant_pair_cfg(
         fig1_prior, trials=32, signal_model=SignalModel(1.0, 0.5), seed=5
     )
-    rep = estimate_csps(cfg)
+    rep = estimate_csps(cfg, run_summaries(cfg))
     for key, csp in rep.by_pair.items():
         assert csp.mass[0][0] == pytest.approx(1.0)
     for i, csp in rep.by_game.items():
@@ -331,7 +331,7 @@ def test_csp_mixture_identity(fig1_prior):
         trials=32,
         master_seed=29,
     )
-    rep = estimate_csps(cfg)
+    rep = estimate_csps(cfg, run_summaries(cfg))
     p2 = 0.5
     for i in (0, 1):
         mix = rep.by_game[i]
@@ -362,7 +362,7 @@ def test_csp_mimic_leader_buckets_match(fig1_prior):
         trials=32,
         master_seed=37,
     )
-    rep = estimate_csps(cfg)
+    rep = estimate_csps(cfg, run_summaries(cfg))
     masses = {k: v.mass for k, v in rep.by_pair.items()}
     for j in (0, 1):
         if (0, j) in masses and (1, j) in masses:
@@ -384,7 +384,7 @@ def test_csp_copies_of_one_trial_have_no_spread(fig1_prior):
         master_seed=20260811,
     )
     summaries = run_summaries(cfg)
-    rep = estimate_csps(cfg, summaries=summaries)
+    rep = estimate_csps(cfg, summaries)
     for key in rep.by_pair:
         bucket = {s.csp_mass for s in summaries if (s.realized, s.s2) == key}
         assert len(bucket) == 1
@@ -395,7 +395,7 @@ def test_csp_copies_of_one_trial_have_no_spread(fig1_prior):
 
 def test_csp_one_trial_bucket_reports_zero_se(fig1_prior):
     cfg = constant_pair_cfg(fig1_prior, trials=1)
-    rep = estimate_csps(cfg)
+    rep = estimate_csps(cfg, run_summaries(cfg))
     assert list(rep.counts.values()) == [1]
     for se in rep.cell_se.values():
         assert se == ((0.0, 0.0), (0.0, 0.0))
@@ -404,7 +404,7 @@ def test_csp_one_trial_bucket_reports_zero_se(fig1_prior):
 def test_csp_empty_bucket_absent():
     prior = prior_from_games(builtin_prior("fig1:gamma=1").games, [1.0, 0.0])
     cfg = constant_pair_cfg(prior, trials=8, signal_model=SignalModel(1.0, 0.0))
-    rep = estimate_csps(cfg)
+    rep = estimate_csps(cfg, run_summaries(cfg))
     assert (1, 0) not in rep.by_pair
     assert rep.by_game[1] is None  # ingredient bucket missing, not fabricated
     assert rep.game_se[1] is None
@@ -815,7 +815,7 @@ def test_leader_vs_learner_csps_concentrate(fig1_prior):
         trials=16,
         master_seed=103,
     )
-    rep = estimate_csps(cfg)
+    rep = estimate_csps(cfg, run_summaries(cfg))
     for i in (0, 1):
         assert rep.by_game[i] is not None
         assert rep.by_game[i].mass[0][0] >= 0.95

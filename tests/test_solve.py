@@ -12,6 +12,7 @@ from grid_oracle import grid_stackelberg, maximin_two_actions, random_leader_fol
 from stratlab import solve
 from stratlab.errors import AssumptionViolatedError, InvalidArgumentError
 from stratlab.games import add_up, game_matrix
+from stratlab.lp import FEAS_TOL
 from stratlab.solve import (
     _margin,
     _orient,
@@ -263,13 +264,15 @@ def commitment_oracle(g, leader, delta):
 
 @st.composite
 def small_games(draw):
-    """Games with 1-6 actions per player and integer payoffs in a small
-    range, so that replies often tie."""
-    n1, n2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    """Games with 1-8 actions per player and integer payoffs in a small
+    range, so that replies often tie, player 1's scaled by 10**k for k in
+    -3..6. The skip rule's slack 2n * FEAS_TOL passes 1e-6 from n = 6 on."""
+    n1, n2 = draw(st.integers(1, 8)), draw(st.integers(1, 8))
     k = draw(st.sampled_from([1, 2, 3, 9, 99]))
     cell = st.integers(-k, k)
     rows = st.lists(st.lists(cell, min_size=n2, max_size=n2), min_size=n1, max_size=n1)
-    return game_matrix("g", draw(rows), draw(rows))
+    scale = 10 ** draw(st.integers(-3, 6))
+    return game_matrix("g", [[v * scale for v in row] for row in draw(rows)], draw(rows))
 
 
 @given(small_games(), st.sampled_from([1, 2]), st.sampled_from([0.1, 1.0]))
@@ -302,19 +305,24 @@ def test_perturbed_commitment_solves_fewer_lps_than_replies():
     assert solve_cost.lp_solves(solve, "perturbed_commitment", games) / 32 < 5
 
 
-def test_a_reply_lp_above_its_bound_raises(monkeypatch, fig1_g1):
-    # The check the pruned search rests on, fed a stub LP whose point lies
-    # on the simplex and whose value exceeds the reply's bound by `excess`.
-    def stub_excess(excess):
-        def stub(c, rows, free=False):
-            return (1.0,) + (0.0,) * (len(c) - 1), max(c) + excess
-        return stub
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("above, solves", [(True, 2), (False, 1)])
+def test_the_search_skips_a_reply_by_its_bound_plus_the_slack(monkeypatch, n, above, solves):
+    # A stub LP whose value is its bound: reply 0 (bound 0.5) gives the best
+    # value, and reply 1's bound lies 1e-12 above or below the point where
+    # its bound plus 2n * FEAS_TOL leaves the tie window below that value.
+    calls = []
 
-    monkeypatch.setattr(solve, "lp_solve", stub_excess(2e-6))
-    with pytest.raises(AssumptionViolatedError, match="LP of follower reply 0 failed"):
-        stackelberg_value(fig1_g1, 1)
-    monkeypatch.setattr(solve, "lp_solve", stub_excess(0.5e-6))  # within _BOUND_SLACK
-    assert stackelberg_value(fig1_g1, 1).follower_action == 0
+    def stub(c, rows, free=False):
+        calls.append(c)
+        return (1.0,) + (0.0,) * (len(c) - 1), max(c)
+
+    monkeypatch.setattr(solve, "lp_solve", stub)
+    edge = 0.5 - 1e-9 - 2 * n * FEAS_TOL
+    lead = [[0.5, edge + (1e-12 if above else -1e-12)]] + [[0.0, 0.0]] * (n - 1)
+    fol = [[0.0] * n, [0.0] * n]
+    assert solve._stackelberg_reply(lead, fol) == (0, (1.0,) + (0.0,) * (n - 1))
+    assert len(calls) == solves
 
 
 def test_an_off_simplex_reply_lp_raises():
