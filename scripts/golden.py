@@ -31,7 +31,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from stratlab.audit import audit_pne, belief_trace, verify_claims  # noqa: E402
 from stratlab.cli import load_config  # noqa: E402
-from stratlab.engine import estimate, estimate_csps, run_summaries  # noqa: E402
+from stratlab.engine import estimate, estimate_csps  # noqa: E402
 
 HEADER = "# report sha256(json.dumps(to_dict(), sort_keys=True))"
 HORIZON = 2000
@@ -63,9 +63,9 @@ def reports(threads: int):
     """(name, to_dict()) of every covered report, in a fixed order."""
     for path in sorted((ROOT / "configs").glob("*.json")):
         cfg = reduced(path.stem)
-        yield f"estimate/{path.stem}", estimate(cfg, threads).to_dict()
-        csps = estimate_csps(cfg, run_summaries(cfg, threads))
-        yield f"estimate_csps/{path.stem}", csps.to_dict(cfg.prior)
+        report = estimate(cfg, threads)
+        yield f"estimate/{path.stem}", report.to_dict()
+        yield f"estimate_csps/{path.stem}", estimate_csps(cfg, report.summaries).to_dict(cfg.prior)
     for name in AUDITED:
         cfg = reduced(name)
         yield f"audit_pne/{name}", audit_pne(cfg, threads=threads).to_dict()

@@ -64,7 +64,8 @@ def pairs(audit, cli, engine, learners, paths: list, horizon: int, trials: int):
         yield path.stem, "baseline", cfg
         if cfg.spec2.kind != "no_swap_regret_bandit":
             continue
-        for name, spec in audit.default_library(cfg).player1:
+        lib = audit.default_library(cfg)  # a checkout before the mapping has .player1
+        for name, spec in lib[1] if isinstance(lib, dict) else lib.player1:
             if learners.canonical_spec(spec)[0] is learners.StackelbergLeader:
                 yield path.stem, name, engine.with_spec(cfg, 1, spec)
 

@@ -40,24 +40,15 @@ from .solve import perturbed_commitment, stackelberg_value, stackval_prior
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeviationLibrary:
-    """Named deviation specs per player, all legal for their role."""
-
-    player1: tuple[tuple[str, LearnerSpec], ...]
-    player2: tuple[tuple[str, LearnerSpec], ...]
-
-    def for_player(self, player: int):
-        return self.player1 if player == 1 else self.player2
-
-
-def default_library(cfg: ExperimentConfig) -> DeviationLibrary:
-    """Every deviation the impossibility arguments actually use: all constant
-    actions, per-round best reply, Stackelberg commitment, signal-forcing
-    mimics of the player's own algorithm, and (for player 2) the scripted
-    infer-then-commit follower. Left out: the Stackelberg commitment where a
-    game of the prior has none, and under bandit feedback the deviations
-    whose class requires full information."""
+def default_library(cfg: ExperimentConfig) -> dict[int, tuple[tuple[str, LearnerSpec], ...]]:
+    """{1: player 1's deviations, 2: player 2's}, each a tuple of named specs
+    legal for the player's role: every deviation the impossibility arguments
+    actually use. These are all constant actions, per-round best reply,
+    Stackelberg commitment, signal-forcing mimics of the player's own
+    algorithm, and (for player 2) the scripted infer-then-commit follower.
+    Left out: the Stackelberg commitment where a game of the prior has none,
+    and under bandit feedback the deviations whose class requires full
+    information."""
     prior = cfg.prior
 
     def build(player: int, own_spec: LearnerSpec):
@@ -83,7 +74,7 @@ def default_library(cfg: ExperimentConfig) -> DeviationLibrary:
             devs = [d for d in devs if not canonical_spec(d[1])[0].requires_full_info]
         return tuple(devs)
 
-    return DeviationLibrary(build(1, cfg.spec1), build(2, cfg.spec2))
+    return {1: build(1, cfg.spec1), 2: build(2, cfg.spec2)}
 
 
 def paired_gain(
@@ -154,24 +145,19 @@ class AuditReport:
         }
 
 
-def audit_pne(
-    cfg: ExperimentConfig,
-    lib: DeviationLibrary | None = None,
-    epsilon: float = 0.5,
-    threads: int = 1,
-) -> AuditReport:
-    """Run the experiment once per (player, deviation) and compare gains.
+def audit_pne(cfg: ExperimentConfig, epsilon: float = 0.5, threads: int = 1) -> AuditReport:
+    """Run the experiment once per (player, deviation) of default_library(cfg)
+    and compare gains.
 
     All runs go through one run_summaries pass, which simulates each distinct
     trial once. Fails when any deviation gain's lower 95% confidence bound
-    exceeds epsilon. A pass is evidence at the configured horizon against the
-    given library, not a proof of meta-game equilibrium.
+    exceeds epsilon. A pass is evidence at the configured horizon against
+    default_library's deviations, not a proof of meta-game equilibrium.
     """
     if not 0 < epsilon < math.inf:
         raise InvalidArgumentError(f"epsilon must be finite and positive, got {epsilon!r}")
-    if lib is None:
-        lib = default_library(cfg)
-    named = [(player, name, spec) for player in (1, 2) for name, spec in lib.for_player(player)]
+    lib = default_library(cfg)
+    named = [(player, name, spec) for player in (1, 2) for name, spec in lib[player]]
     base_summaries, dev_runs, simulated, reused = _run_with_deviations(
         cfg, [(player, spec) for player, _, spec in named], threads
     )
@@ -310,10 +296,10 @@ def verify_claims(
     z = Z_95_ONE_SIDED
 
     def upper_ok(mass, se, bound):
-        return mass is not None and mass + z * (se or 0.0) <= bound + tol
+        return mass is not None and mass + z * se <= bound + tol
 
     def lower_ok(mass, se, bound):
-        return mass is not None and mass - z * (se or 0.0) >= bound - tol
+        return mass is not None and mass - z * se >= bound - tol
 
     benchmark = stackval_prior(prior, 2)
     u2 = est.prior_weighted_u2 if est.prior_weighted_u2 is not None else est.mean_u2

@@ -67,25 +67,19 @@ class GameMatrix:
     def n2(self) -> int:
         return len(self.u1[0])
 
-    def utilities(self, player: int) -> tuple[tuple[float, ...], ...]:
-        if player == 1:
-            return self.u1
-        if player == 2:
-            return self.u2
-        raise InvalidArgumentError(f"player must be 1 or 2, got {player}")
-
     def own_payoffs(self, player: int) -> tuple[tuple[float, ...], ...]:
         """rows[own][opp]: `player`'s utility when playing own against opp.
 
         This is u1 for player 1 and the transpose of u2 for player 2.
         """
+        if player == 1:
+            return self.u1
         if player == 2:
             return tuple(zip(*self.u2))
-        return self.utilities(player)
+        raise InvalidArgumentError(f"player must be 1 or 2, got {player}")
 
     def payoff_range(self, player: int) -> tuple[float, float]:
-        u = self.utilities(player)
-        flat = [v for row in u for v in row]
+        flat = [v for row in self.own_payoffs(player) for v in row]
         return min(flat), max(flat)
 
 

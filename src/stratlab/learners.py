@@ -322,12 +322,18 @@ class _HedgeCore(Learner):
     def check_horizon(self, horizon):
         # A round adds at most eta times a reward to a log-weight: 1 under full
         # information, and for a bandit's estimate n / gamma, gamma being the
-        # exploration rate at the horizon (gamma = 0 bounds no estimate).
+        # exploration rate at the horizon. gamma = 0 bounds no estimate: it is
+        # harmless at n = 1 (the one action has probability 1) and under the
+        # adaptive step gamma / n, which is then 0.
         eta, top = self._eta_fixed, 1.0
         if self.draws_randomness:
             gamma = self._explore_fixed
             if gamma is None:
                 gamma = min(1.0, math.sqrt(self.n_own * self._log_n / horizon))
+            if not gamma and eta is not None and self.n_own > 1:
+                raise InvalidArgumentError(
+                    f"exploration 0 leaves the bandit's estimates unbounded under fixed eta {eta!r}"
+                )
             top = self.n_own / gamma if gamma else 0.0
         if eta is not None and math.isinf(eta * top * horizon):
             raise InvalidArgumentError(f"eta {eta!r} overflows the log-weights within {horizon} rounds")

@@ -9,7 +9,7 @@ import pytest
 
 from stratlab import engine
 from stratlab.audit import (
-    DeviationLibrary,
+    _run_with_deviations,
     audit_pne,
     belief_trace,
     default_library,
@@ -55,8 +55,8 @@ def reveal_cfg(fig1_prior, horizon=2000, trials=16, seed=43):
 def test_default_library_contents(fig1_prior):
     cfg = reveal_cfg(fig1_prior)
     lib = default_library(cfg)
-    names1 = [n for n, _ in lib.player1]
-    names2 = [n for n, _ in lib.player2]
+    names1 = [n for n, _ in lib[1]]
+    names2 = [n for n, _ in lib[2]]
     assert names1 == [
         "constant:A", "constant:B", "best_responder", "stackelberg_leader",
         "mimic:G1", "mimic:G2",
@@ -64,12 +64,12 @@ def test_default_library_contents(fig1_prior):
     assert names2[-1] == "infer_then_commit"
     assert "constant:C" in names2
     # mimic deviations wrap the audited player's own algorithm
-    mimic = dict(lib.player1)["mimic:G1"]
+    mimic = dict(lib[1])["mimic:G1"]
     assert mimic.params["base"] == cfg.spec1
 
 
 def test_default_library_builds_legal_configs():
-    # DeviationLibrary's promise: in every feedback mode in which a shipped
+    # default_library's promise: in every feedback mode in which a shipped
     # pair is legal, each of its deviations makes a legal config too.
     legal = []
     for path in sorted(CONFIG_DIR.glob("*.json")):
@@ -81,7 +81,7 @@ def test_default_library_builds_legal_configs():
             legal.append((path.stem, mode))
             lib = default_library(cfg)
             for player in (1, 2):
-                for _, spec in lib.for_player(player):
+                for _, spec in lib[player]:
                     with_spec(cfg, player, spec)
     assert {stem for stem, mode in legal if mode == "full"} == {
         path.stem for path in CONFIG_DIR.glob("*.json")
@@ -199,7 +199,7 @@ def direct_rows(cfg, lib):
     base = simulate_each(cfg)
     rows = []
     for player in (1, 2):
-        for name, spec in lib.for_player(player):
+        for name, spec in lib[player]:
             dev = simulate_each(with_spec(cfg, player, spec))
             gain, ci = paired_gain(cfg.prior, base, dev, player)
             lower = gain - ci if ci is not None else gain
@@ -243,7 +243,7 @@ def test_shared_simulations_match_per_job_runs(threads):
         cfg = shipped_cfg(path.name, 40, 6)
         lib = default_library(cfg)
         cfgs = [cfg] + [
-            with_spec(cfg, player, spec) for player in (1, 2) for _, spec in lib.for_player(player)
+            with_spec(cfg, player, spec) for player in (1, 2) for _, spec in lib[player]
         ]
         jobs = [(c, k) for c in cfgs for k in range(cfg.trials)]
         shared = run_summaries(cfg, threads, jobs=jobs)
@@ -254,27 +254,20 @@ def test_shared_simulations_match_per_job_runs(threads):
 
 def test_changed_deviations_are_simulated_fresh():
     cfg = shipped_cfg("leader_vs_learner_audit.json", 300, 8)
-    other_b = DeviationLibrary(
-        player1=(("b=0.5", LearnerSpec("stackelberg_leader", {"b": 0.5})),), player2=()
-    )
-    report = audit_pne(cfg, other_b)
-    assert (report.trials_simulated, report.trials_reused) == (16, 0)
-    assert report.deviations == direct_rows(cfg, other_b)[1]
+    base = simulate_each(cfg)
+    other_b = LearnerSpec("stackelberg_leader", {"b": 0.5})
+    shared, (dev,), simulated, reused = _run_with_deviations(cfg, [(1, other_b)], 1)
+    assert (simulated, reused) == (16, 0)
+    assert (shared, dev) == (base, simulate_each(with_spec(cfg, 1, other_b)))
 
     # The leader reads its signal (p1 = 1: the true game), so a mimic forcing
     # game 1 is simulated exactly where the true game is game 2.
-    mimic = DeviationLibrary(
-        player1=(("mimic", LearnerSpec("mimic_deviation", {"base": cfg.spec1, "signal": 0})),),
-        player2=(),
-    )
+    mimic = LearnerSpec("mimic_deviation", {"base": cfg.spec1, "signal": 0})
     differ = sum(1 for k in range(cfg.trials) if environment_draw(cfg, k)[1] != 0)
     assert 0 < differ < cfg.trials
-    report = audit_pne(cfg, mimic)
-    assert (report.trials_simulated, report.trials_reused) == (
-        cfg.trials + differ,
-        cfg.trials - differ,
-    )
-    assert report.deviations == direct_rows(cfg, mimic)[1]
+    shared, (dev,), simulated, reused = _run_with_deviations(cfg, [(1, mimic)], 1)
+    assert (simulated, reused) == (cfg.trials + differ, cfg.trials - differ)
+    assert (shared, dev) == (base, simulate_each(with_spec(cfg, 1, mimic)))
 
 
 def test_one_worker_pool_per_audit_and_claims(fig1_prior, monkeypatch):

@@ -294,6 +294,19 @@ def test_an_eta_that_overflows_the_log_weights_is_an_input_error(capsys, argv, m
     assert err == f"error: {message}\n"
 
 
+def test_a_fixed_eta_bandit_with_no_exploration_is_an_input_error(capsys):
+    # With exploration 0 the drawn action's probability has no floor, so no
+    # eta bounds the estimates: this audit used to pass with 24 null values.
+    code, out, err = run_cli(
+        capsys, "audit", "--config", str(CONFIGS / "leader_vs_learner_audit.json"),
+        "--trials", "2", "--horizon", "50",
+        "--set", "spec2.params.eta=1e308", "--set", "spec2.params.exploration=0",
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "exploration" in err
+
+
 def test_cli_runs_without_numpy():
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (

@@ -61,6 +61,17 @@ def test_game_matrix_validation():
     assert g.action_labels1 == ("A", "B")
 
 
+def test_payoff_accessors_take_only_player_1_or_2():
+    g = game_matrix("ok", [[1, 2, 3], [4, 5, 6]], [[0, -1, 0], [7, 0, 0]])
+    assert g.own_payoffs(2) == ((0.0, 7.0), (-1.0, 0.0), (0.0, 0.0))
+    assert (g.payoff_range(1), g.payoff_range(2)) == ((1.0, 6.0), (-1.0, 7.0))
+    for player in (0, 3, -1):
+        with pytest.raises(InvalidArgumentError, match="player must be 1 or 2"):
+            g.own_payoffs(player)
+        with pytest.raises(InvalidArgumentError, match="player must be 1 or 2"):
+            g.payoff_range(player)
+
+
 def test_prior_validation():
     g = game_matrix("g", [[1]], [[1]])
     with pytest.raises(InvalidArgumentError):

@@ -36,7 +36,7 @@ def drive(learner, g, opponent, T, full=True):
         x, y = (own, opponent) if learner.role == 1 else (opponent, own)
         u = sum(
             xa * yb * v
-            for xa, row in zip(x, g.utilities(learner.role))
+            for xa, row in zip(x, g.u1 if learner.role == 1 else g.u2)
             for yb, v in zip(y, row)
         )
         learner.observe(FeedbackRecord(own, opponent if full else None, u))
@@ -68,6 +68,15 @@ def test_param_ranges(fig1_prior):
         make("constant_action", 1, fig1_prior, action=7)
     with pytest.raises(InvalidArgumentError):
         make("constant_action", 1, fig1_prior)
+
+
+@pytest.mark.parametrize("kind", ["bandit_exp3", "no_swap_regret_bandit"])
+def test_only_a_fixed_eta_needs_exploration_above_zero(fig1_prior, kind):
+    one_action = prior_from_games([game_matrix("one", [[0, 1]], [[1, 0]])])
+    make(kind, 1, fig1_prior, exploration=0.0).check_horizon(100)  # adaptive step gamma / n = 0
+    make(kind, 1, one_action, eta=0.1, exploration=0.0).check_horizon(100)
+    with pytest.raises(InvalidArgumentError, match="exploration 0"):
+        make(kind, 1, fig1_prior, eta=0.1, exploration=0.0).check_horizon(100)
 
 
 def test_params_checked_against_kind_table():
