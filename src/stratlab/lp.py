@@ -1,9 +1,12 @@
 """The commitment LP over the leader's simplex: a two-phase simplex with
 Bland's anti-cycling rule on a dense tableau of Python lists, which is exact
-enough for these tiny (~10-variable) problems and dependency-free."""
+enough for these tiny (~10-variable) problems and dependency-free. The pivot
+is straight-line code compiled once per tableau width (_emit_pivot, 0.1-0.3
+ms each), bit-identical to the loop form that the tests keep."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .errors import AssumptionViolatedError, InvalidArgumentError
@@ -16,30 +19,52 @@ _PIVOT_TOL = 1e-9
 FEAS_TOL = 1e-7
 
 
-def _pivot(tab: list[list[float]], basis: list[int], row: int, col: int) -> None:
-    p = tab[row][col]
-    prow = tab[row] = [v / p for v in tab[row]]
-    for i, r in enumerate(tab):
-        f = r[col]
-        if i != row and f != 0.0:
-            tab[i] = [a - f * b for a, b in zip(r, prow)]
-    basis[row] = col
+@functools.cache
+def _emit_pivot(w: int):
+    """The simplex pivot on a tableau w columns wide, compiled on first use:
+    pivot(tab, basis, row, col) divides the pivot row by its col entry and
+    subtracts f times the result from each other row whose col entry f is
+    nonzero, in straight-line code on locals a0.. (a row) and b0.. (the new
+    pivot row). These are the loop form's float operations in its order
+    (tests/test_lp.py keeps it as the oracle), so the tableau is bit-identical
+    to it, zero signs included; a row of another width raises ValueError."""
+    a, b = ("".join(f"{v}{j}, " for j in range(w)) for v in "ab")
+    src = "".join([
+        "def pivot(tab, basis, row, col):\n",
+        "    p = tab[row][col]\n",
+        f"    ({a}) = tab[row]\n",
+        f"    ({b}) = tab[row] = [{''.join(f'a{j} / p, ' for j in range(w))}]\n",
+        "    for i, r in enumerate(tab):\n",
+        "        f = r[col]\n",
+        "        if i != row and f != 0.0:\n",
+        f"            ({a}) = r\n",
+        f"            tab[i] = [{''.join(f'a{j} - f * b{j}, ' for j in range(w))}]\n",
+        "    basis[row] = col\n",
+    ])
+    namespace: dict = {}
+    exec(compile(src, f"<simplex pivot, {w} columns>", "exec"), namespace)
+    return namespace["pivot"]
 
 
 def _bland_run(tab: list[list[float]], basis: list[int], ncols: int, no_row: str) -> None:
     """Pivot by Bland's rule (last row = reduced costs, maximize) to an optimum;
     raise AssumptionViolatedError(no_row) if an entering column has no pivot row."""
     m = len(tab) - 1
+    pivot = _emit_pivot(len(tab[0]))
     for _ in range(100_000):
         obj = tab[-1]
-        col = next((j for j in range(ncols) if obj[j] > _PIVOT_TOL), -1)
-        if col < 0:
+        for col in range(ncols):
+            if obj[col] > _PIVOT_TOL:
+                break
+        else:
             return
         row, best_ratio, best_basis = -1, math.inf, -1
-        for i in range(m):
-            a = tab[i][col]
+        for i, r in enumerate(tab):
+            if i == m:
+                break
+            a = r[col]
             if a > _PIVOT_TOL:
-                ratio = tab[i][-1] / a
+                ratio = r[-1] / a
                 if ratio < best_ratio - _PIVOT_TOL or (
                     abs(ratio - best_ratio) <= _PIVOT_TOL
                     and (row < 0 or basis[i] < best_basis)
@@ -47,7 +72,7 @@ def _bland_run(tab: list[list[float]], basis: list[int], ncols: int, no_row: str
                     row, best_ratio, best_basis = i, ratio, basis[i]
         if row < 0:
             raise AssumptionViolatedError(no_row)
-        _pivot(tab, basis, row, col)
+        pivot(tab, basis, row, col)
     raise RuntimeError("simplex failed to terminate (anti-cycling rule exhausted)")
 
 
@@ -98,7 +123,7 @@ def lp_solve(c, rows, free: bool = False):
                 tab[i] = [0.0] * (ncols2 + 2)  # redundant row
                 basis[i] = -1
             else:
-                _pivot(tab, basis, i, piv)
+                _emit_pivot(ncols2 + 2)(tab, basis, i, piv)
     tab.pop()
 
     # Phase 2 objective over structural+slack columns only; the artificial

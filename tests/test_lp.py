@@ -1,10 +1,13 @@
+import functools
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from grid_oracle import grid_leader_lp_value
+from stratlab import lp
 from stratlab.errors import AssumptionViolatedError, InvalidArgumentError
 from stratlab.lp import lp_solve
 
@@ -152,3 +155,71 @@ def test_residuals_small():
         assert abs(z[:nx].sum() - 1.0) <= 1e-8
         assert np.all(np.array(rows) @ z <= 1e-8)
     assert solved >= 60
+
+
+# ---------------------------------------------------------------------------
+# The compiled pivot against its loop form
+# ---------------------------------------------------------------------------
+
+
+def pivot_loops(tab, basis, row, col):
+    """The simplex pivot as loops: the oracle of lp._emit_pivot's kernels."""
+    p = tab[row][col]
+    prow = tab[row] = [v / p for v in tab[row]]
+    for i, r in enumerate(tab):
+        f = r[col]
+        if i != row and f != 0.0:
+            tab[i] = [a - f * b for a, b in zip(r, prow)]
+    basis[row] = col
+
+
+# Signed zeros, subnormals, the smallest normal, large and small integers.
+ENTRIES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1060, 2.0 ** -1022, 1e6, -1e6]) | (
+    st.integers(-9, 9).map(float))
+
+
+def hexed(tab):
+    return [[v.hex() for v in r] for r in tab]
+
+
+@given(st.data())
+def test_pivot_is_the_loop_pivot_bit_for_bit(data):
+    w, h = data.draw(st.integers(2, 24)), data.draw(st.integers(1, 8))
+    tab = [[data.draw(ENTRIES) for _ in range(w)] for _ in range(h)]
+    row, col = data.draw(st.sampled_from([(i, j) for i in range(h) for j in range(w)
+                                          if tab[i][j] != 0.0] or [(0, 0)]))
+    tab[row][col] = tab[row][col] or 1.0
+    basis = list(range(h))
+    oracle, oracle_basis = [list(r) for r in tab], list(basis)
+    lp._emit_pivot(w)(tab, basis, row, col)
+    pivot_loops(oracle, oracle_basis, row, col)
+    assert hexed(tab) == hexed(oracle)
+    assert basis == oracle_basis
+
+
+@pytest.mark.parametrize("width", [4, 6])
+def test_pivot_rejects_a_row_of_another_width(width):
+    # zip would stop at the shorter row; the kernel's unpacking raises.
+    tab = [[2.0, 1.0, 0.0, 4.0, 5.0], [1.0] * width]
+    with pytest.raises(ValueError):
+        lp._emit_pivot(5)(tab, [0, 1], 0, 0)
+
+
+def test_one_pivot_compile_per_tableau_width(monkeypatch):
+    # A fresh cache, so the count does not hang on which widths other tests
+    # compiled first. 25 x entries and 3 rows: phase 1 pivots on a tableau
+    # 25 + 3 + 1 (artificial) + 1 (rhs) = 30 columns wide, phase 2 on 29.
+    compiled = []
+
+    def counting(*args):
+        compiled.append(args[1])
+        return compile(*args)
+
+    monkeypatch.setattr(lp, "compile", counting, raising=False)
+    monkeypatch.setattr(lp, "_emit_pivot", functools.cache(lp._emit_pivot.__wrapped__))
+    rng = random.Random(30)
+    c = [0.0] * 24 + [1.0]
+    solutions = [lp_solve(c, [[-rng.randint(1, 9) for _ in range(25)] for _ in range(3)])
+                 for _ in range(2)]
+    assert solutions[0] == solutions[1] == ((0.0,) * 24 + (1.0,), 1.0)
+    assert compiled == ["<simplex pivot, 30 columns>", "<simplex pivot, 29 columns>"]

@@ -362,15 +362,31 @@ def test_an_off_simplex_margin_lp_raises():
 # ---------------------------------------------------------------------------
 
 
-def solver_digest(games: int = 600) -> str:
-    """sha256 over the float.hex of stackelberg_value's and (at delta 0.1)
-    perturbed_commitment's outputs, or the exception type where one raises,
-    on `games` seeded integer games with 1-8 actions for both leaders."""
-    rng = random.Random(25)
+def digest_payoff(rng, player, k):
+    """An integer in [-k, k], or with k None a mixed-scale entry: for player 1
+    +-{1, 2, 3, 9, 99} * 10**e with e in -3..6, for player 2 an integer in
+    [-9, 9]."""
+    if k is not None:
+        return rng.randint(-k, k)
+    if player == 2:
+        return rng.randint(-9, 9)
+    m, e = rng.choice([-1, 1]) * rng.choice([1, 2, 3, 9, 99]), rng.randint(-3, 6)
+    return m * 10 ** e if e >= 0 else m / 10 ** -e  # each correctly rounded
+
+
+def solver_digest(games: int = 600, mixed: bool = False) -> tuple[str, int]:
+    """(sha256, raises): the sha256 is over the float.hex of
+    stackelberg_value's and (at delta 0.1) perturbed_commitment's outputs, or
+    the exception type where one raises, on `games` seeded games with 1-8
+    actions for both leaders, of integer or (`mixed`) mixed-scale payoffs
+    (digest_payoff)."""
+    rng = random.Random(30 if mixed else 25)
     h = hashlib.sha256()
+    raises = 0
     for _ in range(games):
-        n1, n2, k = rng.randint(1, 8), rng.randint(1, 8), rng.choice([1, 2, 3, 9, 99])
-        u1, u2 = ([[rng.randint(-k, k) for _ in range(n2)] for _ in range(n1)] for _ in range(2))
+        n1, n2 = rng.randint(1, 8), rng.randint(1, 8)
+        k = None if mixed else rng.choice([1, 2, 3, 9, 99])
+        u1, u2 = ([[digest_payoff(rng, p, k) for _ in range(n2)] for _ in range(n1)] for p in (1, 2))
         g = game_matrix("g", u1, u2)
         for leader in (1, 2):
             for fn in (stackelberg_value, lambda g, leader: perturbed_commitment(g, leader, 0.1)):
@@ -378,6 +394,7 @@ def solver_digest(games: int = 600) -> str:
                     out = fn(g, leader)
                 except (AssumptionViolatedError, InvalidArgumentError) as e:
                     h.update(type(e).__name__.encode())
+                    raises += 1
                     continue
                 if isinstance(out, tuple):
                     mix, margin = out
@@ -387,10 +404,19 @@ def solver_digest(games: int = 600) -> str:
                                                *out.per_follower_action_values)]
                     words.append(str(out.follower_action))
                 h.update(" ".join(words).encode() + b";")
-    return h.hexdigest()
+    return h.hexdigest(), raises
 
 
 def test_solver_outputs_are_pinned_bit_for_bit():
     # Any change to a solver's floats, its chosen reply or what raises moves
     # this digest; a change that means to move it says why in CHANGES.md.
-    assert solver_digest() == "f1eb1f2915207da8f5fd9aafea3a0f97c6c876e049d1403bc0ec861d68d727c8"
+    digest = "f1eb1f2915207da8f5fd9aafea3a0f97c6c876e049d1403bc0ec861d68d727c8"
+    assert solver_digest() == (digest, 154)
+
+
+def test_mixed_scale_solver_outputs_are_pinned_bit_for_bit():
+    # Player 1's payoffs span up to nine orders of magnitude, so LP solves
+    # raise on points off the simplex besides the raises on dominated
+    # targets (5 and 8 of the 13 here): what raises is pinned with the floats.
+    digest = "c6198e4bb1ec5043105d88073d141788b7d20710f9f1347561cccbc36d8c4d9e"
+    assert solver_digest(300, mixed=True) == (digest, 13)
